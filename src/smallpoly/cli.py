@@ -278,7 +278,6 @@ def cmd_optimize(args) -> int:
         {
             "constraint_residual": diag.constraint_residual,
             "kkt_norm": diag.kkt_norm,
-            "outer_iterations": diag.outer_iterations,
             "inner_iterations": diag.iterations,
             "multipliers": list(diag.multipliers),
         },

@@ -10,8 +10,9 @@ Three pieces of machinery live here:
   few digits the line search cannot resolve.
 * ``solve_full_nlp``: the symmetric-polygon area program over the n/2 turning
   angles with its two equality constraints (angles sum to a quarter turn, the
-  chain midpoint lands at x = +-1/2), solved by an augmented-Lagrangian outer
-  loop and finished with Newton steps on the first-order optimality system.
+  chain midpoint lands at x = +-1/2), solved from each start by Newton steps
+  on the KKT system with the exact Hessian of the Lagrangian (shifted where a
+  far start needs it) and step halving that keeps the angles in their box.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import numpy as np
 from .geometry import AngleVector, half_sign
 
 _EPS = 2.220446049250313e-16
+# areas of full-program starts closer than this are treated as equal
+AREA_TIE = 1e-12
 
 
 class BracketError(ValueError):
@@ -48,7 +51,6 @@ class Diagnostics:
     start_values: tuple[float, ...] = ()
     constraint_residual: float | None = None
     kkt_norm: float | None = None
-    outer_iterations: int | None = None
     multipliers: tuple[float, ...] | None = None
 
     @property
@@ -446,105 +448,79 @@ def constraint_jacobian(theta, n: int) -> np.ndarray:
     return np.vstack([np.ones(m), row2])
 
 
-def _kkt_newton(n, theta, lam, max_steps=10):
-    """Newton on the stationarity system for the interior solution.
+def lagrangian_hessian(theta, lam) -> np.ndarray:
+    """Exact Hessian of ``-area + lam @ constraint_values`` in the angles.
 
-    The Hessian of the Lagrangian comes from central differences of the
-    analytic gradient; steps are accepted only while the combined residual
-    strictly decreases.
+    With partial sums S = cumsum(theta) and signs s_j = (-1)^j the area is
+    sin S_0 + sum_ab w_ab s_a s_b sin(S_a - S_b), w_ab = max(0, m - max(a,
+    b + 2, 2)), and the closure constraint is sum_{j < m-1} s_j sin S_j.  Both
+    Hessians are formed in S and mapped to theta by suffix sums over rows and
+    columns, since S = L theta with L lower-triangular ones.
+    """
+    theta = np.asarray(theta, dtype=float)
+    m = len(theta)
+    s = np.cumsum(theta)
+    idx = np.arange(m)
+    sign = np.where(idx % 2 == 0, 1.0, -1.0)
+    w = np.maximum(0, m - np.maximum(np.maximum.outer(idx, idx + 2), 2)) * np.outer(sign, sign)
+    pair = (w - w.T) * np.sin(s[:, None] - s[None, :])
+    hess = np.diag(pair.sum(axis=1)) - pair
+    hess[0, 0] += math.sin(s[0])
+    hess[idx[:-1], idx[:-1]] -= lam[1] * sign[:-1] * np.sin(s[:-1])
+    return np.cumsum(np.cumsum(hess[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
+
+
+def _kkt_residual(n, theta, lam) -> np.ndarray:
+    gl = -objective_gradient(theta) + constraint_jacobian(theta, n).T @ lam
+    return np.concatenate((gl, constraint_values(theta, n)))
+
+
+def _solve_nlp_single(n, theta0, lo, hi, max_steps):
+    """Newton steps on the KKT system of one start, kept inside the box.
+
+    Each step solves the KKT system with the exact Hessian of the Lagrangian
+    -area + lam @ c.  Where that Hessian has a negative eigenvalue on the null
+    space of the constraint Jacobian, twice its magnitude is added to the
+    diagonal, so a far start heads for a maximum of the area, not a saddle;
+    near the optimum no shift is needed and the steps are Newton's.
+    A step, or a halving of it, is accepted if it keeps the angles in the box
+    and lowers the max-norm KKT residual.  The loop stops below 1e-13, after
+    ``max_steps`` steps, or when no halving is accepted.
     """
     m = n // 2
-
-    def residuals(t, l):
-        gl = -objective_gradient(t) + constraint_jacobian(t, n).T @ l
-        c = constraint_values(t, n)
-        return gl, c
-
-    for _ in range(max_steps):
-        gl, c = residuals(theta, lam)
-        res = max(float(np.max(np.abs(gl))), float(np.max(np.abs(c))))
-        if res < 1e-13:
-            break
-        H = np.zeros((m, m))
-        h = 1e-6
-        for i in range(m):
-            tp = theta.copy()
-            tp[i] += h
-            tm = theta.copy()
-            tm[i] -= h
-            gp = -objective_gradient(tp) + constraint_jacobian(tp, n).T @ lam
-            gm = -objective_gradient(tm) + constraint_jacobian(tm, n).T @ lam
-            H[:, i] = (gp - gm) / (2 * h)
-        H = 0.5 * (H + H.T)
-        J = constraint_jacobian(theta, n)
-        K = np.zeros((m + 2, m + 2))
-        K[:m, :m] = H
-        K[:m, m:] = J.T
-        K[m:, :m] = J
-        try:
-            sol = np.linalg.solve(K, np.concatenate((-gl, -c)))
-        except np.linalg.LinAlgError:
-            break
-        tn = theta + sol[:m]
-        ln = lam + sol[m:]
-        gl_n, c_n = residuals(tn, ln)
-        if max(float(np.max(np.abs(gl_n))), float(np.max(np.abs(c_n)))) < res:
-            theta, lam = tn, ln
-        else:
-            break
-    return theta, lam
-
-
-def _solve_nlp_single(n, theta0, ctol, ktol, max_outer):
-    m = n // 2
-    prob = NlpProblem(n, ctol, ktol)
-    lo, hi = prob.lower, prob.upper
     theta = np.clip(np.asarray(theta0, dtype=float), lo, hi)
-    nfev = [0]
-
-    # least-squares multiplier estimate; with a warm start this is already
-    # close to the optimal multipliers and the first subproblem barely moves
     lam, *_ = np.linalg.lstsq(
         constraint_jacobian(theta, n).T, objective_gradient(theta), rcond=None
     )
-    mu = 10.0
-    c_prev = math.inf
-    total_inner = 0
-    outer = 0
-    for outer in range(1, max_outer + 1):
-        c_now = float(np.max(np.abs(constraint_values(theta, n))))
-        inner_tol = max(1e-6, min(1e-4, 0.1 * c_now))
-        lam_c = lam.copy()
-        mu_c = mu
-
-        def phi(t):
-            c = constraint_values(t, n)
-            return -nlp_objective(t) + float(lam_c @ c) + 0.5 * mu_c * float(c @ c)
-
-        def dphi(t, _fv=None):
-            c = constraint_values(t, n)
-            return -objective_gradient(t) + constraint_jacobian(t, n).T @ (lam_c + mu_c * c)
-
-        theta, _, _, inner_it, _ = _lbfgs_descend(
-            phi, dphi, theta, lo, hi, inner_tol, 600, nfev
-        )
-        total_inner += inner_it
-        c = constraint_values(theta, n)
-        cmax = float(np.max(np.abs(c)))
-        lam = lam + mu * c
-        if cmax <= 1e-7:
+    r = _kkt_residual(n, theta, lam)
+    res = float(np.max(np.abs(r)))
+    nfev = 1
+    steps = 0
+    while steps < max_steps and res >= 1e-13:
+        J = constraint_jacobian(theta, n)
+        H = lagrangian_hessian(theta, lam)
+        Z = np.linalg.qr(J.T, mode="complete")[0][:, 2:]
+        shift = max(0.0, -2.0 * np.linalg.eigvalsh(Z.T @ H @ Z)[0])
+        K = np.block([[H + shift * np.eye(m), J.T], [J, np.zeros((2, 2))]])
+        try:
+            d = np.linalg.solve(K, -r)
+        except np.linalg.LinAlgError:
             break
-        if cmax > max(0.25 * c_prev, 0.5 * ctol):
-            mu = min(mu * 10.0, 1e10)
-        c_prev = cmax
-
-    theta, lam = _kkt_newton(n, theta, lam)
-    c = constraint_values(theta, n)
-    cmax = float(np.max(np.abs(c)))
-    gl = -objective_gradient(theta) + constraint_jacobian(theta, n).T @ lam
-    kkt = float(np.max(np.abs(theta - np.clip(theta - gl, lo, hi))))
-    area = nlp_objective(theta)
-    return theta, area, cmax, kkt, lam, outer, total_inner, nfev[0]
+        for t in 0.5 ** np.arange(30):
+            tn = theta + t * d[:m]
+            if np.all(tn >= lo) and np.all(tn <= hi):
+                rn = _kkt_residual(n, tn, lam + t * d[m:])
+                nfev += 1
+                if float(np.max(np.abs(rn))) < res:
+                    break
+        else:
+            break
+        theta, lam, r = tn, lam + t * d[m:], rn
+        res = float(np.max(np.abs(r)))
+        steps += 1
+    cmax = float(np.max(np.abs(r[m:])))
+    kkt = float(np.max(np.abs(theta - np.clip(theta - r[:m], lo, hi))))
+    return theta, nlp_objective(theta), cmax, kkt, lam, steps, nfev
 
 
 def solve_full_nlp(
@@ -566,11 +542,21 @@ def solve_full_nlp(
         is the expanded best reduced construction for this n, whose angles
         already show the damped oscillation of the optimum.
     ctol, ktol : constraint and stationarity tolerances for success.
+    max_outer : cap on the Newton steps taken from each start.
     multistart : total number of starts (the base start plus jittered copies).
     seed : seed for the jitters; identical inputs give identical results.
 
+    Each start runs Newton on the KKT system with the exact Hessian of the
+    Lagrangian; a start far from the optimum, such as the r = 0 closed form,
+    converges without a warm start.  The earliest start that meets both
+    tolerances with an area within ``AREA_TIE`` of the best such area wins,
+    so a jittered copy never displaces the base start by rounding noise.
+    The diagnostics sum Newton steps (``iterations``) and KKT-residual
+    evaluations (``nfev``) over all starts.
+
     Returns ``(AngleVector, area, Diagnostics)``.  Raises InfeasibleError if
-    no start reaches both tolerances.
+    no start reaches both tolerances; its diagnostics then describe the base
+    start.
     """
     prob = NlpProblem(n, ctol, ktol)
     if start is None:
@@ -591,27 +577,22 @@ def solve_full_nlp(
         jitter = 1e-3 * (math.pi / n) * rng.standard_normal(prob.dim)
         starts.append(np.clip(theta0 + jitter, prob.lower, prob.upper))
 
-    best = None
-    per_start = []
-    for th0 in starts:
-        theta, area, cmax, kkt, lam, outer, inner, nf = _solve_nlp_single(
-            n, th0, ctol, ktol, max_outer
-        )
-        feasible = cmax <= ctol and kkt <= ktol
-        per_start.append(area if feasible else -math.inf)
-        key = (feasible, area, -cmax)
-        if best is None or key > best[0]:
-            best = (key, theta, area, cmax, kkt, lam, outer, inner, nf)
-    _, theta, area, cmax, kkt, lam, outer, inner, nf = best
+    results = [_solve_nlp_single(n, th0, prob.lower, prob.upper, max_outer) for th0 in starts]
+    per_start = tuple(
+        area if cmax <= ctol and kkt <= ktol else -math.inf
+        for _, area, cmax, kkt, *_ in results
+    )
+    top = max(per_start)
+    win = next(i for i, v in enumerate(per_start) if v >= top - AREA_TIE)
+    theta, area, cmax, kkt, lam, _, _ = results[win]
     diag = Diagnostics(
         converged=cmax <= ctol and kkt <= ktol,
-        iterations=inner,
-        nfev=nf,
+        iterations=sum(res[5] for res in results),
+        nfev=sum(res[6] for res in results),
         grad_norm=kkt,
-        start_values=tuple(per_start),
+        start_values=per_start,
         constraint_residual=cmax,
         kkt_norm=kkt,
-        outer_iterations=outer,
         multipliers=tuple(float(v) for v in lam),
     )
     if not diag.converged:

@@ -12,6 +12,7 @@ from smallpoly.solver import (
     brentq,
     constraint_jacobian,
     constraint_values,
+    lagrangian_hessian,
     maximize_box,
     nlp_objective,
     objective_gradient,
@@ -139,6 +140,40 @@ class TestConstraints:
             assert np.allclose(J[:, i], col, atol=1e-7)
 
 
+def _lagrangian_gradient(theta, lam, n):
+    return -objective_gradient(theta) + constraint_jacobian(theta, n).T @ lam
+
+
+class TestLagrangianHessian:
+    @pytest.mark.parametrize("n", [6, 20, 120, 512])
+    def test_matches_fd_of_analytic_derivatives(self, n):
+        rng = np.random.default_rng(n)
+        theta = rng.uniform(0.01, 0.5, n // 2)
+        lam = rng.standard_normal(2)
+        H = lagrangian_hessian(theta, lam)
+        fd = np.zeros_like(H)
+        h = 1e-6
+        for i in range(len(theta)):
+            tp, tm = theta.copy(), theta.copy()
+            tp[i] += h
+            tm[i] -= h
+            fd[:, i] = _lagrangian_gradient(tp, lam, n) - _lagrangian_gradient(tm, lam, n)
+            fd[:, i] /= 2 * h
+        assert np.max(np.abs(H - fd)) <= 1e-8 * max(1.0, np.max(np.abs(H)))
+        assert np.max(np.abs(H - H.T)) <= 1e-12 * np.max(np.abs(H))
+
+    @pytest.mark.parametrize("n", [6, 16, 100, 512])
+    def test_solution_is_a_constrained_maximum(self, n):
+        # -area + lam @ c has a positive definite Hessian on the tangent
+        # space of the constraints, so the area has a strict local maximum
+        angles, _, diag = solve_full_nlp(n, multistart=1)
+        theta = np.array(angles.theta)
+        _, _, vt = np.linalg.svd(constraint_jacobian(theta, n))
+        Z = vt[2:].T
+        reduced = Z.T @ lagrangian_hessian(theta, np.array(diag.multipliers)) @ Z
+        assert np.min(np.linalg.eigvalsh(reduced)) > 0.0
+
+
 class TestSolveFullNlp:
     def test_hexagon(self):
         angles, area, diag = solve_full_nlp(6, multistart=2)
@@ -173,6 +208,31 @@ class TestSolveFullNlp:
         a1, v1, _ = solve_full_nlp(8, multistart=3, seed=7)
         a2, v2, _ = solve_full_nlp(8, multistart=3, seed=7)
         assert a1.theta == a2.theta and v1 == v2
+
+    @pytest.mark.parametrize("n", [6, 14, 34, 120, 256, 512])
+    def test_cold_start_from_r0_angles(self, n):
+        # the closed-form r = 0 construction: alpha = pi/(2n-2), equal tail;
+        # the same start perturbed by up to 20% per angle must also converge
+        alpha = math.pi / (2 * n - 2)
+        cold = np.array([alpha] + [2 * alpha] * (n // 2 - 1))
+        perturbed = cold * (1.0 + 0.2 * np.random.default_rng(n).uniform(-1.0, 1.0, n // 2))
+        _, warm_area, _ = solve_full_nlp(n, multistart=1)
+        for start in (cold, perturbed):
+            _, area, _ = solve_full_nlp(n, start=start, multistart=1)
+            assert area == pytest.approx(warm_area, abs=1e-12)
+
+    def test_newton_steps_per_start(self):
+        _, _, base = solve_full_nlp(120, multistart=1)
+        _, _, both = solve_full_nlp(120, multistart=2)
+        assert 1 <= base.iterations <= 8
+        assert 1 <= both.iterations - base.iterations <= 8
+        assert both.nfev > base.nfev
+
+    def test_base_start_wins_ties(self):
+        base, base_area, _ = solve_full_nlp(256, multistart=1)
+        angles, area, diag = solve_full_nlp(256, multistart=2)
+        assert angles.theta == base.theta and area == base_area
+        assert diag.multistart_spread <= 1e-12
 
     def test_explicit_start(self):
         start = AngleVector(6, (math.pi / 10, math.pi / 5, math.pi / 5))
