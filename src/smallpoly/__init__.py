@@ -14,15 +14,12 @@ from .geometry import (
     vertices_from_angles,
 )
 from .reduced import (
-    PhiState,
     ReducedParams,
     construct_Q,
     construct_Q_theorem,
     derive,
     expand_angles,
     reduced_area,
-    solve_beta,
-    solve_gamma_last,
 )
 from .solver import (
     BoxProblem,
@@ -30,7 +27,6 @@ from .solver import (
     Diagnostics,
     InfeasibleError,
     NlpProblem,
-    brentq,
     maximize_box,
     nlp_objective,
     objective_gradient,
@@ -57,13 +53,11 @@ __all__ = [
     "Diagnostics",
     "InfeasibleError",
     "NlpProblem",
-    "PhiState",
     "ReducedParams",
     "SkeletonError",
     "SmallPolygon",
     "area_dissection",
     "area_shoelace",
-    "brentq",
     "construct_Q",
     "construct_Q_theorem",
     "derive",
@@ -76,9 +70,7 @@ __all__ = [
     "objective_gradient",
     "reduced_area",
     "regular_area",
-    "solve_beta",
     "solve_full_nlp",
-    "solve_gamma_last",
     "theorem_constants",
     "upper_bound",
     "validate",

@@ -21,6 +21,7 @@ import numpy as np
 
 from .reduced import (
     area_deficit,
+    derivatives as reduced_derivatives,
     derive,
     objective as reduced_objective,
     parameter_bounds,
@@ -123,27 +124,21 @@ class CubicObjective:
 def minimize_cubic(r: int) -> tuple[float, np.ndarray]:
     """Minimum of the scaled-limit cubic, normalized to the deficit scale.
 
-    A box-constrained search locates the basin and full Newton steps on the
-    analytic gradient finish to machine precision; the minimizer is interior
-    for all three cubics.
+    The Newton kernel of ``maximize_box`` runs on the analytic gradient and
+    Hessian to machine precision; the minimizer is interior for all three
+    cubics.
     """
     cubic = CubicObjective(r)
     problem = BoxProblem(
         lower=cubic.lower,
         upper=cubic.upper,
         objective=lambda v: -cubic.value(v),
-        gradient=lambda v: -cubic.gradient(v),
+        derivatives=lambda v: (-cubic.gradient(v), -cubic.hessian(v)),
         tol=1e-10,
         multistart_seeds=(0, 1, 2, 3),
     )
     start = np.array([0.5, 1.0, 0.1][: cubic.dim])
     x, _, _ = maximize_box(problem, start)
-    x = np.asarray(x, dtype=float)
-    for _ in range(50):
-        g = cubic.gradient(x)
-        if float(np.max(np.abs(g))) < 1e-13:
-            break
-        x = x - np.linalg.solve(cubic.hessian(x), g)
     if np.any(np.linalg.eigvalsh(cubic.hessian(x)) <= 0):
         raise RuntimeError(f"stationary point for r = {r} is not a minimum")
     return cubic.value(x) / 192.0, x
@@ -260,6 +255,7 @@ def estimate_q_numeric(r: int, n_grid, *, seed: int = 0) -> AsymptoticFit:
                 lower=tuple(lo),
                 upper=tuple(hi),
                 objective=lambda v, n=n: reduced_objective(n, r, v),
+                derivatives=lambda v, n=n: reduced_derivatives(n, r, v),
                 tol=1e-9,
                 multistart_seeds=(),
             )

@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import asymptotics, geometry, reduced, reference, solver
@@ -24,6 +23,9 @@ from . import asymptotics, geometry, reduced, reference, solver
 USAGE_ERROR = 2
 INFEASIBLE_ERROR = 3
 VALIDATION_ERROR = 4
+# a record's claimed area and diameter, and its skeleton edge lengths, must
+# match what its vertices give to within this
+RECORD_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +333,11 @@ def _table5_row(n, seed=0):
     return n, cells
 
 
-def table5_rows(n_list, seed=0, jobs=1):
-    """Full area comparison, fanned out across n with a worker pool."""
+def table5_rows(n_list, seed=0):
+    """Full area comparison, one row per n."""
     for n in n_list:
         if n not in reference.AREA_COMPARISON:
             raise ValueError(f"table5 covers n in {sorted(reference.AREA_COMPARISON)}")
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_table5_row, n, seed) for n in n_list]
-            return [f.result() for f in futures]
     return [_table5_row(n, seed) for n in n_list]
 
 
@@ -364,7 +362,7 @@ def cmd_table(args) -> int:
     else:
         n_list = _parse_int_list(args.n) if args.n else sorted(reference.AREA_COMPARISON)
         tol = args.tol if args.tol is not None else 1e-8
-        for n, cells in table5_rows(n_list, seed=args.seed, jobs=args.jobs):
+        for n, cells in table5_rows(n_list, seed=args.seed):
             for label, value, ref in cells:
                 delta = value - ref
                 mark = "" if abs(delta) <= tol else "  FAIL"
@@ -377,10 +375,24 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Revalidate the vertices and check the record's claims against them.
+
+    The claimed area and diameter must match the values recomputed from the
+    vertices, and every skeleton edge must have unit length, all to
+    ``RECORD_TOL``.
+    """
     with open(args.file, encoding="utf-8") as fh:
         record = PolygonRecord.from_json(fh.read())
     polygon = geometry.polygon_from_vertices(record.n, record.vertices)
     report = geometry.validate(polygon)
+    errors = {
+        "area error": abs(record.area - report.area),
+        "diameter error": abs(record.diameter - report.diameter),
+        "edge error": max(
+            abs(math.dist(record.vertices[i], record.vertices[j]) - 1.0)
+            for i, j in polygon.skeleton_edges
+        ),
+    }
     sys.stdout.write(
         f"area       = {_format_float(report.area)}\n"
         f"diameter   = {_format_float(report.diameter)}\n"
@@ -389,7 +401,10 @@ def cmd_verify(args) -> int:
         f"symmetric  = {report.is_symmetric}\n"
         f"small      = {report.is_small}\n"
     )
-    return 0 if report.is_valid else VALIDATION_ERROR
+    for label, err in errors.items():
+        sys.stdout.write(f"{label:<14} = {err:.3e}\n")
+    valid = report.is_valid and all(err <= RECORD_TOL for err in errors.values())
+    return 0 if valid else VALIDATION_ERROR
 
 
 def cmd_render(args) -> int:
@@ -440,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", default=None, help="comma-separated r values (table2)")
     p.add_argument("--tol", type=float, default=None, help="per-cell tolerance")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for table5")
     p.set_defaults(func=cmd_table)
 
     p = subs.add_parser("verify", help="revalidate an emitted JSON record")

@@ -31,10 +31,13 @@ from .reference import MAX_TABULATED_R, coeff_row
 from .solver import (
     BoxProblem,
     BracketError,
-    Diagnostics,
     InfeasibleError,
     brentq,
+    constraint_jacobian,
+    lagrangian_hessian,
     maximize_box,
+    nlp_objective,
+    objective_gradient,
 )
 
 CLOSURE_RESIDUAL_TOL = 1e-14
@@ -82,15 +85,6 @@ class ReducedParams:
         return (self.r + 1) // 2 if self.r % 2 else self.r // 2
 
 
-@dataclass(frozen=True)
-class PhiState:
-    """Cumulative turn and chain position after the varying prefix."""
-
-    phi: float
-    x: float
-    y: float
-
-
 def free_shape(r: int) -> tuple[int, int]:
     """(number of free betas, number of free gammas) for a given r."""
     if r == 0:
@@ -101,11 +95,6 @@ def free_shape(r: int) -> tuple[int, int]:
 def free_parameter_count(r: int) -> int:
     nb, ng = free_shape(r)
     return 1 + nb + ng
-
-
-def prefix_length(r: int) -> int:
-    """Index of the first tail angle: r for even r, r+1 for odd."""
-    return r if r % 2 == 0 else r + 1
 
 
 def _beta_dd(p: ReducedParams) -> dd.DD:
@@ -137,20 +126,30 @@ def _prefix_angles(p: ReducedParams, beta: float, gamma_last: float) -> list[flo
     return th
 
 
+def _prefix_state(th) -> tuple[float, float, float]:
+    """Turn phi after the prefix angles and the chain vertex (x, y) before the last.
+
+    For the rp + 1 angles of the varying prefix this is the state from which
+    the constant-angle tail continues: phi = theta_0 + ... + theta_rp and
+    vertex rp of the chain.  A scalar loop: it runs inside every root-finder
+    step, on at most 17 angles.
+    """
+    s = x = y = 0.0
+    for j, t in enumerate(th[:-1]):
+        s += t
+        sign = 1.0 if j % 2 == 0 else -1.0
+        x += sign * math.sin(s)
+        y += sign * math.cos(s)
+    return s + th[-1], x, y
+
+
 def closure_residual(p: ReducedParams, beta: float, gamma_last: float) -> float:
     """Chain-midpoint condition expressed through the varying prefix.
 
     Summing the constant-angle tail in closed form reduces x_{n/2-1} = +-1/2
     to: (x after the prefix) + sin(phi - beta/2) / (2 cos(beta/2)) = 0.
     """
-    rp = prefix_length(p.r)
-    th = _prefix_angles(p, beta, gamma_last)
-    s = 0.0
-    x = 0.0
-    for j in range(rp):
-        s += th[j]
-        x += math.sin(s) if j % 2 == 0 else -math.sin(s)
-    phi = s + th[rp]
+    phi, x, _ = _prefix_state(_prefix_angles(p, beta, gamma_last))
     return x + math.sin(phi - beta / 2) / (2.0 * math.cos(beta / 2))
 
 
@@ -205,25 +204,6 @@ def expand_angles(p: ReducedParams) -> AngleVector:
     return AngleVector(p.n, tuple(th))
 
 
-def phi_state(p: ReducedParams) -> PhiState:
-    """Turn and position after the varying prefix (r steps, r+1 when odd)."""
-    if p.beta_derived is None:
-        raise ValueError("derive the parameters before querying the prefix state")
-    rp = prefix_length(p.r)
-    if p.r == 0:
-        return PhiState(phi=p.alpha, x=0.0, y=0.0)
-    th = _prefix_angles(p, p.beta_derived, p.gamma_last_derived)
-    s = 0.0
-    x = 0.0
-    y = 0.0
-    for j in range(rp):
-        s += th[j]
-        sign = 1.0 if j % 2 == 0 else -1.0
-        x += sign * math.sin(s)
-        y += sign * math.cos(s)
-    return PhiState(phi=s + th[rp], x=x, y=y)
-
-
 def reduced_area(p: ReducedParams) -> float:
     """Polygon area in closed form; evaluation cost independent of n.
 
@@ -254,34 +234,19 @@ def area_deficit(p: ReducedParams) -> float:
 
 
 def _area_terms(p: ReducedParams) -> tuple[float, dd.DD]:
-    """Area both as a plain double and as a compensated accumulation."""
-    m = p.n // 2
+    """Area both as a plain double and as a compensated accumulation.
+
+    The prefix contributes the triangle sum of its rp + 1 angles, the tail
+    (n/2 - rp - 1) copies of sin(beta) - tan(beta/2), and one correction term
+    joins them; for r = 0 the prefix is theta_0 = alpha alone.
+    """
     beta_dd = _beta_dd(p)
     beta = beta_dd.to_float()
-    rp = prefix_length(p.r)
-    tail_count = m - rp - 1 if p.r > 0 else m - 1
-    v = dd.sin_minus_half_tan(beta_dd)
-
-    if p.r == 0:
-        acc = v * dd.DD(float(tail_count)) + dd.DD(math.sin(p.alpha))
-        acc = acc + dd.DD(-0.5 * math.tan(beta / 2))
-        return acc.to_float(), acc
-
     th = _prefix_angles(p, beta, p.gamma_last_derived)
-    s = 0.0
-    xs = [0.0]
-    ys = [0.0]
-    for j in range(rp + 1):
-        s += th[j]
-        sign = 1.0 if j % 2 == 0 else -1.0
-        xs.append(xs[-1] + sign * math.sin(s))
-        ys.append(ys[-1] + sign * math.cos(s))
-    phi = s
-    triangles = math.sin(p.alpha)
-    for k in range(2, rp + 1):
-        triangles += xs[k + 1] * ys[k - 1] - ys[k + 1] * xs[k - 1]
-    correction = (xs[rp] * math.sin(phi) + ys[rp] * math.cos(phi) + 0.5) * math.tan(beta / 2)
-    acc = v * dd.DD(float(tail_count)) + dd.DD(triangles) + dd.DD(-correction)
+    phi, x, y = _prefix_state(th)
+    correction = (x * math.sin(phi) + y * math.cos(phi) + 0.5) * math.tan(beta / 2)
+    tail = dd.sin_minus_half_tan(beta_dd) * dd.DD(float(p.n // 2 - len(th)))
+    acc = tail + dd.DD(nlp_objective(th)) + dd.DD(-correction)
     return acc.to_float(), acc
 
 
@@ -335,6 +300,87 @@ def objective(n: int, r: int, vec) -> float:
     return reduced_area(p)
 
 
+def derivatives(n: int, r: int, vec):
+    """Gradient and Hessian of ``objective`` in the free parameters, r >= 1.
+
+    Returns None where ``objective`` is a penalty.  With u = (free parameters
+    p, gamma_last), the area F and the closure residual C are closed forms
+    in w = (prefix angles, tail angle beta), and w is affine in u.  The
+    prefix triangle sum and the prefix x are the full program's area and
+    closure sum over the rp + 1 prefix angles, so the solver's derivatives
+    give theirs.  The closure defines gamma_last(p), hence
+    grad = F_p - mu C_p and Hessian = Z^T (F_uu - mu C_uu) Z with
+    mu = F_gamma / C_gamma and Z = [I; -C_p / C_gamma].  Everything is
+    evaluated at the point ``derive`` returns.
+    """
+    try:
+        p = derive(params_from_vector(n, r, vec))
+    except (ValueError, BracketError):
+        return None
+    nb, ng = free_shape(r)
+    k = 1 + nb + ng
+    beta = p.beta_derived
+    prefix = _prefix_angles(p, beta, p.gamma_last_derived)
+    th = np.array(prefix)
+    rp = len(th) - 1
+    tc = n // 2 - rp - 1  # tail angles after the prefix
+
+    # A = dw/du: beta from the angle sum (beta fills the tail and, for odd
+    # r, the last pair), then the pairs (b + g, b - g)
+    A = np.zeros((rp + 2, k + 1))
+    eye = np.eye(k + 1)
+    tail = tc + 2 * (r % 2)
+    A[rp + 1, 0] = -1.0 / tail
+    A[rp + 1, 1 : 1 + nb] = -2.0 / tail
+    A[0, 0] = 1.0
+    bs = [eye[1 + i] for i in range(nb)] + [A[rp + 1]] * (r % 2)
+    gs = [eye[1 + nb + i] for i in range(ng)] + [eye[k]]
+    for i, (b, g) in enumerate(zip(bs, gs)):
+        A[2 * i + 1] = b + g
+        A[2 * i + 2] = b - g
+
+    # prefix terms in w: triangles T, vertex rp = (X, Y), phi = sum of th
+    pad1 = lambda v: np.append(v, 0.0)
+    pad2 = lambda M: np.pad(M, ((0, 1), (0, 1)))
+    gT = pad1(objective_gradient(th))
+    HT = pad2(-lagrangian_hessian(th, (0.0, 0.0)))
+    gX = pad1(constraint_jacobian(th, n)[1])
+    HX = pad2(lagrangian_hessian(th, (0.0, 1.0))) + HT
+    s = np.cumsum(th)
+    sign = np.where(np.arange(rp + 1) % 2 == 0, 1.0, -1.0)
+    sign[rp] = 0.0
+    suffix = lambda v: np.cumsum(v[::-1])[::-1]
+    idx = np.arange(rp + 1)
+    gY = pad1(-suffix(sign * np.sin(s)))
+    HY = pad2(-suffix(sign * np.cos(s))[np.maximum.outer(idx, idx)])
+    e_phi = pad1(np.ones(rp + 1))
+    e_beta = np.zeros(rp + 2)
+    e_beta[rp + 1] = 1.0
+    sym = lambda a, b: np.outer(a, b) + np.outer(b, a)
+
+    phi, x, y = _prefix_state(prefix)
+    sp, cp = math.sin(phi), math.cos(phi)
+    t = math.tan(beta / 2)
+    t1 = (1.0 + t * t) / 2.0
+    t2 = t * t1
+    # F = tc (sin beta - t) + T - (W + 1/2) t,  W = X sin phi + Y cos phi
+    w_val = x * sp + y * cp
+    gW = sp * gX + cp * gY + (x * cp - y * sp) * e_phi
+    HW = sp * HX + cp * HY + sym(cp * gX - sp * gY, e_phi) - w_val * np.outer(e_phi, e_phi)
+    gF = gT - t * gW + (tc * (math.cos(beta) - t1) - (w_val + 0.5) * t1) * e_beta
+    HF = (HT - t * HW - t1 * sym(gW, e_beta)
+          + (tc * (-math.sin(beta) - t2) - (w_val + 0.5) * t2) * np.outer(e_beta, e_beta))
+    # C = X + (sin phi - t cos phi) / 2
+    gC = gX + (cp + sp * t) / 2.0 * e_phi - cp * t1 / 2.0 * e_beta
+    HC = (HX + (t * cp - sp) / 2.0 * np.outer(e_phi, e_phi) + sp * t1 / 2.0 * sym(e_phi, e_beta)
+          - cp * t2 / 2.0 * np.outer(e_beta, e_beta))
+
+    gFu, gCu = A.T @ gF, A.T @ gC
+    mu = gFu[k] / gCu[k]
+    B = A @ np.vstack((np.eye(k), -gCu[:k] / gCu[k]))
+    return gFu[:k] - mu * gCu[:k], B.T @ (HF - mu * HC) @ B
+
+
 def construct_Q(
     n: int,
     r: int,
@@ -371,6 +417,7 @@ def construct_Q(
         lower=tuple(lo),
         upper=tuple(hi),
         objective=lambda v: objective(n, r, v),
+        derivatives=lambda v: derivatives(n, r, v),
         tol=tol,
         max_iter=max_iter,
         multistart_seeds=tuple(range(seed, seed + multistart)),

@@ -1,31 +1,35 @@
 """Self-contained continuous optimizers and root finding.
 
-Three pieces of machinery live here:
+Two pieces of machinery live here:
 
 * ``brentq``: bracketed scalar root finding (bisection safeguarded by
   inverse-quadratic/secant steps).
-* ``maximize_box``: derivative-free box-constrained maximization built from a
-  projected limited-memory quasi-Newton loop with central finite-difference
-  gradients, finished by a local quadratic-model polish that recovers the last
-  few digits the line search cannot resolve.
-* ``solve_full_nlp``: the symmetric-polygon area program over the n/2 turning
-  angles with its two equality constraints (angles sum to a quarter turn, the
-  chain midpoint lands at x = +-1/2), solved from each start by Newton steps
-  on the KKT system with the exact Hessian of the Lagrangian (shifted where a
-  far start needs it) and step halving that keeps the angles in their box.
+* ``_newton``: one Newton kernel for box-constrained programs with equality
+  constraints: steps on the KKT system with the exact Hessian of the
+  Lagrangian (shifted on the constraints' null space where a far start needs
+  it), variables held at a bound while their gradient points out of the
+  box, and step halving with projection onto the box that accepts a step
+  only if the KKT residual falls.  Two front ends share it:
+
+  - ``maximize_box`` maximizes an objective with analytic gradient and
+    Hessian over a box (the reduced family's free parameters, the
+    scaled-limit cubics), from a start plus seeded jittered restarts;
+  - ``solve_full_nlp`` solves the symmetric-polygon area program over the
+    n/2 turning angles with its two equality constraints (angles sum to a
+    quarter turn, the chain midpoint lands at x = +-1/2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import AngleVector, half_sign
 
 _EPS = 2.220446049250313e-16
-# areas of full-program starts closer than this are treated as equal
+# objective values (areas) of starts closer than this are treated as equal
 AREA_TIE = 1e-12
 
 
@@ -116,6 +120,90 @@ def brentq(f, a: float, b: float, rtol: float = 1e-15, max_iter: int = 200) -> f
 
 
 # ---------------------------------------------------------------------------
+# the Newton kernel
+# ---------------------------------------------------------------------------
+
+def _held(x, lo, hi, g) -> np.ndarray:
+    """Variables at a bound whose descent direction -g points out of the box."""
+    return ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
+
+
+def _newton(evaluate, x0, lo, hi, ncon: int, max_steps: int):
+    """Newton steps on the KKT system of min f(x) s.t. c(x) = 0, lo <= x <= hi.
+
+    ``evaluate(x, lam)`` returns the gradient of the Lagrangian f + lam @ c,
+    the ``ncon`` constraint values c, their Jacobian and the Hessian of the
+    Lagrangian, or None where f is undefined.  The multipliers start at their
+    least-squares values.  A variable at a bound whose gradient points out of
+    the box is held there for the step; the others take the step from the
+    KKT system with the exact Hessian.  Where that Hessian has a negative
+    eigenvalue on the null space of the constraint Jacobian, twice its
+    magnitude is added to the diagonal, so a far start heads for a minimum of
+    f, not a saddle; an eigenvalue within rounding of zero is lifted to the
+    rounding level, so a flat direction (a linear f) still gets a step, which
+    the projection cuts at the bound.  Near a nondegenerate optimum no shift
+    is needed and the steps are Newton's.  A step, or a halving of it, is
+    projected onto the box and accepted if f is defined there and the
+    max-norm KKT residual (held variables excluded) falls.  The loop stops
+    below 1e-13, after ``max_steps`` steps, or when no halving is accepted.
+
+    Returns ``(x, lam, gradient residual, constraint residual, steps,
+    evaluations)``; the residuals are infinite if f is undefined at the start.
+    """
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    lam = np.zeros(ncon)
+    ev = evaluate(x, lam)
+    nfev = 1
+    if ev is None:
+        return x, lam, math.inf, math.inf, 0, nfev
+    if ncon:
+        lam = np.linalg.lstsq(ev[2].T, -ev[0], rcond=None)[0]
+        ev = evaluate(x, lam)
+        nfev += 1
+
+    def residuals(x, ev):
+        g, c = ev[0], ev[1]
+        return (
+            float(np.max(np.abs(np.where(_held(x, lo, hi, g), 0.0, g)), initial=0.0)),
+            float(np.max(np.abs(c), initial=0.0)),
+        )
+
+    gres, cres = residuals(x, ev)
+    steps = 0
+    while steps < max_steps and max(gres, cres) >= 1e-13:
+        g, c, J, H = ev
+        free = ~_held(x, lo, hi, g)
+        k = int(free.sum())
+        Hf = H[np.ix_(free, free)]
+        Jf = J[:, free]
+        Z = np.linalg.qr(Jf.T, mode="complete")[0][:, ncon:]
+        low = min(np.linalg.eigvalsh(Z.T @ Hf @ Z), default=math.inf)
+        floor = _EPS * max(1.0, float(np.max(np.abs(Hf), initial=0.0)))
+        shift = -2.0 * low if low < -floor else max(0.0, floor - low)
+        K = np.block([[Hf + shift * np.eye(k), Jf.T], [Jf, np.zeros((ncon, ncon))]])
+        try:
+            d = np.linalg.solve(K, -np.concatenate((g[free], c)))
+        except np.linalg.LinAlgError:
+            break
+        dx = np.zeros(len(x))
+        dx[free] = d[:k]
+        for t in 0.5 ** np.arange(30):
+            xn = np.clip(x + t * dx, lo, hi)
+            lamn = lam + t * d[k:]
+            evn = evaluate(xn, lamn)
+            nfev += 1
+            if evn is not None:
+                rn = residuals(xn, evn)
+                if max(rn) < max(gres, cres):
+                    break
+        else:
+            break
+        x, lam, ev, (gres, cres) = xn, lamn, evn, rn
+        steps += 1
+    return x, lam, gres, cres, steps, nfev
+
+
+# ---------------------------------------------------------------------------
 # box-constrained maximization
 # ---------------------------------------------------------------------------
 
@@ -124,9 +212,12 @@ class BoxProblem:
     """Maximize ``objective`` over the box [lower, upper].
 
     ``objective`` must return a finite float everywhere in the box; callers
-    encode infeasible regions as strongly negative values so the search backs
-    away from them.  ``gradient`` is optional; central finite differences with
-    step 1e-7*(1+|x|) are used when it is absent.  ``multistart_seeds`` adds
+    encode infeasible regions as strongly negative values.
+    ``derivatives(x)`` returns the gradient and the Hessian of ``objective``
+    at x, or None where the objective is such a penalty; the Newton kernel
+    never accepts a step to those points.  ``tol`` bounds the gradient, over
+    the variables not held at a bound, at which a start counts as converged;
+    ``max_iter`` caps the Newton steps per start.  ``multistart_seeds`` adds
     one jittered restart per seed (5% of the box width), making runs
     reproducible by construction.
     """
@@ -134,7 +225,7 @@ class BoxProblem:
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     objective: object
-    gradient: object = None
+    derivatives: object
     tol: float = 1e-8
     max_iter: int = 300
     multistart_seeds: tuple[int, ...] = ()
@@ -148,176 +239,35 @@ class BoxProblem:
             raise ValueError("lower bound exceeds upper bound")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if not callable(self.derivatives):
+            raise TypeError("derivatives must be a callable returning (gradient, Hessian)")
 
     @property
     def dim(self) -> int:
         return len(self.lower)
 
 
-def _fd_gradient(f, x, lo, hi, fx, nfev):
-    g = np.zeros(len(x))
-    for i in range(len(x)):
-        h = 1e-7 * (1.0 + abs(x[i]))
-        hp = min(h, hi[i] - x[i])
-        hm = min(h, x[i] - lo[i])
-        xp = x.copy()
-        xm = x.copy()
-        if hp > 0 and hm > 0:
-            xp[i] += hp
-            xm[i] -= hm
-            g[i] = (f(xp) - f(xm)) / (hp + hm)
-            nfev[0] += 2
-        elif hp > 0:
-            xp[i] += hp
-            g[i] = (f(xp) - fx) / hp
-            nfev[0] += 1
-        else:
-            xm[i] -= hm
-            g[i] = (fx - f(xm)) / hm
-            nfev[0] += 1
-    return g
-
-
-def _lbfgs_descend(f, grad, x0, lo, hi, tol, max_iter, nfev, memory=10):
-    """Projected L-BFGS minimization with Armijo backtracking."""
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    fx = f(x)
-    nfev[0] += 1
-    g = grad(x, fx)
-    S: list[np.ndarray] = []
-    Y: list[np.ndarray] = []
-    it = 0
-    converged = False
-    for it in range(1, max_iter + 1):
-        pg = x - np.clip(x - g, lo, hi)
-        if np.max(np.abs(pg)) <= tol:
-            converged = True
-            break
-        q = g.copy()
-        alphas = []
-        for s, y in reversed(list(zip(S, Y))):
-            a = (s @ q) / (y @ s)
-            alphas.append(a)
-            q -= a * y
-        if S:
-            q *= (S[-1] @ Y[-1]) / (Y[-1] @ Y[-1])
-        for (s, y), a in zip(zip(S, Y), reversed(alphas)):
-            q += (a - (y @ q) / (y @ s)) * s
-        d = -q
-        steepest = d @ g >= 0.0
-        if steepest:
-            d = -g
-
-        def _search(direction):
-            t = 1.0
-            for _ in range(60):
-                xn = np.clip(x + t * direction, lo, hi)
-                step = xn - x
-                gstep = g @ step
-                if gstep < 0.0:
-                    fn = f(xn)
-                    nfev[0] += 1
-                    if fn <= fx + 1e-4 * gstep:
-                        return xn, fn
-                t *= 0.5
-            return None
-
-        hit = _search(d)
-        if hit is None and not steepest:
-            hit = _search(-g)
-        if hit is None:
-            break
-        xn, fn = hit
-        gn = grad(xn, fn)
-        s = xn - x
-        y = gn - g
-        if s @ y > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            S.append(s)
-            Y.append(y)
-            if len(S) > memory:
-                S.pop(0)
-                Y.pop(0)
-        x, fx, g = xn, fn, gn
-    pg = x - np.clip(x - g, lo, hi)
-    return x, fx, float(np.max(np.abs(pg))), it, converged
-
-
-def _quadratic_polish(f, x0, fx0, lo, hi, nfev, iters=6):
-    """Refine a maximizer by repeatedly fitting a local quadratic model.
-
-    Near the optimum the line search cannot resolve value changes below the
-    floating-point noise floor; fitting a full quadratic on a symmetric
-    stencil and jumping to its stationary point localizes the maximum well
-    past that limit.  Only strictly improving jumps are accepted.
-    """
-    x = np.asarray(x0, dtype=float)
-    fx = fx0
-    d = len(x)
-    span = np.asarray(hi) - np.asarray(lo)
-    rho = np.maximum(1e-3 * span, 1e-12)
-    for _ in range(iters):
-        pts = [x.copy()]
-        for i in range(d):
-            for sgn in (1.0, -1.0):
-                p = x.copy()
-                p[i] = min(max(p[i] + sgn * rho[i], lo[i]), hi[i])
-                pts.append(p)
-        for i in range(d):
-            for j in range(i + 1, d):
-                p = x.copy()
-                p[i] = min(p[i] + rho[i], hi[i])
-                p[j] = min(p[j] + rho[j], hi[j])
-                pts.append(p)
-        P = np.array(pts)
-        vals = np.array([f(p) for p in P])
-        nfev[0] += len(P) - 1
-        dx = P - x
-        cols = [np.ones(len(P))]
-        cols += [dx[:, i] for i in range(d)]
-        cols += [0.5 * dx[:, i] ** 2 for i in range(d)]
-        cols += [dx[:, i] * dx[:, j] for i in range(d) for j in range(i + 1, d)]
-        M = np.stack(cols, axis=1)
-        coef, *_ = np.linalg.lstsq(M, vals, rcond=None)
-        gq = coef[1 : 1 + d]
-        H = np.zeros((d, d))
-        idx = 1 + d
-        for i in range(d):
-            H[i, i] = coef[idx]
-            idx += 1
-        for i in range(d):
-            for j in range(i + 1, d):
-                H[i, j] = H[j, i] = coef[idx]
-                idx += 1
-        try:
-            step = np.linalg.solve(H, -gq)
-        except np.linalg.LinAlgError:
-            break
-        step = np.clip(step, -2.0 * rho, 2.0 * rho)
-        xn = np.clip(x + step, lo, hi)
-        fn = f(xn)
-        nfev[0] += 1
-        if fn > fx:
-            x, fx = xn, fn
-        rho = np.maximum(rho * 0.2, 1e-10 * span)
-    return x, fx
-
-
 def maximize_box(problem: BoxProblem, start) -> tuple[np.ndarray, float, Diagnostics]:
-    """Maximize within the box from ``start`` plus any jittered restarts."""
+    """Maximize within the box from ``start`` plus any jittered restarts.
+
+    Each start runs the Newton kernel on -objective.  The earliest start whose
+    value is within ``AREA_TIE`` of the best wins, and the diagnostics report
+    its ``converged`` flag and gradient; steps and evaluations (derivatives
+    plus the one objective value per start) are summed over all starts.
+    """
     lo = np.asarray(problem.lower)
     hi = np.asarray(problem.upper)
     x0 = np.clip(np.asarray(start, dtype=float), lo, hi)
     if len(x0) != problem.dim:
         raise ValueError("start has wrong dimension")
-    f_max = problem.objective
-    f_min = lambda v: -f_max(v)
-    nfev = [0]
+    empty = (np.zeros(0), np.zeros((0, problem.dim)))
 
-    if problem.gradient is None:
-        grad = lambda v, fv: _fd_gradient(f_min, v, lo, hi, fv, nfev)
-    else:
-        g_max = problem.gradient
-        grad = lambda v, fv: -np.asarray(g_max(v), dtype=float)
+    def evaluate(x, lam):
+        derivs = problem.derivatives(x)
+        if derivs is None:
+            return None
+        g, H = derivs
+        return -np.asarray(g, dtype=float), *empty, -np.asarray(H, dtype=float)
 
     starts = [x0]
     for seed in problem.multistart_seeds:
@@ -325,35 +275,26 @@ def maximize_box(problem: BoxProblem, start) -> tuple[np.ndarray, float, Diagnos
         jitter = 0.05 * (hi - lo) * rng.uniform(-1.0, 1.0, problem.dim)
         starts.append(np.clip(x0 + jitter, lo, hi))
 
-    best = None
-    per_start = []
-    total_it = 0
-    any_converged = False
-    for s in starts:
-        x, fmin, pg, it, conv = _lbfgs_descend(
-            f_min, grad, s, lo, hi, problem.tol, problem.max_iter, nfev
-        )
-        x, fmax_val = _quadratic_polish(f_max, x, -fmin, lo, hi, nfev)
-        total_it += it
-        any_converged = any_converged or conv
-        per_start.append(fmax_val)
-        if best is None or fmax_val > best[1]:
-            best = (x, fmax_val, pg)
-    x, value, pg = best
+    results = [_newton(evaluate, s, lo, hi, 0, problem.max_iter) for s in starts]
+    values = tuple(float(problem.objective(res[0])) for res in results)
+    top = max(values)
+    win = next(i for i, v in enumerate(values) if v >= top - AREA_TIE)
+    x, _, gres, _, _, _ = results[win]
+    converged = gres <= problem.tol
     diag = Diagnostics(
-        converged=any_converged,
-        iterations=total_it,
-        nfev=nfev[0],
-        grad_norm=pg,
-        start_values=tuple(per_start),
-        message="" if any_converged else "projected gradient above tol; best iterate returned",
+        converged=converged,
+        iterations=sum(res[4] for res in results),
+        nfev=sum(res[5] for res in results) + len(starts),
+        grad_norm=gres,
+        start_values=values,
+        message="" if converged else "gradient above tol; best iterate returned",
     )
     if diag.multistart_spread > 1e-10:
         diag.message = (
             f"multistart values disagree by {diag.multistart_spread:.3e}"
             + (f"; {diag.message}" if diag.message else "")
         )
-    return x, value, diag
+    return x, values[win], diag
 
 
 # ---------------------------------------------------------------------------
@@ -470,57 +411,19 @@ def lagrangian_hessian(theta, lam) -> np.ndarray:
     return np.cumsum(np.cumsum(hess[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
 
 
-def _kkt_residual(n, theta, lam) -> np.ndarray:
-    gl = -objective_gradient(theta) + constraint_jacobian(theta, n).T @ lam
-    return np.concatenate((gl, constraint_values(theta, n)))
+def _nlp_evaluate(n):
+    """The full program's KKT callback for the Newton kernel (f = -area)."""
 
-
-def _solve_nlp_single(n, theta0, lo, hi, max_steps):
-    """Newton steps on the KKT system of one start, kept inside the box.
-
-    Each step solves the KKT system with the exact Hessian of the Lagrangian
-    -area + lam @ c.  Where that Hessian has a negative eigenvalue on the null
-    space of the constraint Jacobian, twice its magnitude is added to the
-    diagonal, so a far start heads for a maximum of the area, not a saddle;
-    near the optimum no shift is needed and the steps are Newton's.
-    A step, or a halving of it, is accepted if it keeps the angles in the box
-    and lowers the max-norm KKT residual.  The loop stops below 1e-13, after
-    ``max_steps`` steps, or when no halving is accepted.
-    """
-    m = n // 2
-    theta = np.clip(np.asarray(theta0, dtype=float), lo, hi)
-    lam, *_ = np.linalg.lstsq(
-        constraint_jacobian(theta, n).T, objective_gradient(theta), rcond=None
-    )
-    r = _kkt_residual(n, theta, lam)
-    res = float(np.max(np.abs(r)))
-    nfev = 1
-    steps = 0
-    while steps < max_steps and res >= 1e-13:
+    def evaluate(theta, lam):
         J = constraint_jacobian(theta, n)
-        H = lagrangian_hessian(theta, lam)
-        Z = np.linalg.qr(J.T, mode="complete")[0][:, 2:]
-        shift = max(0.0, -2.0 * np.linalg.eigvalsh(Z.T @ H @ Z)[0])
-        K = np.block([[H + shift * np.eye(m), J.T], [J, np.zeros((2, 2))]])
-        try:
-            d = np.linalg.solve(K, -r)
-        except np.linalg.LinAlgError:
-            break
-        for t in 0.5 ** np.arange(30):
-            tn = theta + t * d[:m]
-            if np.all(tn >= lo) and np.all(tn <= hi):
-                rn = _kkt_residual(n, tn, lam + t * d[m:])
-                nfev += 1
-                if float(np.max(np.abs(rn))) < res:
-                    break
-        else:
-            break
-        theta, lam, r = tn, lam + t * d[m:], rn
-        res = float(np.max(np.abs(r)))
-        steps += 1
-    cmax = float(np.max(np.abs(r[m:])))
-    kkt = float(np.max(np.abs(theta - np.clip(theta - r[:m], lo, hi))))
-    return theta, nlp_objective(theta), cmax, kkt, lam, steps, nfev
+        return (
+            -objective_gradient(theta) + J.T @ lam,
+            constraint_values(theta, n),
+            J,
+            lagrangian_hessian(theta, lam),
+        )
+
+    return evaluate
 
 
 def solve_full_nlp(
@@ -577,18 +480,22 @@ def solve_full_nlp(
         jitter = 1e-3 * (math.pi / n) * rng.standard_normal(prob.dim)
         starts.append(np.clip(theta0 + jitter, prob.lower, prob.upper))
 
-    results = [_solve_nlp_single(n, th0, prob.lower, prob.upper, max_outer) for th0 in starts]
+    evaluate = _nlp_evaluate(n)
+    results = [
+        _newton(evaluate, th0, prob.lower, prob.upper, 2, max_outer) for th0 in starts
+    ]
     per_start = tuple(
-        area if cmax <= ctol and kkt <= ktol else -math.inf
-        for _, area, cmax, kkt, *_ in results
+        nlp_objective(theta) if cmax <= ctol and kkt <= ktol else -math.inf
+        for theta, _, kkt, cmax, _, _ in results
     )
     top = max(per_start)
     win = next(i for i, v in enumerate(per_start) if v >= top - AREA_TIE)
-    theta, area, cmax, kkt, lam, _, _ = results[win]
+    theta, lam, kkt, cmax, _, _ = results[win]
+    area = per_start[win]
     diag = Diagnostics(
         converged=cmax <= ctol and kkt <= ktol,
-        iterations=sum(res[5] for res in results),
-        nfev=sum(res[6] for res in results),
+        iterations=sum(res[4] for res in results),
+        nfev=sum(res[5] for res in results),
         grad_norm=kkt,
         start_values=per_start,
         constraint_residual=cmax,

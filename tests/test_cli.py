@@ -156,6 +156,32 @@ class TestVerifyRender:
         assert code == 4
         assert "small      = False" in out
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda d: d.update(vertices=[[0.9 * x, 0.9 * y] for x, y in d["vertices"]]),
+            lambda d: d.update(area=0.99),
+            lambda d: d.update(diameter=0.99),
+            lambda d: d.update(
+                vertices=[[0.9 * x, 0.9 * y] for x, y in d["vertices"]],
+                area=0.81 * d["area"],
+                diameter=0.9 * d["diameter"],
+            ),
+        ],
+        ids=["vertices_scaled", "area_claimed", "diameter_claimed", "claims_rescaled"],
+    )
+    def test_verify_checks_claims(self, capsys, tmp_path, tamper):
+        # every record still describes a small convex symmetric polygon; only
+        # its claims give it away: the area, the diameter, or (when those are
+        # rescaled with the vertices) the skeleton edge lengths
+        path = self._record_file(capsys, tmp_path)
+        data = json.loads(path.read_text())
+        tamper(data)
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 4
+        assert "small      = True" in out
+
     def test_render(self, capsys, tmp_path):
         path = self._record_file(capsys, tmp_path)
         svg_path = tmp_path / "hex.svg"
@@ -196,9 +222,7 @@ class TestTable:
         assert out.strip().endswith("PASS")
 
     def test_table5_small(self, capsys):
-        code, out, _ = run(
-            capsys, "table", "--which", "table5", "--n", "6,8", "--jobs", "2"
-        )
+        code, out, _ = run(capsys, "table", "--which", "table5", "--n", "6,8")
         assert code == 0
         assert out.strip().endswith("PASS")
         assert "n=6" in out and "n=8" in out

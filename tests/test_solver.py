@@ -5,6 +5,7 @@ import pytest
 
 from smallpoly.geometry import AngleVector
 from smallpoly.solver import (
+    AREA_TIE,
     BoxProblem,
     BracketError,
     InfeasibleError,
@@ -38,7 +39,12 @@ class TestBrentq:
 
 class TestMaximizeBox:
     def test_quadratic_1d(self):
-        problem = BoxProblem(lower=(0.0,), upper=(1.0,), objective=lambda v: -(v[0] - 0.3) ** 2)
+        problem = BoxProblem(
+            lower=(0.0,),
+            upper=(1.0,),
+            objective=lambda v: -(v[0] - 0.3) ** 2,
+            derivatives=lambda v: (np.array([-2 * (v[0] - 0.3)]), np.array([[-2.0]])),
+        )
         x, val, diag = maximize_box(problem, (0.9,))
         assert x[0] == pytest.approx(0.3, abs=1e-8)
         assert diag.converged
@@ -48,39 +54,145 @@ class TestMaximizeBox:
             lower=(-1.0, -1.0),
             upper=(1.0, 1.0),
             objective=lambda v: -(v[0] ** 2) - 2 * v[1] ** 2,
+            derivatives=lambda v: (np.array([-2 * v[0], -4 * v[1]]), np.diag([-2.0, -4.0])),
         )
         x, val, _ = maximize_box(problem, (0.7, -0.6))
         assert np.max(np.abs(x)) < 1e-8
 
     def test_bound_active(self):
-        problem = BoxProblem(lower=(0.0,), upper=(2.0,), objective=lambda v: v[0])
-        x, val, _ = maximize_box(problem, (0.1,))
+        problem = BoxProblem(
+            lower=(0.0,),
+            upper=(2.0,),
+            objective=lambda v: v[0],
+            derivatives=lambda v: (np.array([1.0]), np.zeros((1, 1))),
+        )
+        x, val, diag = maximize_box(problem, (0.1,))
         assert x[0] == pytest.approx(2.0, abs=1e-12)
+        assert diag.converged
+
+    def test_bound_held_while_others_move(self):
+        # the maximum sits on the lower bound of v[1]; v[0] is interior
+        problem = BoxProblem(
+            lower=(-1.0, 0.0),
+            upper=(1.0, 1.0),
+            objective=lambda v: -(v[0] - 0.25) ** 2 - (v[1] + 0.5) ** 2 + v[0] * v[1],
+            derivatives=lambda v: (
+                np.array([-2 * (v[0] - 0.25) + v[1], -2 * (v[1] + 0.5) + v[0]]),
+                np.array([[-2.0, 1.0], [1.0, -2.0]]),
+            ),
+        )
+        x, _, diag = maximize_box(problem, (0.9, 0.8))
+        assert x[1] == 0.0
+        assert x[0] == pytest.approx(0.25, abs=1e-12)
+        assert diag.converged
 
     def test_analytic_gradient_path(self):
         problem = BoxProblem(
             lower=(-2.0, -2.0),
             upper=(2.0, 2.0),
             objective=lambda v: -(v[0] - 1) ** 2 - (v[1] + 0.5) ** 2,
-            gradient=lambda v: np.array([-2 * (v[0] - 1), -2 * (v[1] + 0.5)]),
+            derivatives=lambda v: (
+                np.array([-2 * (v[0] - 1), -2 * (v[1] + 0.5)]),
+                -2.0 * np.eye(2),
+            ),
         )
         x, _, _ = maximize_box(problem, (0.0, 0.0))
         assert x == pytest.approx([1.0, -0.5], abs=1e-10)
 
     def test_deterministic(self):
+        f = lambda v: math.sin(3 * v[0]) * math.cos(2 * v[1])
+
+        def derivatives(v):
+            s0, c0 = math.sin(3 * v[0]), math.cos(3 * v[0])
+            s1, c1 = math.sin(2 * v[1]), math.cos(2 * v[1])
+            g = np.array([3 * c0 * c1, -2 * s0 * s1])
+            return g, np.array([[-9 * s0 * c1, -6 * c0 * s1], [-6 * c0 * s1, -4 * s0 * c1]])
+
         problem = BoxProblem(
             lower=(0.0, 0.0),
             upper=(1.0, 1.0),
-            objective=lambda v: math.sin(3 * v[0]) * math.cos(2 * v[1]),
+            objective=f,
+            derivatives=derivatives,
             multistart_seeds=(0, 1, 2),
         )
         x1, v1, _ = maximize_box(problem, (0.5, 0.5))
         x2, v2, _ = maximize_box(problem, (0.5, 0.5))
         assert tuple(x1) == tuple(x2) and v1 == v2
+        assert v1 == pytest.approx(1.0, abs=1e-12)
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
-            BoxProblem(lower=(1.0,), upper=(0.0,), objective=lambda v: 0.0)
+            BoxProblem(
+                lower=(1.0,),
+                upper=(0.0,),
+                objective=lambda v: 0.0,
+                derivatives=lambda v: (np.zeros(1), np.zeros((1, 1))),
+            )
+
+    def test_derivatives_required(self):
+        with pytest.raises(TypeError):
+            BoxProblem(lower=(0.0,), upper=(1.0,), objective=lambda v: 0.0)
+        with pytest.raises(TypeError):
+            BoxProblem(lower=(0.0,), upper=(1.0,), objective=lambda v: 0.0, derivatives=None)
+
+    def test_winner_by_tolerance(self):
+        # peaks at +-0.5 whose heights differ by 1e-14; seed 3 moves the
+        # start 0.4 to about -0.43, into the other peak's basin
+        problem = BoxProblem(
+            lower=(-10.0,),
+            upper=(10.0,),
+            objective=lambda v: -((v[0] ** 2 - 0.25) ** 2) - 1e-14 * v[0],
+            derivatives=lambda v: (
+                np.array([-4 * v[0] * (v[0] ** 2 - 0.25) - 1e-14]),
+                np.array([[1.0 - 12 * v[0] ** 2]]),
+            ),
+            multistart_seeds=(3,),
+        )
+        x, value, diag = maximize_box(problem, (0.4,))
+        base, jittered = diag.start_values
+        assert 0.0 < jittered - base <= AREA_TIE
+        assert x[0] == pytest.approx(0.5, abs=1e-12) and value == base
+
+    def test_reports_winner_convergence(self):
+        # f' = v (v - 0.1): the base start sits on the upper bound, a lower
+        # local maximum, and has converged; seed 3 moves it to about 0.03,
+        # which climbs towards the higher maximum at 0 but stops unconverged
+        # after one step, and wins
+        def problem(max_iter):
+            return BoxProblem(
+                lower=(-2.0,),
+                upper=(0.12,),
+                objective=lambda v: v[0] ** 3 / 3 - 0.05 * v[0] ** 2,
+                derivatives=lambda v: (
+                    np.array([v[0] * (v[0] - 0.1)]),
+                    np.array([[2 * v[0] - 0.1]]),
+                ),
+                max_iter=max_iter,
+                multistart_seeds=(3,),
+            )
+
+        x, value, diag = maximize_box(problem(1), (0.12,))
+        base, jittered = diag.start_values
+        assert value == jittered > base
+        assert not diag.converged
+        x, value, diag = maximize_box(problem(300), (0.12,))
+        assert diag.converged and x[0] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [120, 1000])
+    def test_reduced_family_r16_converges(self, n):
+        from smallpoly.reduced import derivatives, objective, parameter_bounds, start_vector
+
+        lo, hi = parameter_bounds(n, 16)
+        problem = BoxProblem(
+            lower=lo,
+            upper=hi,
+            objective=lambda v: objective(n, 16, v),
+            derivatives=lambda v: derivatives(n, 16, v),
+            multistart_seeds=(0, 1),
+        )
+        _, _, diag = maximize_box(problem, start_vector(n, 16))
+        assert diag.converged and diag.grad_norm <= 1e-8
+        assert diag.multistart_spread <= 1e-12
 
 
 class TestObjectiveGradient:
