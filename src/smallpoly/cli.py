@@ -388,10 +388,7 @@ def cmd_verify(args) -> int:
     errors = {
         "area error": abs(record.area - report.area),
         "diameter error": abs(record.diameter - report.diameter),
-        "edge error": max(
-            abs(math.dist(record.vertices[i], record.vertices[j]) - 1.0)
-            for i, j in polygon.skeleton_edges
-        ),
+        "edge error": report.edge_error,
     }
     sys.stdout.write(
         f"area       = {_format_float(report.area)}\n"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -18,6 +19,11 @@ CLOSURE_TOL = 1e-9
 MIRROR_TOL = 1e-12
 SMALL_TOL = 1e-9
 _BOUND_SLACK = 1e-9
+_EPS = float(np.finfo(float).eps)
+# Shewchuk's ccwerrboundA: (3 + 16u) u with u = eps / 2
+_CROSS_BOUND = (3 + 8 * _EPS) * _EPS / 2
+# absolute rounding of products that underflow
+_TINY = float(np.finfo(float).tiny)
 
 
 class SkeletonError(ValueError):
@@ -75,6 +81,7 @@ class AreaReport:
     upper_bound: float
     gap: float
     diameter: float
+    edge_error: float
     is_convex: bool
     is_symmetric: bool
     is_small: bool
@@ -124,13 +131,14 @@ def skeleton_edge_list(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def boundary_order(vertices) -> tuple[int, ...]:
-    """Convex boundary order by polar angle about the vertex centroid."""
+    """Convex boundary order by polar angle about the vertex centroid.
+
+    Ties in angle keep index order; the order starts at vertex 0.
+    """
     pts = np.asarray(vertices, dtype=float)
     cx, cy = pts.mean(axis=0)
-    ang = np.arctan2(pts[:, 1] - cy, pts[:, 0] - cx)
-    order = sorted(range(len(pts)), key=lambda i: ang[i])
-    k = order.index(0)
-    return tuple(order[k:] + order[:k])
+    order = np.argsort(np.arctan2(pts[:, 1] - cy, pts[:, 0] - cx), kind="stable")
+    return tuple(np.roll(order, -int(np.flatnonzero(order == 0)[0])).tolist())
 
 
 def polygon_from_vertices(n: int, vertices) -> SmallPolygon:
@@ -195,37 +203,155 @@ def area_shoelace(p: SmallPolygon) -> float:
 
 
 def shoelace(points) -> float:
+    """Absolute area of the ring ``points`` (in boundary order).
+
+    The cross products are taken of coordinates relative to the vertex
+    centroid.  For a convex ring the centroid is inside, so every term is
+    positive and the sum does not cancel.  With raw coordinates it does:
+    at n = 100000 that sum is 2e-11 off the exact area, this one 1e-15.
+    """
     pts = np.asarray(points, dtype=float)
+    pts = pts - pts.mean(axis=0)
     x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
+    return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+
+
+def _exact_cross(ax, ay, bx, by, cx, cy, dx, dy) -> Fraction:
+    """(b - a) x (d - c) for float inputs, exactly."""
+    f = Fraction
+    return (f(bx) - f(ax)) * (f(dy) - f(cy)) - (f(by) - f(ay)) * (f(dx) - f(cx))
+
+
+def _convex_hull(xs: list, ys: list) -> list:
+    """Indices of the vertices of the convex hull, counter-clockwise.
+
+    Andrew's monotone chain over points already sorted by (x, y): build the
+    lower and the upper chain, dropping every point that does not make a
+    strict left turn, so collinear points and duplicates are left out.  Each
+    turn is (a - o) x (b - o) in floats, recomputed exactly when it is within
+    the rounding bound ``_CROSS_BOUND``.
+    """
+    def chain(indices):
+        out = []
+        for k in indices:
+            x, y = xs[k], ys[k]
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                ox, oy = xs[o], ys[o]
+                left = (xs[a] - ox) * (y - oy)
+                right = (ys[a] - oy) * (x - ox)
+                turn = left - right
+                if abs(turn) <= _CROSS_BOUND * (abs(left) + abs(right)) + _TINY:
+                    turn = _exact_cross(ox, oy, xs[a], ys[a], ox, oy, x, y)
+                if turn > 0:
+                    break
+                out.pop()
+            out.append(k)
+        return out
+
+    m = len(xs)
+    lower = chain(range(m))
+    upper = chain(range(m - 1, -1, -1))
+    # each chain ends where the other starts; one point is its own hull
+    return lower[:-1] + upper[:-1] or lower
+
+
+def _antipodal_pairs(hull: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every antipodal vertex pair of a strictly convex counter-clockwise ring.
+
+    Rotating calipers (Shamos 1978): for each edge i the far pointer j
+    advances while vertex j + 1 lies farther from the edge's line than
+    vertex j, i.e. while e_i x e_j > 0, and never moves back.  Both ends of
+    edge i are antipodal to the vertex j where it stops.  Two vertices are
+    antipodal when their ranges of outward edge normals overlap by at least
+    a point (opposite directions), and then an end of one range lies in the
+    other: the pair is met from that end's edge.  The signs are exact, as
+    in ``_convex_hull``.
+    """
+    h = len(hull)
+    xs, ys = hull[:, 0].tolist() * 2, hull[:, 1].tolist() * 2
+    ex = np.diff(hull[:, 0], append=hull[0, 0]).tolist() * 2
+    ey = np.diff(hull[:, 1], append=hull[0, 1]).tolist() * 2
+    far = []
+    j = 1 % h
+    for i in range(h):
+        exi, eyi = ex[i], ey[i]
+        while j < i + h - 1:
+            left = exi * ey[j]
+            right = eyi * ex[j]
+            turn = left - right
+            if abs(turn) <= _CROSS_BOUND * (abs(left) + abs(right)) + _TINY:
+                turn = _exact_cross(
+                    xs[i], ys[i], xs[i + 1], ys[i + 1], xs[j], ys[j], xs[j + 1], ys[j + 1]
+                )
+            if turn <= 0:
+                break
+            j += 1
+        far.append(j)
+    ends = np.arange(h)
+    far = np.array(far) % h
+    return np.concatenate((ends, (ends + 1) % h)), np.concatenate((far, far))
 
 
 def max_pairwise_distance(points) -> float:
-    """Diameter of a point set by brute force over all pairs."""
+    """Diameter of a point set: the largest distance between two of its points.
+
+    Any non-empty set, in any order, duplicates and collinear points
+    included.  The diameter is attained at a pair of antipodal vertices of
+    the convex hull, points with parallel supporting lines through them, so
+    only those pairs are measured: the hull by Andrew's monotone chain, the
+    pairs by rotating calipers, both with exact orientation signs.  Each
+    pair's distance is ``sqrt(dx**2 + dy**2)``, the expression an all-pairs
+    search evaluates, so the result is the all-pairs value bit for bit
+    unless a pair that is not antipodal comes within rounding (an ulp or
+    so) of the diameter.  O(n log n) time and O(n) memory.
+    """
     pts = np.asarray(points, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+    if len(pts) == 0:
+        raise ValueError("the diameter of an empty point set is undefined")
+    by_xy = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    hull = by_xy[_convex_hull(by_xy[:, 0].tolist(), by_xy[:, 1].tolist())]
+    i, j = _antipodal_pairs(hull)
+    diff = hull[i] - hull[j]
+    return float(np.sqrt((diff ** 2).sum(axis=-1)).max())
 
 
 def validate(p: SmallPolygon) -> AreaReport:
-    """Check diameter, convexity, and mirror symmetry; failures set flags."""
+    """Check diameter, convexity, mirror symmetry and skeleton edge lengths.
+
+    Failures set flags; ``edge_error`` is the largest |length - 1| over the
+    skeleton edges, reported for the caller to judge.  Every step is O(n) in
+    memory and at most O(n log n) in time.
+    """
     pts = np.asarray(p.vertices, dtype=float)
     n = p.n
     diameter = max_pairwise_distance(pts)
 
     ordered = pts[list(p.boundary)]
     edges = np.roll(ordered, -1, axis=0) - ordered
-    cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
-    is_convex = bool(np.all(cross >= -1e-12) or np.all(cross <= 1e-12))
+    nxt = np.roll(edges, -1, axis=0)
+    cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
+    # Rounding alone can make a cross product slightly negative.  With
+    # coordinates of size up to s, storing a vertex moves it by up to
+    # eps * s / sqrt(2), which moves the cross product of the edges a, b
+    # around it by up to about 1.4 * eps * s * (|a| + |b|) over the three
+    # vertices involved; evaluating it adds up to 1.5 * eps * |a| * |b|, which
+    # is at most 2.1 * eps * s * (|a| + |b|) since |a|, |b| <= 2 * sqrt(2) * s.
+    # The tolerance 4 * eps * s * (|a| + |b|) covers both.  It falls as 1/n;
+    # the smallest real cross product of a constructed polygon falls as n^-3
+    # but is still 1e5 times larger at n = 100000 (9e-15 against 6e-20).
+    length = np.hypot(edges[:, 0], edges[:, 1])
+    tol = 4 * _EPS * np.abs(ordered).max() * (length + np.roll(length, -1))
+    is_convex = bool(np.all(cross >= -tol) or np.all(cross <= tol))
 
-    mirror = 0.0
-    for k in range(1, n - 1):
-        mirror = max(
-            mirror,
-            abs(pts[n - 1 - k, 0] + pts[k, 0]),
-            abs(pts[n - 1 - k, 1] - pts[k, 1]),
-        )
-    is_symmetric = bool(mirror <= MIRROR_TOL)
+    mirror = np.concatenate((
+        np.abs(pts[n - 2:0:-1, 0] + pts[1:n - 1, 0]),
+        np.abs(pts[n - 2:0:-1, 1] - pts[1:n - 1, 1]),
+    ))
+    is_symmetric = bool(mirror.max() <= MIRROR_TOL)
+
+    a, b = np.array(p.skeleton_edges).T
+    edge_error = float(np.abs(np.hypot(*(pts[a] - pts[b]).T) - 1.0).max())
 
     area = area_shoelace(p)
     ub = upper_bound(n)
@@ -234,6 +360,7 @@ def validate(p: SmallPolygon) -> AreaReport:
         upper_bound=ub,
         gap=ub - area,
         diameter=diameter,
+        edge_error=edge_error,
         is_convex=is_convex,
         is_symmetric=is_symmetric,
         is_small=diameter <= 1.0 + SMALL_TOL,

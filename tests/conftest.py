@@ -44,3 +44,10 @@ def make_sampler(seed=0, n_max=40, r_max=6):
 @pytest.fixture
 def feasible_sampler():
     return make_sampler(seed=20240817)
+
+
+def brute_force_diameter(points) -> float:
+    """The largest distance over all pairs: O(n^2) memory, a test oracle only."""
+    pts = np.asarray(points, dtype=float)
+    diff = pts[:, None, :] - pts[None, :, :]
+    return float(np.sqrt((diff ** 2).sum(axis=2)).max())

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -208,6 +211,37 @@ class TestVerifyRender:
         path = self._record_file(capsys, tmp_path)
         record = PolygonRecord.from_json(path.read_text())
         assert record_to_svg(record) == record_to_svg(record)
+
+
+# runs one CLI command with the process's address space capped at 1 GiB
+CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from smallpoly.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_capped(*argv):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, *argv],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+
+
+class TestLargeN:
+    def test_construct_and_verify_n_100000_in_1_gib(self, tmp_path):
+        path = str(tmp_path / "n100000.json")
+        proc = run_capped(
+            "construct", "--n", "100000", "--r", "16", "--multistart", "0",
+            "--format", "json", "--out", path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        proc = run_capped("verify", path)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "convex     = True" in proc.stdout
 
 
 class TestTable:

@@ -1,0 +1,39 @@
+"""Property test: the hull-and-calipers diameter equals the all-pairs oracle."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from smallpoly.geometry import max_pairwise_distance  # noqa: E402
+from tests.conftest import brute_force_diameter  # noqa: E402
+
+COORD = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+POINT = st.tuples(COORD, COORD)
+# a dyadic grid on which every cross product and squared distance is exact
+GRID = st.integers(-(2**20), 2**20).map(lambda k: k / 2**20)
+
+
+@st.composite
+def point_sets(draw):
+    kind = draw(st.sampled_from(["scattered", "few", "duplicates", "collinear", "grid"]))
+    if kind == "scattered":  # convex and non-convex alike
+        return draw(st.lists(POINT, min_size=1, max_size=40))
+    if kind == "few":
+        return draw(st.lists(POINT, min_size=1, max_size=3))
+    if kind == "duplicates":
+        base = draw(st.lists(POINT, min_size=1, max_size=8))
+        picks = draw(st.lists(st.sampled_from(base), min_size=1, max_size=30))
+        return base + picks
+    if kind == "collinear":
+        (ax, ay), (dx, dy) = draw(POINT), draw(POINT)
+        ts = draw(st.lists(st.floats(-10, 10), min_size=1, max_size=30))
+        return [(ax + t * dx, ay + t * dy) for t in ts]
+    return draw(st.lists(st.tuples(GRID, GRID), min_size=1, max_size=40))
+
+
+@settings(max_examples=500, deadline=None)
+@given(point_sets())
+def test_matches_all_pairs_bit_for_bit(points):
+    assert max_pairwise_distance(points) == brute_force_diameter(points)

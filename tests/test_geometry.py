@@ -8,6 +8,7 @@ from smallpoly.geometry import (
     SkeletonError,
     area_dissection,
     area_shoelace,
+    boundary_order,
     chain_coordinates,
     max_pairwise_distance,
     polygon_from_vertices,
@@ -17,6 +18,26 @@ from smallpoly.geometry import (
     validate,
     vertices_from_angles,
 )
+from smallpoly.reduced import construct_Q
+from tests.conftest import brute_force_diameter
+
+LARGE_N = (20000, 100000)
+
+
+@pytest.fixture(scope="module")
+def large_polygons():
+    """Constructed r = 16 polygons at the sizes where rounding matters most."""
+    return {n: construct_Q(n, 16, multistart=0)[0] for n in LARGE_N}
+
+
+def turn_cross(polygon):
+    """Boundary ring and the cross product of the two edges at each vertex."""
+    ring = np.asarray(polygon.boundary)
+    pts = np.asarray(polygon.vertices)
+    u, v, w = pts[np.roll(ring, 1)], pts[ring], pts[np.roll(ring, -1)]
+    a, b = v - u, w - v
+    return ring, a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+
 
 PENTAGON_STAR = AngleVector(6, (math.pi / 10, math.pi / 5, math.pi / 5))
 HEXAGON_BEST = AngleVector(6, (0.3509301888703616, 0.653341777949459, 0.566524359975076))
@@ -130,6 +151,24 @@ class TestAreas:
         p = vertices_from_angles(HEXAGON_BEST)
         assert area_shoelace(p) == pytest.approx(0.6749814429, abs=1e-9)
 
+    def test_shoelace_any_rotation(self):
+        # the same ring from any starting vertex, and with a translation
+        square = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
+        for k in range(4):
+            assert shoelace(np.roll(square, k, axis=0) + 5.0) == 1.0
+
+    def test_shoelace_exact_at_n_100000(self, large_polygons):
+        # the exact shoelace sum of the float vertices, in 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        p = large_polygons[100000]
+        ring = np.asarray(p.vertices)[list(p.boundary)]
+        with mpmath.workdps(50):
+            x = [mpmath.mpf(v) for v in ring[:, 0]]
+            y = [mpmath.mpf(v) for v in ring[:, 1]]
+            terms = (x[k - 1] * y[k] - x[k] * y[k - 1] for k in range(len(x)))
+            exact = abs(mpmath.fsum(terms)) / 2
+            assert abs(mpmath.mpf(area_shoelace(p)) - exact) <= 1e-14
+
     def test_dissection_matches_shoelace(self, feasible_sampler):
         for _ in range(200):
             _, angles = feasible_sampler()
@@ -155,6 +194,36 @@ class TestAreas:
                 assert cross == pytest.approx(sines, abs=1e-13)
 
 
+class TestDiameter:
+    def test_degenerate_sets(self):
+        assert max_pairwise_distance([(0.3, 0.7)]) == 0.0
+        assert max_pairwise_distance([(0.3, 0.7)] * 5) == 0.0
+        line = [(0.1 * k, 0.3 * k) for k in (4, 0, 7, 2, 7)]
+        assert max_pairwise_distance(line) == brute_force_diameter(line)
+        # nearly collinear: turns within rounding need the exact sign
+        sliver = [(0.0, 1.0), (1.0, -162.0), (1e-05, 0.99837), (-2.0, 327.0)]
+        assert max_pairwise_distance(sliver) == brute_force_diameter(sliver)
+        with pytest.raises(ValueError):
+            max_pairwise_distance(np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("n", [6, 8, 14, 40, 120, 500, 2000])
+    def test_constructed_polygons_bit_for_bit(self, n):
+        for r in sorted({0, 1, 3, 16} & set(range(n // 2 - 1))):
+            verts = construct_Q(n, r, multistart=0)[0].vertices
+            assert max_pairwise_distance(verts) == brute_force_diameter(verts)
+
+    def test_random_sets_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for trial in range(300):
+            k = int(rng.integers(1, 80))
+            t = np.sort(rng.uniform(0.0, 2 * np.pi, k))
+            radius = rng.uniform(0.5, 1.0, (k, 1)) if trial % 2 else 1.0
+            pts = np.c_[np.cos(t), np.sin(t)] * radius  # convex, then star-shaped
+            pts = np.r_[pts, pts[: k // 3]]  # duplicates
+            rng.shuffle(pts)
+            assert max_pairwise_distance(pts) == brute_force_diameter(pts)
+
+
 class TestValidate:
     def test_two_point_diameter(self):
         assert max_pairwise_distance([(0.0, 0.0), (0.0, 1.0)]) == 1.0
@@ -172,6 +241,46 @@ class TestValidate:
         report = validate(polygon_from_vertices(p.n, verts))
         assert not report.is_small
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 6, 9, 10])
+    def test_broken_mirror_pair(self, k):
+        p = construct_Q(12, 3, multistart=0)[0]
+        verts = np.array(p.vertices)
+        verts[k, 1] += 1e-9
+        assert not validate(polygon_from_vertices(p.n, verts)).is_symmetric
+
+    def test_edge_error(self):
+        p = construct_Q(40, 4, multistart=0)[0]
+        assert validate(p).edge_error <= 1e-15
+        shrunk = polygon_from_vertices(p.n, 0.9 * np.array(p.vertices))
+        assert validate(shrunk).edge_error == pytest.approx(0.1, abs=1e-12)
+
+    @pytest.mark.parametrize("n", LARGE_N)
+    def test_large_constructions_valid(self, large_polygons, n):
+        report = validate(large_polygons[n])
+        assert report.is_convex and report.is_symmetric and report.is_small
+        assert report.edge_error <= 1e-12
+
+    @pytest.mark.parametrize("n", LARGE_N)
+    def test_dent_is_not_convex(self, large_polygons, n):
+        # push the chain vertex with the smallest turn, and its mirror,
+        # inward until its cross product is minus what it was
+        p = large_polygons[n]
+        ring, cross = turn_cross(p)
+        chain = (ring != 0) & (ring != n - 1)
+        k = np.flatnonzero(chain)[np.argmin(cross[chain])]
+        smallest = cross[k]
+        pts = np.array(p.vertices)
+        chord = pts[ring[(k + 1) % n]] - pts[ring[k - 1]]
+        length = np.hypot(*chord)
+        shift = 2 * smallest / length * np.array([-chord[1], chord[0]]) / length
+        pts[ring[k]] += shift
+        pts[n - 1 - ring[k]] += shift * [-1.0, 1.0]
+        dented = polygon_from_vertices(n, pts)
+        assert turn_cross(dented)[1][k] == pytest.approx(-smallest, rel=1e-3)
+        report = validate(dented)
+        assert report.is_symmetric
+        assert not report.is_convex
+
     def test_mirror_symmetry_by_construction(self, feasible_sampler):
         for _ in range(50):
             _, angles = feasible_sampler()
@@ -179,3 +288,31 @@ class TestValidate:
             assert report.is_symmetric
             assert report.is_convex
             assert report.is_small
+
+
+def sorted_boundary(vertices):
+    """Boundary order by Python's stable sort on the polar angle."""
+    pts = np.asarray(vertices, dtype=float)
+    cx, cy = pts.mean(axis=0)
+    ang = np.arctan2(pts[:, 1] - cy, pts[:, 0] - cx)
+    order = sorted(range(len(pts)), key=lambda i: ang[i])
+    k = order.index(0)
+    return tuple(order[k:] + order[:k])
+
+
+class TestBoundaryOrder:
+    def test_matches_stable_sort(self, feasible_sampler, large_polygons):
+        polygons = [vertices_from_angles(feasible_sampler()[1]) for _ in range(30)]
+        polygons.append(large_polygons[20000])
+        for p in polygons:
+            assert boundary_order(p.vertices) == sorted_boundary(p.vertices)
+
+    def test_random_sets_with_ties(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            pts = rng.uniform(-1.0, 1.0, (int(rng.integers(2, 40)), 2))
+            pts = np.r_[pts, pts[::3]]  # repeated points share an angle
+            rng.shuffle(pts)
+            order = boundary_order(pts)
+            assert order == sorted_boundary(pts)
+            assert all(type(i) is int for i in order)
