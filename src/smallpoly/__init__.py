@@ -26,7 +26,6 @@ from .solver import (
     BracketError,
     Diagnostics,
     InfeasibleError,
-    NlpProblem,
     maximize_box,
     nlp_objective,
     objective_gradient,
@@ -52,7 +51,6 @@ __all__ = [
     "CubicObjective",
     "Diagnostics",
     "InfeasibleError",
-    "NlpProblem",
     "ReducedParams",
     "SkeletonError",
     "SmallPolygon",

@@ -28,7 +28,7 @@ from .reduced import (
     params_from_vector,
     start_vector,
 )
-from .reference import ASYMPTOTIC_COEFFS, MAX_TABULATED_R, coeff_row
+from .reference import MAX_TABULATED_R, coeff_row
 from .solver import BoxProblem, maximize_box
 
 SQRT114 = math.sqrt(114.0)
@@ -313,8 +313,3 @@ def theorem_constants() -> TheoremReport:
         separation=q1 - q16,
         separation_floor=1.0 / 725.0,
     )
-
-
-def reference_rows() -> tuple:
-    """The embedded coefficient table (r = 0..16)."""
-    return ASYMPTOTIC_COEFFS

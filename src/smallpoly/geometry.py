@@ -183,17 +183,18 @@ def vertices_from_angles(a: AngleVector) -> SmallPolygon:
     return polygon_from_vertices(n, verts)
 
 
-def area_dissection(a: AngleVector) -> float:
+def area_dissection(a) -> float:
     """Polygon area as twice the sum of the star's triangle areas.
 
     The first triangle (apex, origin, first chain vertex) contributes
     sin(theta_0)/2; triangle k >= 2 spans the origin and chain vertices
-    k-1, k+1, giving the cross-product form below.
+    k-1, k+1, giving the cross-product form below.  Accepts an AngleVector
+    or a raw sequence of angles (the sum is then over its chain alone).
     """
-    m = a.n // 2
-    x, y = chain_coordinates(a.theta)
-    k = np.arange(2, m)
-    return math.sin(a.theta[0]) + float(np.sum(x[k + 1] * y[k - 1] - y[k + 1] * x[k - 1]))
+    theta = a.theta if isinstance(a, AngleVector) else a
+    x, y = chain_coordinates(theta)
+    k = np.arange(2, len(x) - 1)
+    return math.sin(theta[0]) + float(np.sum(x[k + 1] * y[k - 1] - y[k + 1] * x[k - 1]))
 
 
 def area_shoelace(p: SmallPolygon) -> float:

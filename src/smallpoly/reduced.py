@@ -24,6 +24,7 @@ from .geometry import (
     AngleVector,
     AreaReport,
     SmallPolygon,
+    chain_coordinates,
     validate,
     vertices_from_angles,
 )
@@ -32,12 +33,11 @@ from .solver import (
     BoxProblem,
     BracketError,
     InfeasibleError,
+    _area_gradient_s,
+    _area_hessian_s,
     brentq,
-    constraint_jacobian,
-    lagrangian_hessian,
     maximize_box,
     nlp_objective,
-    objective_gradient,
 )
 
 CLOSURE_RESIDUAL_TOL = 1e-14
@@ -78,11 +78,6 @@ class ReducedParams:
             raise ValueError(
                 f"r = {self.r} takes {ng} free gammas, got {len(self.gammas_free)}"
             )
-
-    @property
-    def pair_count(self) -> int:
-        """Number of (beta, gamma) pairs in the expanded prefix."""
-        return (self.r + 1) // 2 if self.r % 2 else self.r // 2
 
 
 def free_shape(r: int) -> tuple[int, int]:
@@ -305,13 +300,15 @@ def derivatives(n: int, r: int, vec):
 
     Returns None where ``objective`` is a penalty.  With u = (free parameters
     p, gamma_last), the area F and the closure residual C are closed forms
-    in w = (prefix angles, tail angle beta), and w is affine in u.  The
-    prefix triangle sum and the prefix x are the full program's area and
-    closure sum over the rp + 1 prefix angles, so the solver's derivatives
-    give theirs.  The closure defines gamma_last(p), hence
-    grad = F_p - mu C_p and Hessian = Z^T (F_uu - mu C_uu) Z with
-    mu = F_gamma / C_gamma and Z = [I; -C_p / C_gamma].  Everything is
-    evaluated at the point ``derive`` returns.
+    in z = (S_0, ..., S_rp, beta), the partial sums of the rp + 1 prefix
+    angles and the tail angle, and z is affine in u.  In z the prefix
+    triangle sum T has the full program's gradient and Hessian in partial
+    sums; the prefix vertex (X, Y) = vertex rp has gradient (q_j, -p_j) and
+    diagonal Hessians -p_j and -q_j in S_j, j < rp, where (p_j, q_j) are the
+    chain steps; the turn phi = S_rp is a coordinate.  The closure defines
+    gamma_last(p), hence grad = F_p - mu C_p and Hessian = Z^T (F_uu - mu
+    C_uu) Z with mu = F_gamma / C_gamma and Z = [I; -C_p / C_gamma].
+    Everything is evaluated at the point ``derive`` returns.
     """
     try:
         p = derive(params_from_vector(n, r, vec))
@@ -320,13 +317,13 @@ def derivatives(n: int, r: int, vec):
     nb, ng = free_shape(r)
     k = 1 + nb + ng
     beta = p.beta_derived
-    prefix = _prefix_angles(p, beta, p.gamma_last_derived)
-    th = np.array(prefix)
+    th = _prefix_angles(p, beta, p.gamma_last_derived)
     rp = len(th) - 1
     tc = n // 2 - rp - 1  # tail angles after the prefix
 
-    # A = dw/du: beta from the angle sum (beta fills the tail and, for odd
-    # r, the last pair), then the pairs (b + g, b - g)
+    # A = dz/du: beta from the angle sum (beta fills the tail and, for odd
+    # r, the last pair), the prefix angles alpha and (b + g, b - g), then
+    # the partial sums of the prefix rows
     A = np.zeros((rp + 2, k + 1))
     eye = np.eye(k + 1)
     tail = tc + 2 * (r % 2)
@@ -338,34 +335,28 @@ def derivatives(n: int, r: int, vec):
     for i, (b, g) in enumerate(zip(bs, gs)):
         A[2 * i + 1] = b + g
         A[2 * i + 2] = b - g
+    A[: rp + 1] = np.cumsum(A[: rp + 1], axis=0)
 
-    # prefix terms in w: triangles T, vertex rp = (X, Y), phi = sum of th
-    pad1 = lambda v: np.append(v, 0.0)
-    pad2 = lambda M: np.pad(M, ((0, 1), (0, 1)))
-    gT = pad1(objective_gradient(th))
-    HT = pad2(-lagrangian_hessian(th, (0.0, 0.0)))
-    gX = pad1(constraint_jacobian(th, n)[1])
-    HX = pad2(lagrangian_hessian(th, (0.0, 1.0))) + HT
-    s = np.cumsum(th)
-    sign = np.where(np.arange(rp + 1) % 2 == 0, 1.0, -1.0)
-    sign[rp] = 0.0
-    suffix = lambda v: np.cumsum(v[::-1])[::-1]
-    idx = np.arange(rp + 1)
-    gY = pad1(-suffix(sign * np.sin(s)))
-    HY = pad2(-suffix(sign * np.cos(s))[np.maximum.outer(idx, idx)])
-    e_phi = pad1(np.ones(rp + 1))
-    e_beta = np.zeros(rp + 2)
-    e_beta[rp + 1] = 1.0
+    # prefix terms in z: triangles T, vertex rp = (X, Y), phi = S_rp
+    x, y = chain_coordinates(th)
+    gT, gX, gY = np.zeros((3, rp + 2))
+    gT[: rp + 1] = _area_gradient_s(x, y)
+    gX[:rp] = np.diff(y)[:rp]  # q_j
+    gY[:rp] = -np.diff(x)[:rp]  # -p_j
+    HT = np.zeros((rp + 2, rp + 2))
+    HT[: rp + 1, : rp + 1] = _area_hessian_s(th)
+    HX, HY = np.diag(gY), np.diag(-gX)  # diag(-p_j), diag(-q_j)
+    e_phi, e_beta = np.eye(rp + 2)[rp:]
     sym = lambda a, b: np.outer(a, b) + np.outer(b, a)
 
-    phi, x, y = _prefix_state(prefix)
+    phi, X, Y = math.fsum(th), x[rp], y[rp]
     sp, cp = math.sin(phi), math.cos(phi)
     t = math.tan(beta / 2)
     t1 = (1.0 + t * t) / 2.0
     t2 = t * t1
     # F = tc (sin beta - t) + T - (W + 1/2) t,  W = X sin phi + Y cos phi
-    w_val = x * sp + y * cp
-    gW = sp * gX + cp * gY + (x * cp - y * sp) * e_phi
+    w_val = X * sp + Y * cp
+    gW = sp * gX + cp * gY + (X * cp - Y * sp) * e_phi
     HW = sp * HX + cp * HY + sym(cp * gX - sp * gY, e_phi) - w_val * np.outer(e_phi, e_phi)
     gF = gT - t * gW + (tc * (math.cos(beta) - t1) - (w_val + 0.5) * t1) * e_beta
     HF = (HT - t * HW - t1 * sym(gW, e_beta)
@@ -445,14 +436,10 @@ def construct_Q_theorem(
     seed: int = 0,
     tol: float = 1e-8,
     max_iter: int = 300,
-    full_result: bool = False,
-):
+) -> tuple[SmallPolygon, AreaReport, ReducedParams]:
     """The headline polygon: r = n/2 - 2 up to n = 34, r = 16 beyond."""
     if n % 2 != 0 or n < 6:
         raise ValueError(f"n must be even and >= 6, got {n}")
-    polygon, report, params = construct_Q(
+    return construct_Q(
         n, theorem_r(n), multistart=multistart, seed=seed, tol=tol, max_iter=max_iter
     )
-    if full_result:
-        return polygon, report, params
-    return polygon, report

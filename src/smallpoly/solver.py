@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AngleVector, half_sign
+from .geometry import AngleVector, area_dissection, chain_coordinates, half_sign
 
 _EPS = 2.220446049250313e-16
 # objective values (areas) of starts closer than this are treated as equal
@@ -301,102 +301,68 @@ def maximize_box(problem: BoxProblem, start) -> tuple[np.ndarray, float, Diagnos
 # the full symmetric-polygon nonlinear program
 # ---------------------------------------------------------------------------
 
-@dataclass
-class NlpProblem:
-    """Area maximization over the n/2 turning angles with two equalities."""
-
-    n: int
-    ctol: float = 1e-10
-    ktol: float = 1e-8
-
-    def __post_init__(self):
-        if self.n % 2 != 0 or not 6 <= self.n <= 512:
-            raise ValueError(f"n must be even with 6 <= n <= 512, got {self.n}")
-
-    @property
-    def dim(self) -> int:
-        return self.n // 2
-
-    @property
-    def lower(self) -> np.ndarray:
-        return np.zeros(self.dim)
-
-    @property
-    def upper(self) -> np.ndarray:
-        ub = np.full(self.dim, math.pi / 3)
-        ub[0] = math.pi / 6
-        return ub
-
-
-def _steps(theta):
-    s = np.cumsum(theta)
-    sign = np.where(np.arange(len(theta)) % 2 == 0, 1.0, -1.0)
-    return sign * np.sin(s), sign * np.cos(s)
-
-
 def nlp_objective(theta) -> float:
     """Polygon area in terms of the turning angles (the dissection sum)."""
-    theta = np.asarray(theta, dtype=float)
-    m = len(theta)
-    p, q = _steps(theta)
-    x = np.concatenate(([0.0], np.cumsum(p)))
-    y = np.concatenate(([0.0], np.cumsum(q)))
-    k = np.arange(2, m)
-    return math.sin(theta[0]) + float(np.sum(x[k + 1] * y[k - 1] - y[k + 1] * x[k - 1]))
+    return area_dissection(theta)
 
 
-def objective_gradient(a) -> np.ndarray:
-    """Exact gradient of the area objective.
+def _area_gradient_s(x, y) -> np.ndarray:
+    """Gradient of the dissection area in the partial sums S = cumsum(theta).
 
-    Works through the chain coordinates with suffix-sum adjoints, so the cost
-    is linear in the number of angles.  Accepts an AngleVector or a raw
-    sequence of angles.
+    Takes the chain vertices 0..m.  Step j, (p_j, q_j) = vertex j+1 - vertex
+    j, depends on S_j alone and has derivative (q_j, -p_j) in it; each
+    triangle term touches vertices k-1 and k+1, and vertex k collects steps
+    0..k-1, so step j inherits the adjoints of the vertices after it.
     """
-    theta = np.asarray(a.theta if isinstance(a, AngleVector) else a, dtype=float)
-    m = len(theta)
-    p, q = _steps(theta)
-    x = np.concatenate(([0.0], np.cumsum(p)))
-    y = np.concatenate(([0.0], np.cumsum(q)))
-    # d(area)/d(vertex k): each triangle term touches vertices k-1 and k+1
+    m = len(x) - 1
+    p, q = np.diff(x), np.diff(y)
     ax = np.zeros(m + 1)
     ay = np.zeros(m + 1)
     ax[3 : m + 1] += y[1 : m - 1]
     ax[1 : m - 1] -= y[3 : m + 1]
     ay[1 : m - 1] += x[3 : m + 1]
     ay[3 : m + 1] -= x[1 : m - 1]
-    # vertex k collects steps 0..k-1, so step j inherits adjoints of k > j
-    suf_x = np.cumsum(ax[::-1])[::-1][1:]
-    suf_y = np.cumsum(ay[::-1])[::-1][1:]
-    per_step = q * suf_x - p * suf_y
-    grad = np.cumsum(per_step[::-1])[::-1]
-    grad[0] += math.cos(theta[0])
+    grad = q * np.cumsum(ax[::-1])[::-1][1:] - p * np.cumsum(ay[::-1])[::-1][1:]
+    grad[0] += q[0]  # the apex triangle sin S_0
     return grad
+
+
+def objective_gradient(a) -> np.ndarray:
+    """Exact gradient of the area objective.
+
+    The gradient in the partial sums, mapped to the angles by a suffix sum
+    (theta_i enters S_j for every j >= i), so the cost is linear in the
+    number of angles.  Accepts an AngleVector or a raw sequence of angles.
+    """
+    theta = a.theta if isinstance(a, AngleVector) else a
+    return np.cumsum(_area_gradient_s(*chain_coordinates(theta))[::-1])[::-1]
 
 
 def constraint_values(theta, n: int) -> np.ndarray:
     """(angle sum - pi/2, chain midpoint x - required half)."""
     theta = np.asarray(theta, dtype=float)
-    m = len(theta)
-    p, _ = _steps(theta)
-    return np.array([float(theta.sum()) - math.pi / 2, float(p[: m - 1].sum()) - half_sign(n)])
+    x, _ = chain_coordinates(theta)
+    return np.array([float(theta.sum()) - math.pi / 2, float(x[len(theta) - 1]) - half_sign(n)])
 
 
 def constraint_jacobian(theta, n: int) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
+    """Jacobian of ``constraint_values`` in the angles.
+
+    The midpoint x_{m-1} = p_0 + ... + p_{m-2} has derivative q_j in S_j, so
+    its derivative in theta_j is q_j + ... + q_{m-2} = y_{m-1} - y_j.
+    """
     m = len(theta)
-    _, q = _steps(theta)
-    row2 = np.concatenate((np.cumsum(q[: m - 1][::-1])[::-1], [0.0]))
-    return np.vstack([np.ones(m), row2])
+    _, y = chain_coordinates(theta)
+    return np.vstack([np.ones(m), y[m - 1] - y[:m]])
 
 
-def lagrangian_hessian(theta, lam) -> np.ndarray:
-    """Exact Hessian of ``-area + lam @ constraint_values`` in the angles.
+def _area_hessian_s(theta) -> np.ndarray:
+    """Hessian of the dissection area in the partial sums S = cumsum(theta).
 
-    With partial sums S = cumsum(theta) and signs s_j = (-1)^j the area is
-    sin S_0 + sum_ab w_ab s_a s_b sin(S_a - S_b), w_ab = max(0, m - max(a,
-    b + 2, 2)), and the closure constraint is sum_{j < m-1} s_j sin S_j.  Both
-    Hessians are formed in S and mapped to theta by suffix sums over rows and
-    columns, since S = L theta with L lower-triangular ones.
+    With steps (p_j, q_j) = s_j (sin S_j, cos S_j), s_j = (-1)^j, the area is
+    sin S_0 + sum_ab w_ab s_a s_b sin(S_a - S_b), where w_ab = max(0, m -
+    max(a, b + 2, 2)) counts the triangles whose cross product pairs step a
+    with step b.
     """
     theta = np.asarray(theta, dtype=float)
     m = len(theta)
@@ -405,9 +371,25 @@ def lagrangian_hessian(theta, lam) -> np.ndarray:
     sign = np.where(idx % 2 == 0, 1.0, -1.0)
     w = np.maximum(0, m - np.maximum(np.maximum.outer(idx, idx + 2), 2)) * np.outer(sign, sign)
     pair = (w - w.T) * np.sin(s[:, None] - s[None, :])
-    hess = np.diag(pair.sum(axis=1)) - pair
-    hess[0, 0] += math.sin(s[0])
-    hess[idx[:-1], idx[:-1]] -= lam[1] * sign[:-1] * np.sin(s[:-1])
+    hess = pair - np.diag(pair.sum(axis=1))
+    hess[0, 0] -= math.sin(s[0])
+    return hess
+
+
+def lagrangian_hessian(theta, lam) -> np.ndarray:
+    """Exact Hessian of ``-area + lam @ constraint_values`` in the angles.
+
+    Formed in the partial sums S = cumsum(theta): the area's Hessian there is
+    the dense ``_area_hessian_s``, the angle sum is linear, and the midpoint
+    x_{m-1} = p_0 + ... + p_{m-2} has the diagonal Hessian -p_j.  Since
+    S = L theta with L lower-triangular ones, the map to theta is a suffix
+    sum over rows and columns.
+    """
+    theta = np.asarray(theta, dtype=float)
+    x, _ = chain_coordinates(theta)
+    hess = -_area_hessian_s(theta)
+    idx = np.arange(len(theta) - 1)
+    hess[idx, idx] -= lam[1] * np.diff(x)[:-1]
     return np.cumsum(np.cumsum(hess[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
 
 
@@ -461,29 +443,32 @@ def solve_full_nlp(
     no start reaches both tolerances; its diagnostics then describe the base
     start.
     """
-    prob = NlpProblem(n, ctol, ktol)
+    if n % 2 != 0 or not 6 <= n <= 512:
+        raise ValueError(f"n must be even with 6 <= n <= 512, got {n}")
+    m = n // 2
+    lower = np.zeros(m)
+    upper = np.full(m, math.pi / 3)
+    upper[0] = math.pi / 6
     if start is None:
         from .reduced import construct_Q_theorem, expand_angles
 
-        _, _, params = construct_Q_theorem(n, multistart=0, seed=seed, full_result=True)
+        _, _, params = construct_Q_theorem(n, multistart=0, seed=seed)
         theta0 = np.array(expand_angles(params).theta)
     elif isinstance(start, AngleVector):
         theta0 = np.array(start.theta)
     else:
         theta0 = np.asarray(start, dtype=float)
-    if len(theta0) != prob.dim:
-        raise ValueError(f"start must have {prob.dim} angles")
+    if len(theta0) != m:
+        raise ValueError(f"start must have {m} angles")
 
     rng = np.random.default_rng(seed)
     starts = [theta0]
     for _ in range(max(0, multistart - 1)):
-        jitter = 1e-3 * (math.pi / n) * rng.standard_normal(prob.dim)
-        starts.append(np.clip(theta0 + jitter, prob.lower, prob.upper))
+        jitter = 1e-3 * (math.pi / n) * rng.standard_normal(m)
+        starts.append(np.clip(theta0 + jitter, lower, upper))
 
     evaluate = _nlp_evaluate(n)
-    results = [
-        _newton(evaluate, th0, prob.lower, prob.upper, 2, max_outer) for th0 in starts
-    ]
+    results = [_newton(evaluate, th0, lower, upper, 2, max_outer) for th0 in starts]
     per_start = tuple(
         nlp_objective(theta) if cmax <= ctol and kkt <= ktol else -math.inf
         for theta, _, kkt, cmax, _, _ in results

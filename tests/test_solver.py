@@ -9,7 +9,6 @@ from smallpoly.solver import (
     BoxProblem,
     BracketError,
     InfeasibleError,
-    NlpProblem,
     brentq,
     constraint_jacobian,
     constraint_values,
@@ -360,4 +359,4 @@ class TestSolveFullNlp:
         with pytest.raises(ValueError):
             solve_full_nlp(7)
         with pytest.raises(ValueError):
-            NlpProblem(514)
+            solve_full_nlp(514)
