@@ -124,9 +124,9 @@ class CubicObjective:
 def minimize_cubic(r: int) -> tuple[float, np.ndarray]:
     """Minimum of the scaled-limit cubic, normalized to the deficit scale.
 
-    The Newton kernel of ``maximize_box`` runs on the analytic gradient and
-    Hessian to machine precision; the minimizer is interior for all three
-    cubics.
+    The Newton kernel of ``maximize_box`` runs from one start on the analytic
+    gradient and Hessian to machine precision; the minimizer is interior for
+    all three cubics.
     """
     cubic = CubicObjective(r)
     problem = BoxProblem(
@@ -134,8 +134,6 @@ def minimize_cubic(r: int) -> tuple[float, np.ndarray]:
         upper=cubic.upper,
         objective=lambda v: -cubic.value(v),
         derivatives=lambda v: (-cubic.gradient(v), -cubic.hessian(v)),
-        tol=1e-10,
-        multistart_seeds=(0, 1, 2, 3),
     )
     start = np.array([0.5, 1.0, 0.1][: cubic.dim])
     x, _, _ = maximize_box(problem, start)
@@ -232,7 +230,8 @@ def estimate_q_numeric(r: int, n_grid, *, seed: int = 0) -> AsymptoticFit:
     For each grid n the construction is optimized from the scaled asymptotic
     start and the deficit is evaluated with compensated accumulation; the
     model pi/4 - 5 pi^3/48n^2 - q pi^3/n^3 - d pi^4/n^4 is then fit by
-    ordinary least squares with the known terms fixed.
+    ordinary least squares with the known terms fixed.  Every solve is
+    deterministic; ``seed`` is accepted and unused.
     """
     grid = [int(n) for n in n_grid]
     if len(grid) < 2:
@@ -256,8 +255,6 @@ def estimate_q_numeric(r: int, n_grid, *, seed: int = 0) -> AsymptoticFit:
                 upper=tuple(hi),
                 objective=lambda v, n=n: reduced_objective(n, r, v),
                 derivatives=lambda v, n=n: reduced_derivatives(n, r, v),
-                tol=1e-9,
-                multistart_seeds=(),
             )
             best, _, _ = maximize_box(problem, start_vector(n, r))
             params = derive(params_from_vector(n, r, best))

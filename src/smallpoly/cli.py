@@ -18,6 +18,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import asymptotics, geometry, reduced, reference, solver
 
 USAGE_ERROR = 2
@@ -29,39 +31,14 @@ RECORD_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# serialization: floats printed with 17 significant digits, lossless round trip
+# serialization: JSON floats round-trip losslessly; text and CSV floats are
+# printed with 17 significant digits
 # ---------------------------------------------------------------------------
 
 def _format_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         raise ValueError("records must not contain NaN or infinity")
     return format(x, ".17g")
-
-
-def dumps_json(obj, indent: int = 0) -> str:
-    pad = " " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {dumps_json(v, indent + 2)}'
-            for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ", ".join(dumps_json(v, indent) for v in obj)
-        return "[" + items + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    return json.dumps(obj)
 
 
 @dataclass
@@ -121,7 +98,7 @@ class PolygonRecord:
         )
 
     def to_json(self) -> str:
-        return dumps_json(self.to_dict()) + "\n"
+        return json.dumps(self.to_dict(), allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "PolygonRecord":
@@ -151,17 +128,6 @@ def record_to_csv(record: PolygonRecord) -> str:
     for i, (x, y) in enumerate(record.vertices):
         lines.append(f"{i},{_format_float(x)},{_format_float(y)}")
     return "\n".join(lines) + "\n"
-
-
-def read_csv_vertices(text: str) -> list[tuple[float, float]]:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "index,x,y":
-        raise ValueError("expected CSV header 'index,x,y'")
-    verts = []
-    for ln in lines[1:]:
-        _, x, y = ln.split(",")
-        verts.append((float(x), float(y)))
-    return verts
 
 
 def record_to_text(record: PolygonRecord) -> str:
@@ -248,12 +214,7 @@ def cmd_bound(args) -> int:
 
 def cmd_construct(args) -> int:
     polygon, report, params = reduced.construct_Q(
-        args.n,
-        args.r,
-        multistart=args.multistart,
-        seed=args.seed,
-        tol=args.tol,
-        max_iter=args.max_iter,
+        args.n, args.r, multistart=args.multistart, seed=args.seed
     )
     angles = reduced.expand_angles(params).theta
     record = make_record(
@@ -265,14 +226,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    angles, area, diag = solver.solve_full_nlp(
-        args.n,
-        ctol=args.tol,
-        ktol=args.tol * 100.0,
-        max_outer=args.max_iter,
-        multistart=args.multistart,
-        seed=args.seed,
-    )
+    angles, area, diag = solver.solve_full_nlp(args.n, ctol=args.tol, ktol=args.tol * 100.0)
     polygon = geometry.vertices_from_angles(angles)
     report = geometry.validate(polygon)
     record = make_record(
@@ -327,7 +281,7 @@ def _table5_row(n, seed=0):
             continue
         _, report, _ = reduced.construct_Q(n, r, multistart=2, seed=seed)
         cells.append((f"family r={r}", report.area, ref_area))
-    _, area, _ = solver.solve_full_nlp(n, multistart=2, seed=seed)
+    _, area, _ = solver.solve_full_nlp(n)
     cells.append(("optimal", area, ref.optimal))
     cells.append(("bound", geometry.upper_bound(n), ref.upper))
     return n, cells
@@ -374,11 +328,22 @@ def cmd_table(args) -> int:
     return VALIDATION_ERROR if failed else 0
 
 
+def _angles_error(record: PolygonRecord) -> float:
+    """Largest distance from the chain the angles walk to vertices 0..n/2."""
+    m = record.n // 2
+    if len(record.angles) != m:
+        return math.inf
+    x, y = geometry.chain_coordinates(record.angles)
+    chain = np.asarray(record.vertices[: m + 1])
+    return float(np.max(np.hypot(x - chain[:, 0], y - chain[:, 1])))
+
+
 def cmd_verify(args) -> int:
     """Revalidate the vertices and check the record's claims against them.
 
     The claimed area and diameter must match the values recomputed from the
-    vertices, and every skeleton edge must have unit length, all to
+    vertices, every skeleton edge must have unit length, and the chain that
+    the claimed angles walk must land on vertices 0..n/2, all to
     ``RECORD_TOL``.
     """
     with open(args.file, encoding="utf-8") as fh:
@@ -389,6 +354,7 @@ def cmd_verify(args) -> int:
         "area error": abs(record.area - report.area),
         "diameter error": abs(record.diameter - report.diameter),
         "edge error": report.edge_error,
+        "angles error": _angles_error(record),
     }
     sys.stdout.write(
         f"area       = {_format_float(report.area)}\n"
@@ -415,16 +381,10 @@ def cmd_render(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, with_r: bool):
+def _add_common(sub):
     sub.add_argument("--n", type=int, required=True, help="number of sides (even)")
-    if with_r:
-        sub.add_argument("--r", type=int, required=True, help="free parameter count")
     sub.add_argument("--format", choices=("json", "csv", "svg", "text"), default="text")
     sub.add_argument("--out", default=None, help="write output to this file")
-    sub.add_argument("--tol", type=float, default=1e-10)
-    sub.add_argument("--max-iter", dest="max_iter", type=int, default=300)
-    sub.add_argument("--multistart", type=int, default=4)
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,11 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = subs.add_parser("construct", help="build a polygon from the reduced family")
-    _add_common(p, with_r=True)
+    _add_common(p)
+    p.add_argument("--r", type=int, required=True, help="free parameter count")
+    p.add_argument("--multistart", type=int, default=4, help="jittered restarts")
+    p.add_argument("--seed", type=int, default=0, help="seed of the first restart")
     p.set_defaults(func=cmd_construct)
 
     p = subs.add_parser("optimize", help="solve the full angle program")
-    _add_common(p, with_r=False)
+    _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-10, help="constraint tolerance")
     p.set_defaults(func=cmd_optimize)
 
     p = subs.add_parser("table", help="reproduce an embedded reference table")

@@ -87,11 +87,6 @@ def free_shape(r: int) -> tuple[int, int]:
     return r // 2, (r + 1) // 2 - 1
 
 
-def free_parameter_count(r: int) -> int:
-    nb, ng = free_shape(r)
-    return 1 + nb + ng
-
-
 def _beta_dd(p: ReducedParams) -> dd.DD:
     m = p.n // 2
     if p.r == 0:
@@ -378,15 +373,14 @@ def construct_Q(
     *,
     multistart: int = 8,
     seed: int = 0,
-    tol: float = 1e-8,
-    max_iter: int = 300,
     allow_large_r: bool = False,
 ) -> tuple[SmallPolygon, AreaReport, ReducedParams]:
     """Best polygon of the r-parameter family for the given n.
 
-    ``multistart`` counts the jittered restarts added to the deterministic
-    start at the scaled asymptotic limits.  r above 16 has no tabulated start
-    or golden values and must be enabled explicitly.
+    The box maximizer runs from the deterministic start at the scaled
+    asymptotic limits plus ``multistart`` jittered restarts seeded from
+    ``seed`` on.  r above 16 has no tabulated start or golden values and must
+    be enabled explicitly.
     """
     if n % 2 != 0 or n < 6:
         raise ValueError(f"n must be even and >= 6, got {n}")
@@ -409,8 +403,6 @@ def construct_Q(
         upper=tuple(hi),
         objective=lambda v: objective(n, r, v),
         derivatives=lambda v: derivatives(n, r, v),
-        tol=tol,
-        max_iter=max_iter,
         multistart_seeds=tuple(range(seed, seed + multistart)),
     )
     best, value, diag = maximize_box(problem, start_vector(n, r))
@@ -429,17 +421,11 @@ def theorem_r(n: int) -> int:
     return n // 2 - 2 if n <= 34 else 16
 
 
-def construct_Q_theorem(
-    n: int,
-    *,
-    multistart: int = 2,
-    seed: int = 0,
-    tol: float = 1e-8,
-    max_iter: int = 300,
-) -> tuple[SmallPolygon, AreaReport, ReducedParams]:
-    """The headline polygon: r = n/2 - 2 up to n = 34, r = 16 beyond."""
+def construct_Q_theorem(n: int) -> tuple[SmallPolygon, AreaReport, ReducedParams]:
+    """The headline polygon: r = n/2 - 2 up to n = 34, r = 16 beyond.
+
+    One deterministic start, without jittered restarts.
+    """
     if n % 2 != 0 or n < 6:
         raise ValueError(f"n must be even and >= 6, got {n}")
-    return construct_Q(
-        n, theorem_r(n), multistart=multistart, seed=seed, tol=tol, max_iter=max_iter
-    )
+    return construct_Q(n, theorem_r(n), multistart=0)

@@ -13,10 +13,12 @@ Two pieces of machinery live here:
 
   - ``maximize_box`` maximizes an objective with analytic gradient and
     Hessian over a box (the reduced family's free parameters, the
-    scaled-limit cubics), from a start plus seeded jittered restarts;
+    scaled-limit cubics), from a start plus any seeded jittered restarts;
   - ``solve_full_nlp`` solves the symmetric-polygon area program over the
     n/2 turning angles with its two equality constraints (angles sum to a
-    quarter turn, the chain midpoint lands at x = +-1/2).
+    quarter turn, the chain midpoint lands at x = +-1/2), from one start.
+
+Both stop at a KKT residual below 1e-13 or after ``MAX_STEPS`` Newton steps.
 """
 
 from __future__ import annotations
@@ -31,6 +33,11 @@ from .geometry import AngleVector, area_dissection, chain_coordinates, half_sign
 _EPS = 2.220446049250313e-16
 # objective values (areas) of starts closer than this are treated as equal
 AREA_TIE = 1e-12
+# a box maximizer start is reported converged when the gradient over its
+# free variables is at most this
+GRAD_TOL = 1e-8
+# cap on the Newton steps from one start
+MAX_STEPS = 300
 
 
 class BracketError(ValueError):
@@ -215,19 +222,16 @@ class BoxProblem:
     encode infeasible regions as strongly negative values.
     ``derivatives(x)`` returns the gradient and the Hessian of ``objective``
     at x, or None where the objective is such a penalty; the Newton kernel
-    never accepts a step to those points.  ``tol`` bounds the gradient, over
-    the variables not held at a bound, at which a start counts as converged;
-    ``max_iter`` caps the Newton steps per start.  ``multistart_seeds`` adds
-    one jittered restart per seed (5% of the box width), making runs
-    reproducible by construction.
+    never accepts a step to those points.  ``max_iter`` caps the Newton
+    steps per start.  ``multistart_seeds`` adds one jittered restart per seed
+    (5% of the box width), making runs reproducible by construction.
     """
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     objective: object
     derivatives: object
-    tol: float = 1e-8
-    max_iter: int = 300
+    max_iter: int = MAX_STEPS
     multistart_seeds: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -237,8 +241,6 @@ class BoxProblem:
             raise ValueError("lower and upper must have the same length")
         if any(lo > hi for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("lower bound exceeds upper bound")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
         if not callable(self.derivatives):
             raise TypeError("derivatives must be a callable returning (gradient, Hessian)")
 
@@ -252,8 +254,9 @@ def maximize_box(problem: BoxProblem, start) -> tuple[np.ndarray, float, Diagnos
 
     Each start runs the Newton kernel on -objective.  The earliest start whose
     value is within ``AREA_TIE`` of the best wins, and the diagnostics report
-    its ``converged`` flag and gradient; steps and evaluations (derivatives
-    plus the one objective value per start) are summed over all starts.
+    its gradient and whether that is at most ``GRAD_TOL`` (``converged``);
+    steps and evaluations (derivatives plus the one objective value per
+    start) are summed over all starts.
     """
     lo = np.asarray(problem.lower)
     hi = np.asarray(problem.upper)
@@ -280,14 +283,14 @@ def maximize_box(problem: BoxProblem, start) -> tuple[np.ndarray, float, Diagnos
     top = max(values)
     win = next(i for i, v in enumerate(values) if v >= top - AREA_TIE)
     x, _, gres, _, _, _ = results[win]
-    converged = gres <= problem.tol
+    converged = gres <= GRAD_TOL
     diag = Diagnostics(
         converged=converged,
         iterations=sum(res[4] for res in results),
         nfev=sum(res[5] for res in results) + len(starts),
         grad_norm=gres,
         start_values=values,
-        message="" if converged else "gradient above tol; best iterate returned",
+        message="" if converged else "gradient above GRAD_TOL; best iterate returned",
     )
     if diag.multistart_spread > 1e-10:
         diag.message = (
@@ -408,16 +411,7 @@ def _nlp_evaluate(n):
     return evaluate
 
 
-def solve_full_nlp(
-    n: int,
-    start=None,
-    *,
-    ctol: float = 1e-10,
-    ktol: float = 1e-8,
-    max_outer: int = 200,
-    multistart: int = 4,
-    seed: int = 0,
-):
+def solve_full_nlp(n: int, start=None, *, ctol: float = 1e-10, ktol: float = 1e-8):
     """Best symmetric unit-diameter n-gon from the full angle program.
 
     Parameters
@@ -427,21 +421,15 @@ def solve_full_nlp(
         is the expanded best reduced construction for this n, whose angles
         already show the damped oscillation of the optimum.
     ctol, ktol : constraint and stationarity tolerances for success.
-    max_outer : cap on the Newton steps taken from each start.
-    multistart : total number of starts (the base start plus jittered copies).
-    seed : seed for the jitters; identical inputs give identical results.
 
-    Each start runs Newton on the KKT system with the exact Hessian of the
-    Lagrangian; a start far from the optimum, such as the r = 0 closed form,
-    converges without a warm start.  The earliest start that meets both
-    tolerances with an area within ``AREA_TIE`` of the best such area wins,
-    so a jittered copy never displaces the base start by rounding noise.
-    The diagnostics sum Newton steps (``iterations``) and KKT-residual
-    evaluations (``nfev``) over all starts.
+    One Newton solve on the KKT system with the exact Hessian of the
+    Lagrangian, capped at ``MAX_STEPS`` steps; a start far from the optimum,
+    such as the r = 0 closed form, converges without a warm start.  The
+    diagnostics report its Newton steps (``iterations``) and KKT-residual
+    evaluations (``nfev``).
 
     Returns ``(AngleVector, area, Diagnostics)``.  Raises InfeasibleError if
-    no start reaches both tolerances; its diagnostics then describe the base
-    start.
+    the solve does not reach both tolerances.
     """
     if n % 2 != 0 or not 6 <= n <= 512:
         raise ValueError(f"n must be even with 6 <= n <= 512, got {n}")
@@ -452,7 +440,7 @@ def solve_full_nlp(
     if start is None:
         from .reduced import construct_Q_theorem, expand_angles
 
-        _, _, params = construct_Q_theorem(n, multistart=0, seed=seed)
+        _, _, params = construct_Q_theorem(n)
         theta0 = np.array(expand_angles(params).theta)
     elif isinstance(start, AngleVector):
         theta0 = np.array(start.theta)
@@ -461,28 +449,14 @@ def solve_full_nlp(
     if len(theta0) != m:
         raise ValueError(f"start must have {m} angles")
 
-    rng = np.random.default_rng(seed)
-    starts = [theta0]
-    for _ in range(max(0, multistart - 1)):
-        jitter = 1e-3 * (math.pi / n) * rng.standard_normal(m)
-        starts.append(np.clip(theta0 + jitter, lower, upper))
-
-    evaluate = _nlp_evaluate(n)
-    results = [_newton(evaluate, th0, lower, upper, 2, max_outer) for th0 in starts]
-    per_start = tuple(
-        nlp_objective(theta) if cmax <= ctol and kkt <= ktol else -math.inf
-        for theta, _, kkt, cmax, _, _ in results
+    theta, lam, kkt, cmax, steps, nfev = _newton(
+        _nlp_evaluate(n), theta0, lower, upper, 2, MAX_STEPS
     )
-    top = max(per_start)
-    win = next(i for i, v in enumerate(per_start) if v >= top - AREA_TIE)
-    theta, lam, kkt, cmax, _, _ = results[win]
-    area = per_start[win]
     diag = Diagnostics(
         converged=cmax <= ctol and kkt <= ktol,
-        iterations=sum(res[4] for res in results),
-        nfev=sum(res[5] for res in results),
+        iterations=steps,
+        nfev=nfev,
         grad_norm=kkt,
-        start_values=per_start,
         constraint_residual=cmax,
         kkt_norm=kkt,
         multipliers=tuple(float(v) for v in lam),
@@ -493,4 +467,4 @@ def solve_full_nlp(
             f"stationarity {kkt:.3e} (tol {ktol:.1e})"
         )
         raise InfeasibleError(diag.message, diag)
-    return AngleVector(n, tuple(theta)), area, diag
+    return AngleVector(n, tuple(theta)), nlp_objective(theta), diag

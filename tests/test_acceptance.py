@@ -49,7 +49,7 @@ def sweep() -> SweepResult:
             polygon, report, _ = sp.construct_Q(n, r, multistart=2)
             result.family_areas[(n, r)] = report.area
             result.family_polygons[(n, r)] = polygon
-        angles, area, _ = sp.solve_full_nlp(n, multistart=2)
+        angles, area, _ = sp.solve_full_nlp(n)
         result.optimal_areas[n] = area
         result.optimal_angles[n] = angles
     result.seconds = time.perf_counter() - start

@@ -6,14 +6,7 @@ import sys
 
 import pytest
 
-from smallpoly.cli import (
-    PolygonRecord,
-    dumps_json,
-    main,
-    read_csv_vertices,
-    record_to_csv,
-    record_to_svg,
-)
+from smallpoly.cli import PolygonRecord, main, record_to_csv, record_to_svg
 from smallpoly.geometry import max_pairwise_distance
 
 
@@ -21,6 +14,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def csv_vertices(text):
+    """The (x, y) columns of an ``index,x,y`` CSV."""
+    return [tuple(float(v) for v in line.split(",")[1:]) for line in text.splitlines()[1:]]
 
 
 class TestBound:
@@ -74,16 +72,14 @@ class TestConstruct:
         assert code == 0
         text = out_file.read_text()
         assert text.splitlines()[0] == "index,x,y"
-        verts = read_csv_vertices(text)
+        verts = csv_vertices(text)
         assert len(verts) == 6
         assert max_pairwise_distance(verts) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestOptimize:
     def test_json(self, capsys):
-        code, out, _ = run(
-            capsys, "optimize", "--n", "6", "--format", "json", "--multistart", "1"
-        )
+        code, out, _ = run(capsys, "optimize", "--n", "6", "--format", "json")
         assert code == 0
         data = json.loads(out)
         assert data["area"] == pytest.approx(0.6749814429, abs=1e-9)
@@ -94,18 +90,32 @@ class TestOptimize:
         assert data["r"] is None
 
     def test_fourteen_gon(self, capsys):
-        code, out, _ = run(
-            capsys, "optimize", "--n", "14", "--format", "json", "--multistart", "1"
-        )
+        code, out, _ = run(capsys, "optimize", "--n", "14", "--format", "json")
         assert code == 0
         assert json.loads(out)["area"] == pytest.approx(0.7675310111, abs=1e-8)
 
     def test_unreachable_tolerance(self, capsys):
-        code, _, err = run(
-            capsys, "optimize", "--n", "8", "--tol", "1e-30", "--multistart", "1"
-        )
+        code, _, err = run(capsys, "optimize", "--n", "8", "--tol", "1e-30")
         assert code == 3
         assert "infeasible" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "--n", "6", "--r", "1", "--tol", "1e-8"),
+        ("construct", "--n", "6", "--r", "1", "--max-iter", "10"),
+        ("optimize", "--n", "6", "--multistart", "1"),
+        ("optimize", "--n", "6", "--seed", "1"),
+        ("optimize", "--n", "6", "--max-iter", "10"),
+    ],
+    ids=["construct-tol", "construct-max-iter", "optimize-multistart", "optimize-seed",
+         "optimize-max-iter"],
+)
+def test_removed_flags_rejected(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "unrecognized arguments" in err
 
 
 class TestRecordSerialization:
@@ -124,14 +134,11 @@ class TestRecordSerialization:
         assert again.area == record.area
         assert again.vertices == record.vertices
 
-    def test_17_digit_floats(self):
-        assert dumps_json(0.1) == "0.10000000000000001"
-        assert dumps_json({"x": 1.0 / 3.0}) == '{\n  "x": 0.33333333333333331\n}'
-        assert json.loads(dumps_json(1.0 / 3.0)) == 1.0 / 3.0
-
-    def test_rejects_nan(self):
+    def test_rejects_nan(self, capsys):
+        record = self._record(capsys)
+        record.area = float("nan")
         with pytest.raises(ValueError):
-            dumps_json(float("nan"))
+            record.to_json()
 
 
 class TestVerifyRender:
@@ -184,6 +191,19 @@ class TestVerifyRender:
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 4
         assert "small      = True" in out
+
+    def test_verify_checks_angles(self, capsys, tmp_path):
+        # the vertices stay a valid polygon; only the claimed angles move
+        path = self._record_file(capsys, tmp_path)
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0
+        assert "angles error   = 0.000e+00" in out
+        data = json.loads(path.read_text())
+        data["angles"][1] += 1e-9
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 4
+        assert "small      = True" in out and "angles error   = 0.000e+00" not in out
 
     def test_render(self, capsys, tmp_path):
         path = self._record_file(capsys, tmp_path)
@@ -267,15 +287,11 @@ class TestTable:
 
 
 class TestCsv:
-    def test_header_enforced(self):
-        with pytest.raises(ValueError):
-            read_csv_vertices("x,y\n0,0\n")
-
     def test_record_to_csv_digits(self, capsys):
         code, out, _ = run(
             capsys, "construct", "--n", "6", "--r", "0", "--format", "json"
         )
         record = PolygonRecord.from_json(out)
         csv_text = record_to_csv(record)
-        verts = read_csv_vertices(csv_text)
-        assert verts == list(record.vertices)
+        assert csv_text.splitlines()[0] == "index,x,y"
+        assert csv_vertices(csv_text) == list(record.vertices)

@@ -15,7 +15,7 @@ from smallpoly.reduced import (
     derivatives,
     derive,
     expand_angles,
-    free_parameter_count,
+    free_shape,
     parameter_bounds,
     params_from_vector,
     reduced_area,
@@ -40,11 +40,11 @@ def q103_params():
 
 class TestParams:
     def test_shapes(self):
-        assert free_parameter_count(0) == 1
-        assert free_parameter_count(1) == 1
-        assert free_parameter_count(2) == 2
-        assert free_parameter_count(3) == 3
-        assert free_parameter_count(4) == 4
+        assert free_shape(0) == (0, 0)
+        assert free_shape(1) == (0, 0)
+        assert free_shape(2) == (1, 0)
+        assert free_shape(3) == (1, 1)
+        assert free_shape(4) == (2, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -259,7 +259,7 @@ class TestTheoremConstruction:
     def test_large_n_bracketed(self):
         from smallpoly.geometry import upper_bound
 
-        _, report16, _ = construct_Q_theorem(36, multistart=0)
+        _, report16, _ = construct_Q_theorem(36)
         _, report4, _ = construct_Q(36, 4, multistart=0)
         assert report4.area < report16.area < upper_bound(36)
 

@@ -225,7 +225,7 @@ class TestObjectiveGradient:
     def test_stationary_on_tangent_space(self):
         # at the constrained optimum the gradient lies in the row space of
         # the constraint Jacobian
-        angles, _, _ = solve_full_nlp(6, multistart=1)
+        angles, _, _ = solve_full_nlp(6)
         theta = np.array(angles.theta)
         g = objective_gradient(theta)
         J = constraint_jacobian(theta, 6)
@@ -277,7 +277,7 @@ class TestLagrangianHessian:
     def test_solution_is_a_constrained_maximum(self, n):
         # -area + lam @ c has a positive definite Hessian on the tangent
         # space of the constraints, so the area has a strict local maximum
-        angles, _, diag = solve_full_nlp(n, multistart=1)
+        angles, _, diag = solve_full_nlp(n)
         theta = np.array(angles.theta)
         _, _, vt = np.linalg.svd(constraint_jacobian(theta, n))
         Z = vt[2:].T
@@ -287,7 +287,7 @@ class TestLagrangianHessian:
 
 class TestSolveFullNlp:
     def test_hexagon(self):
-        angles, area, diag = solve_full_nlp(6, multistart=2)
+        angles, area, diag = solve_full_nlp(6)
         assert area == pytest.approx(0.6749814429, abs=1e-9)
         assert angles.theta == pytest.approx(
             (0.350930, 0.653342, 0.566524), abs=1e-6
@@ -296,11 +296,11 @@ class TestSolveFullNlp:
         assert diag.kkt_norm <= 1e-8
 
     def test_sixteen_gon(self):
-        _, area, _ = solve_full_nlp(16, multistart=2)
+        _, area, _ = solve_full_nlp(16)
         assert area == pytest.approx(0.7718613220, abs=1e-8)
 
     def test_hundred_gon(self):
-        angles, area, _ = solve_full_nlp(100, multistart=1)
+        angles, area, _ = solve_full_nlp(100)
         assert area == pytest.approx(0.7850715895, abs=1e-8)
         # reference angles carry solver noise in the flattest direction,
         # so compare a touch looser than their printed precision
@@ -310,14 +310,14 @@ class TestSolveFullNlp:
     def test_dominates_reduced_families(self):
         from smallpoly.reduced import construct_Q
 
-        _, area, _ = solve_full_nlp(10, multistart=2)
+        _, area, _ = solve_full_nlp(10)
         for r in (0, 1, 2, 3):
             _, report, _ = construct_Q(10, r, multistart=2)
             assert area >= report.area - 1e-9
 
     def test_deterministic(self):
-        a1, v1, _ = solve_full_nlp(8, multistart=3, seed=7)
-        a2, v2, _ = solve_full_nlp(8, multistart=3, seed=7)
+        a1, v1, _ = solve_full_nlp(8)
+        a2, v2, _ = solve_full_nlp(8)
         assert a1.theta == a2.theta and v1 == v2
 
     @pytest.mark.parametrize("n", [6, 14, 34, 120, 256, 512])
@@ -327,32 +327,24 @@ class TestSolveFullNlp:
         alpha = math.pi / (2 * n - 2)
         cold = np.array([alpha] + [2 * alpha] * (n // 2 - 1))
         perturbed = cold * (1.0 + 0.2 * np.random.default_rng(n).uniform(-1.0, 1.0, n // 2))
-        _, warm_area, _ = solve_full_nlp(n, multistart=1)
+        _, warm_area, _ = solve_full_nlp(n)
         for start in (cold, perturbed):
-            _, area, _ = solve_full_nlp(n, start=start, multistart=1)
+            _, area, _ = solve_full_nlp(n, start=start)
             assert area == pytest.approx(warm_area, abs=1e-12)
 
     def test_newton_steps_per_start(self):
-        _, _, base = solve_full_nlp(120, multistart=1)
-        _, _, both = solve_full_nlp(120, multistart=2)
-        assert 1 <= base.iterations <= 8
-        assert 1 <= both.iterations - base.iterations <= 8
-        assert both.nfev > base.nfev
-
-    def test_base_start_wins_ties(self):
-        base, base_area, _ = solve_full_nlp(256, multistart=1)
-        angles, area, diag = solve_full_nlp(256, multistart=2)
-        assert angles.theta == base.theta and area == base_area
-        assert diag.multistart_spread <= 1e-12
+        _, _, diag = solve_full_nlp(120)
+        assert 1 <= diag.iterations <= 8
+        assert diag.nfev > diag.iterations
 
     def test_explicit_start(self):
         start = AngleVector(6, (math.pi / 10, math.pi / 5, math.pi / 5))
-        _, area, _ = solve_full_nlp(6, start=start, multistart=1)
+        _, area, _ = solve_full_nlp(6, start=start)
         assert area == pytest.approx(0.6749814429, abs=1e-9)
 
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(InfeasibleError) as err:
-            solve_full_nlp(8, ctol=1e-30, ktol=1e-30, multistart=1)
+            solve_full_nlp(8, ctol=1e-30, ktol=1e-30)
         assert err.value.diagnostics is not None
 
     def test_domain(self):
