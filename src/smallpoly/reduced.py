@@ -371,21 +371,24 @@ def construct_Q(
     n: int,
     r: int,
     *,
-    multistart: int = 8,
+    multistart: int = 0,
     seed: int = 0,
     allow_large_r: bool = False,
 ) -> tuple[SmallPolygon, AreaReport, ReducedParams]:
     """Best polygon of the r-parameter family for the given n.
 
     The box maximizer runs from the deterministic start at the scaled
-    asymptotic limits plus ``multistart`` jittered restarts seeded from
-    ``seed`` on.  r above 16 has no tabulated start or golden values and must
-    be enabled explicitly.
+    asymptotic limits, plus ``multistart`` jittered restarts seeded from
+    ``seed`` on (none by default; a negative count raises ValueError).  r
+    above 16 has no tabulated start or golden values and must be enabled
+    explicitly.
     """
     if n % 2 != 0 or n < 6:
         raise ValueError(f"n must be even and >= 6, got {n}")
     if r < 0 or n < 2 * r + 4:
         raise ValueError(f"need n >= 2r + 4 with r >= 0, got n = {n}, r = {r}")
+    if multistart < 0:
+        raise ValueError(f"multistart must be >= 0, got {multistart}")
     if r > MAX_TABULATED_R and not allow_large_r:
         raise ValueError(
             f"r = {r} exceeds the tabulated range ({MAX_TABULATED_R}); "
@@ -428,4 +431,4 @@ def construct_Q_theorem(n: int) -> tuple[SmallPolygon, AreaReport, ReducedParams
     """
     if n % 2 != 0 or n < 6:
         raise ValueError(f"n must be even and >= 6, got {n}")
-    return construct_Q(n, theorem_r(n), multistart=0)
+    return construct_Q(n, theorem_r(n))

@@ -13,7 +13,8 @@ Two pieces of machinery live here:
 
   - ``maximize_box`` maximizes an objective with analytic gradient and
     Hessian over a box (the reduced family's free parameters, the
-    scaled-limit cubics), from a start plus any seeded jittered restarts;
+    scaled-limit cubics), from one start; ``BoxProblem.multistart_seeds``
+    can add seeded jittered restarts, which no table or default uses;
   - ``solve_full_nlp`` solves the symmetric-polygon area program over the
     n/2 turning angles with its two equality constraints (angles sum to a
     quarter turn, the chain midpoint lands at x = +-1/2), from one start.

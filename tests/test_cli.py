@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from smallpoly import reduced, reference
 from smallpoly.cli import PolygonRecord, main, record_to_csv, record_to_svg
 from smallpoly.geometry import max_pairwise_distance
 
@@ -52,6 +53,14 @@ class TestConstruct:
         assert data["method"] == "reduced"
         assert len(data["vertices"]) == 12
         assert len(data["angles"]) == 6
+
+    def test_negative_multistart_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "construct", "--n", "12", "--r", "2", "--multistart", "-3"
+        )
+        assert code == 2
+        assert out == ""
+        assert "multistart" in err
 
     def test_text_default(self, capsys):
         code, out, _ = run(capsys, "construct", "--n", "6", "--r", "0")
@@ -280,6 +289,47 @@ class TestTable:
         assert code == 0
         assert out.strip().endswith("PASS")
         assert "n=6" in out and "n=8" in out
+
+    def test_table5_ignores_seed(self, capsys):
+        outs = [
+            run(capsys, "table", "--which", "table5", "--n", "6,40", "--seed", seed)
+            for seed in ("0", "777")
+        ]
+        assert outs[0][0] == outs[1][0] == 0
+        assert outs[0][1] == outs[1][1]
+
+    @pytest.mark.parametrize(
+        "argv, cells",
+        [
+            # table3: one family cell per default n = 6, 8, 10, 12
+            (("--which", "table3"), 4),
+            # table5: the tabulated families r >= 1 (r = 0 is closed form)
+            (
+                ("--which", "table5", "--n", "6,40"),
+                sum(
+                    1
+                    for n in (6, 40)
+                    for r, ref in enumerate(reference.AREA_COMPARISON[n].q)
+                    if r > 0 and ref is not None
+                ),
+            ),
+        ],
+        ids=["table3", "table5"],
+    )
+    def test_family_cells_single_start(self, capsys, monkeypatch, argv, cells):
+        seen = []
+        inner = reduced.maximize_box
+
+        def recording(problem, start):
+            seen.append(problem.multistart_seeds)
+            return inner(problem, start)
+
+        monkeypatch.setattr(reduced, "maximize_box", recording)
+        code, _, _ = run(capsys, "table", *argv)
+        assert code == 0
+        # table5 adds the full program's warm starts, which are single-start too
+        assert len(seen) >= cells
+        assert all(seeds == () for seeds in seen)
 
     def test_table_bad_n(self, capsys):
         code, _, err = run(capsys, "table", "--which", "table5", "--n", "7")

@@ -18,6 +18,7 @@ from smallpoly.reduced import (
     free_shape,
     parameter_bounds,
     params_from_vector,
+    params_to_vector,
     reduced_area,
     solve_beta,
     solve_gamma_last,
@@ -212,6 +213,10 @@ class TestConstruct:
         with pytest.raises(ValueError):
             construct_Q(40, 17)
 
+    def test_negative_multistart_rejected(self):
+        with pytest.raises(ValueError, match="multistart"):
+            construct_Q(12, 2, multistart=-3)
+
     def test_large_r_behind_flag(self):
         _, report, _ = construct_Q(40, 17, multistart=0, allow_large_r=True)
         _, report4, _ = construct_Q(40, 4, multistart=0)
@@ -241,6 +246,20 @@ class TestConstruct:
         # re-derive and check the reported optimum is reproducible
         again = derive(ReducedParams(n=6, r=1, alpha=params.alpha))
         assert reduced_area(again) == pytest.approx(reduced_area(params), abs=1e-14)
+
+
+@pytest.mark.parametrize("seed", (0, 777))
+@pytest.mark.parametrize("n, r", ((12, 4), (40, 3), (120, 16), (1000, 16)))
+def test_restarts_change_nothing(n, r, seed):
+    """The default single start gives what four jittered restarts give, bit for bit.
+
+    The tables and the library default rest on this; if a kernel change makes
+    restarts matter, the defaults have to be revisited.
+    """
+    _, report, params = construct_Q(n, r)
+    _, report_k, params_k = construct_Q(n, r, multistart=4, seed=seed)
+    assert report.area == report_k.area
+    assert np.array_equal(params_to_vector(params), params_to_vector(params_k))
 
 
 class TestTheoremConstruction:
