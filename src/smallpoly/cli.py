@@ -43,7 +43,11 @@ def _format_float(x: float) -> str:
 
 @dataclass
 class PolygonRecord:
-    """Everything needed to reconstruct, verify, and render one polygon."""
+    """Everything needed to reconstruct, verify, and render one polygon.
+
+    ``points`` is ``vertices`` as one read-only float array of (x, y)
+    rows; it is built from ``vertices`` when not given.
+    """
 
     n: int
     r: int | None
@@ -58,6 +62,12 @@ class PolygonRecord:
     is_symmetric: bool
     is_small: bool
     diagnostics: dict = field(default_factory=dict)
+    points: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.points is None:
+            self.points = np.array(self.vertices, dtype=float)
+            self.points.flags.writeable = False
 
     def to_dict(self) -> dict:
         return {
@@ -80,21 +90,36 @@ class PolygonRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PolygonRecord":
-        valid = data.get("valid", {})
+        """The record ``data`` holds; a missing or malformed entry is a ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"record is a JSON {type(data).__name__}, not an object")
+
+        def entry(key, convert, *default):
+            try:
+                return convert(data.get(key, *default) if default else data[key])
+            except KeyError:
+                raise ValueError(f"record has no {key!r}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"record {key!r} is malformed: {exc}") from None
+
+        n = entry("n", int)
+        points = entry("vertices", _vertex_array)
+        valid = entry("valid", dict, {})
         return cls(
-            n=int(data["n"]),
-            r=None if data.get("r") is None else int(data["r"]),
-            method=str(data["method"]),
-            area=float(data["area"]),
-            upper_bound=float(data["upper_bound"]),
-            gap=float(data["gap"]),
-            diameter=float(data["diameter"]),
-            angles=tuple(float(t) for t in data["angles"]),
-            vertices=tuple((float(x), float(y)) for x, y in data["vertices"]),
+            n=n,
+            r=entry("r", lambda r: None if r is None else int(r), None),
+            method=entry("method", str),
+            area=entry("area", float),
+            upper_bound=entry("upper_bound", float),
+            gap=entry("gap", float),
+            diameter=entry("diameter", float),
+            angles=entry("angles", lambda a: tuple(float(t) for t in a)),
+            vertices=tuple(zip(*points.T.tolist())),
             is_convex=bool(valid.get("is_convex")),
             is_symmetric=bool(valid.get("is_symmetric")),
             is_small=bool(valid.get("is_small")),
-            diagnostics=dict(data.get("diagnostics", {})),
+            diagnostics=entry("diagnostics", dict, {}),
+            points=points,
         )
 
     def to_json(self) -> str:
@@ -102,7 +127,23 @@ class PolygonRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "PolygonRecord":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"record is not JSON: {exc}") from None
+        return cls.from_dict(data)
+
+
+def _vertex_array(vertices) -> np.ndarray:
+    """A record's vertices as a read-only (k, 2) float array."""
+    try:
+        pts = np.array(vertices, dtype=float)
+    except (TypeError, ValueError):
+        pts = None
+    if pts is None or pts.ndim != 2 or pts.shape[1] != 2 or not np.isfinite(pts).all():
+        raise ValueError("expected a list of [x, y] pairs of finite numbers")
+    pts.flags.writeable = False
+    return pts
 
 
 def make_record(n, r, method, polygon, report, angles, diagnostics) -> PolygonRecord:
@@ -116,6 +157,7 @@ def make_record(n, r, method, polygon, report, angles, diagnostics) -> PolygonRe
         diameter=report.diameter,
         angles=tuple(angles),
         vertices=polygon.vertices,
+        points=polygon.points,
         is_convex=report.is_convex,
         is_symmetric=report.is_symmetric,
         is_small=report.is_small,
@@ -159,7 +201,7 @@ def record_to_svg(record: PolygonRecord) -> str:
     def pt(v):
         return f"{v[0]:.6f},{-v[1]:.6f}"
 
-    polygon = geometry.polygon_from_vertices(record.n, record.vertices)
+    polygon = geometry.polygon_from_vertices(record.n, record.points)
     path = "M " + " L ".join(pt(record.vertices[i]) for i in polygon.boundary) + " Z"
     lines = []
     for i, j in polygon.skeleton_edges:
@@ -340,7 +382,7 @@ def _angles_error(record: PolygonRecord) -> float:
     if len(record.angles) != m:
         return math.inf
     x, y = geometry.chain_coordinates(record.angles)
-    chain = np.asarray(record.vertices[: m + 1])
+    chain = record.points[: m + 1]
     return float(np.max(np.hypot(x - chain[:, 0], y - chain[:, 1])))
 
 
@@ -354,7 +396,7 @@ def cmd_verify(args) -> int:
     """
     with open(args.file, encoding="utf-8") as fh:
         record = PolygonRecord.from_json(fh.read())
-    polygon = geometry.polygon_from_vertices(record.n, record.vertices)
+    polygon = geometry.polygon_from_vertices(record.n, record.points)
     report = geometry.validate(polygon)
     errors = {
         "area error": abs(record.area - report.area),

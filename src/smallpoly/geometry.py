@@ -8,8 +8,9 @@ shape is determined by the n/2 turning angles of the star chain.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,8 @@ _EPS = float(np.finfo(float).eps)
 _CROSS_BOUND = (3 + 8 * _EPS) * _EPS / 2
 # absolute rounding of products that underflow
 _TINY = float(np.finfo(float).tiny)
+# whole-array pruning passes of a hull chain before the sequential stack
+_PRUNE_PASSES = 8
 
 
 class SkeletonError(ValueError):
@@ -45,14 +48,18 @@ class AngleVector:
     def __post_init__(self):
         if self.n % 2 != 0 or self.n < 6:
             raise ValueError(f"n must be even and >= 6, got {self.n}")
-        object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
-        if len(self.theta) != self.n // 2:
+        th = np.array(self.theta, dtype=float)
+        if th.shape != (self.n // 2,):
             raise ValueError(f"expected {self.n // 2} angles, got {len(self.theta)}")
-        if not (-_BOUND_SLACK <= self.theta[0] <= math.pi / 6 + _BOUND_SLACK):
-            raise ValueError(f"theta_0 = {self.theta[0]} outside [0, pi/6]")
-        for k, t in enumerate(self.theta[1:], start=1):
-            if not (-_BOUND_SLACK <= t <= math.pi / 3 + _BOUND_SLACK):
-                raise ValueError(f"theta_{k} = {t} outside [0, pi/3]")
+        object.__setattr__(self, "theta", tuple(th.tolist()))
+        hi = np.full(len(th), math.pi / 3)
+        hi[0] = math.pi / 6
+        outside = np.flatnonzero(~((th >= -_BOUND_SLACK) & (th <= hi + _BOUND_SLACK)))
+        if len(outside):
+            k = int(outside[0])
+            raise ValueError(
+                f"theta_{k} = {self.theta[k]} outside [0, {'pi/6' if k == 0 else 'pi/3'}]"
+            )
 
     @property
     def angle_sum_residual(self) -> float:
@@ -67,12 +74,23 @@ class AngleVector:
 
 @dataclass(frozen=True)
 class SmallPolygon:
-    """An n-gon with its unit-distance skeleton and convex boundary order."""
+    """An n-gon with its unit-distance skeleton and convex boundary order.
+
+    ``points`` is ``vertices`` as one read-only (n, 2) float array, the form
+    every check works on; it is built from ``vertices`` when not given.
+    """
 
     n: int
     vertices: tuple[tuple[float, float], ...]
     skeleton_edges: tuple[tuple[int, int], ...]
     boundary: tuple[int, ...]
+    points: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.points is None:
+            pts = np.array(self.vertices, dtype=float)
+            pts.flags.writeable = False
+            object.__setattr__(self, "points", pts)
 
 
 @dataclass(frozen=True)
@@ -122,12 +140,21 @@ def chain_coordinates(theta) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+@functools.lru_cache(maxsize=1)
 def skeleton_edge_list(n: int) -> tuple[tuple[int, int], ...]:
     """The (n-1)-cycle v_0 v_1 ... v_{n-2} plus the pendant edge v_0 v_{n-1}."""
     edges = [(k, k + 1) for k in range(n - 2)]
     edges.append((n - 2, 0))
     edges.append((0, n - 1))
     return tuple(edges)
+
+
+@functools.lru_cache(maxsize=1)
+def _skeleton_ends(n: int) -> np.ndarray:
+    """``skeleton_edge_list(n)`` as a read-only (2, n) array of edge ends."""
+    ends = np.array(skeleton_edge_list(n)).T
+    ends.flags.writeable = False
+    return ends
 
 
 def boundary_order(vertices) -> tuple[int, ...]:
@@ -144,14 +171,16 @@ def boundary_order(vertices) -> tuple[int, ...]:
 def polygon_from_vertices(n: int, vertices) -> SmallPolygon:
     """Assemble a SmallPolygon from raw vertices (standard skeleton indexing)."""
     _require_even(n, minimum=6)
-    verts = tuple((float(x), float(y)) for x, y in vertices)
-    if len(verts) != n:
-        raise ValueError(f"expected {n} vertices, got {len(verts)}")
+    pts = np.array(vertices, dtype=float)
+    if pts.shape != (n, 2):
+        raise ValueError(f"expected {n} (x, y) vertices, got an array of shape {pts.shape}")
+    pts.flags.writeable = False
     return SmallPolygon(
         n=n,
-        vertices=verts,
+        vertices=tuple(zip(*pts.T.tolist())),
         skeleton_edges=skeleton_edge_list(n),
-        boundary=boundary_order(verts),
+        boundary=boundary_order(pts),
+        points=pts,
     )
 
 
@@ -176,9 +205,9 @@ def vertices_from_angles(a: AngleVector) -> SmallPolygon:
     verts = np.zeros((n, 2))
     verts[: m + 1, 0] = x
     verts[: m + 1, 1] = y
-    for k in range(m + 1, n - 1):
-        verts[k, 0] = -verts[n - 1 - k, 0]
-        verts[k, 1] = verts[n - 1 - k, 1]
+    # vertex k > m mirrors vertex n - 1 - k
+    verts[m + 1 : n - 1, 0] = -x[m - 2 : 0 : -1]
+    verts[m + 1 : n - 1, 1] = y[m - 2 : 0 : -1]
     verts[n - 1] = (0.0, 1.0)
     return polygon_from_vertices(n, verts)
 
@@ -199,8 +228,7 @@ def area_dissection(a) -> float:
 
 def area_shoelace(p: SmallPolygon) -> float:
     """Standard signed-area sum over the convex boundary, as an absolute value."""
-    pts = np.asarray(p.vertices, dtype=float)[list(p.boundary)]
-    return shoelace(pts)
+    return shoelace(p.points[list(p.boundary)])
 
 
 def shoelace(points) -> float:
@@ -223,108 +251,179 @@ def _exact_cross(ax, ay, bx, by, cx, cy, dx, dy) -> Fraction:
     return (f(bx) - f(ax)) * (f(dy) - f(cy)) - (f(by) - f(ay)) * (f(dx) - f(cx))
 
 
-def _convex_hull(xs: list, ys: list) -> list:
-    """Indices of the vertices of the convex hull, counter-clockwise.
+def _cross_sign(ax, ay, bx, by, cx, cy, dx, dy) -> np.ndarray:
+    """The sign of (b - a) x (d - c), elementwise over broadcast float arrays.
 
-    Andrew's monotone chain over points already sorted by (x, y): build the
-    lower and the upper chain, dropping every point that does not make a
-    strict left turn, so collinear points and duplicates are left out.  Each
-    turn is (a - o) x (b - o) in floats, recomputed exactly when it is within
-    the rounding bound ``_CROSS_BOUND``.
+    The float cross product decides every entry farther from zero than its
+    rounding bound ``_CROSS_BOUND``; the few entries inside it are
+    recomputed in ``Fraction``s, so every sign is exact.
     """
-    def chain(indices):
-        out = []
-        for k in indices:
-            x, y = xs[k], ys[k]
-            while len(out) >= 2:
-                o, a = out[-2], out[-1]
-                ox, oy = xs[o], ys[o]
-                left = (xs[a] - ox) * (y - oy)
-                right = (ys[a] - oy) * (x - ox)
-                turn = left - right
-                if abs(turn) <= _CROSS_BOUND * (abs(left) + abs(right)) + _TINY:
-                    turn = _exact_cross(ox, oy, xs[a], ys[a], ox, oy, x, y)
-                if turn > 0:
-                    break
-                out.pop()
-            out.append(k)
-        return out
-
-    m = len(xs)
-    lower = chain(range(m))
-    upper = chain(range(m - 1, -1, -1))
-    # each chain ends where the other starts; one point is its own hull
-    return lower[:-1] + upper[:-1] or lower
+    left = (bx - ax) * (dy - cy)
+    right = (by - ay) * (dx - cx)
+    turn = left - right
+    sign = np.sign(turn)
+    unsure = np.abs(turn) <= _CROSS_BOUND * (np.abs(left) + np.abs(right)) + _TINY
+    if np.count_nonzero(unsure):
+        args = np.broadcast_arrays(ax, ay, bx, by, cx, cy, dx, dy)
+        for k in np.flatnonzero(unsure).tolist():
+            exact = _exact_cross(*(v[k] for v in args))
+            sign[k] = (exact > 0) - (exact < 0)
+    return sign
 
 
-def _antipodal_pairs(hull: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every antipodal vertex pair of a strictly convex counter-clockwise ring.
-
-    Rotating calipers (Shamos 1978): for each edge i the far pointer j
-    advances while vertex j + 1 lies farther from the edge's line than
-    vertex j, i.e. while e_i x e_j > 0, and never moves back.  Both ends of
-    edge i are antipodal to the vertex j where it stops.  Two vertices are
-    antipodal when their ranges of outward edge normals overlap by at least
-    a point (opposite directions), and then an end of one range lies in the
-    other: the pair is met from that end's edge.  The signs are exact, as
-    in ``_convex_hull``.
-    """
-    h = len(hull)
-    xs, ys = hull[:, 0].tolist() * 2, hull[:, 1].tolist() * 2
-    ex = np.diff(hull[:, 0], append=hull[0, 0]).tolist() * 2
-    ey = np.diff(hull[:, 1], append=hull[0, 1]).tolist() * 2
-    far = []
-    j = 1 % h
-    for i in range(h):
-        exi, eyi = ex[i], ey[i]
-        while j < i + h - 1:
-            left = exi * ey[j]
-            right = eyi * ex[j]
+def _sequential_chain(xs: list, ys: list) -> list:
+    """Andrew's monotone chain stack: positions of the strict left turns."""
+    out = []
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        while len(out) >= 2:
+            o, a = out[-2], out[-1]
+            ox, oy = xs[o], ys[o]
+            left = (xs[a] - ox) * (y - oy)
+            right = (ys[a] - oy) * (x - ox)
             turn = left - right
             if abs(turn) <= _CROSS_BOUND * (abs(left) + abs(right)) + _TINY:
-                turn = _exact_cross(
-                    xs[i], ys[i], xs[i + 1], ys[i + 1], xs[j], ys[j], xs[j + 1], ys[j + 1]
-                )
-            if turn <= 0:
+                turn = _exact_cross(ox, oy, xs[a], ys[a], ox, oy, x, y)
+            if turn > 0:
                 break
-            j += 1
-        far.append(j)
+            out.pop()
+        out.append(k)
+    return out
+
+
+def _convex_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the vertices of the convex hull, counter-clockwise.
+
+    Andrew's monotone chain over distinct points sorted by (x, y): the
+    lower chain runs through them in order and the upper chain back, each
+    keeping only strict left turns, so collinear points are left out.  The
+    line from the first point to the last splits the candidates of the two
+    chains, which are then closed into one ring at those two points and
+    pruned a whole pass at a time: every point but the two ends that does
+    not make a strict left turn with its current neighbours goes at once.
+    Such a point is no vertex of the hull of the points left, so dropping
+    any number of them keeps the hull.  The points must be distinct, or
+    two copies of a vertex witness each other and both go.  A chain can
+    lose as few as one point per pass (a convex arc closed by one far
+    point), so after ``_PRUNE_PASSES`` the survivors go through the
+    sequential stack, which keeps the worst case O(n log n).  Turn signs
+    are exact (``_cross_sign``).
+    """
+    m = len(x)
+    if m < 3:
+        return np.arange(m)
+    # only points right of the line from the first point to the last can be
+    # vertices of the lower chain, only points left of it of the upper one
+    side = _cross_sign(x[0], y[0], x[-1], y[-1], x[0], y[0], x[1:-1], y[1:-1])
+    lower, upper = np.flatnonzero(side < 0) + 1, np.flatnonzero(side > 0) + 1
+    ring = np.concatenate(([0], lower, [m - 1], upper[::-1]))
+    for _ in range(_PRUNE_PASSES):
+        keep = (ring == 0) | (ring == m - 1)
+        inner = ~keep
+        around = np.concatenate((ring[-1:], ring, ring[:1]))
+        o, a, b = around[:-2][inner], ring[inner], around[2:][inner]
+        left = _cross_sign(x[o], y[o], x[a], y[a], x[o], y[o], x[b], y[b]) > 0
+        if left.all():
+            return ring
+        keep[inner] = left
+        ring = ring[keep]
+    top = int(np.flatnonzero(ring == m - 1)[0])
+    lower, upper = ring[: top + 1], np.append(ring[top:], 0)
+    lower = lower[_sequential_chain(x[lower].tolist(), y[lower].tolist())]
+    upper = upper[_sequential_chain(x[upper].tolist(), y[upper].tolist())]
+    return np.concatenate((lower[:-1], upper[:-1]))
+
+
+def _antipodal_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every antipodal vertex pair of a strictly convex counter-clockwise ring.
+
+    Rotating calipers (Shamos 1978): the far pointer of edge i is the first
+    edge j after it with e_i x e_j <= 0, the first vertex j from which the
+    ring no longer moves away from the edge's line, and both ends of edge i
+    are antipodal to vertex j.  Two vertices are antipodal when their ranges
+    of outward edge normals overlap by at least a point (opposite
+    directions), and then an end of one range lies in the other: the pair
+    is met from that end's edge.  The edge directions increase around the
+    ring, so each pointer is placed by a binary search on the unwrapped
+    directions and then checked exactly, e_i x e_{j-1} > 0 and
+    e_i x e_j <= 0; the few that fail step by one until both hold.  The
+    pointers are those of the sequential sweep, which advances one pointer
+    while e_i x e_j > 0.
+    """
+    h = len(x)
     ends = np.arange(h)
-    far = np.array(far) % h
-    return np.concatenate((ends, (ends + 1) % h)), np.concatenate((far, far))
+    if h < 3:  # a point or a segment
+        return ends, ends[::-1]
+    nxt = ends + 1
+    nxt[-1] = 0
+    xn, yn = x[nxt], y[nxt]
+    # each turn of the ring is in (0, pi); clipping to [0, pi] keeps the
+    # unwrapped directions increasing through the rounding of arctan2
+    direction = np.arctan2(yn - y, xn - x)
+    turn = np.mod(direction[1:] - direction[:-1] + np.pi / 2, 2 * np.pi) - np.pi / 2
+    unwrapped = np.concatenate(([0.0], np.cumsum(np.minimum(np.maximum(turn, 0.0), np.pi))))
+    far = np.searchsorted(
+        np.concatenate((unwrapped, unwrapped + 2 * np.pi)), unwrapped + np.pi
+    )
+    # strict convexity puts the pointer between the next edge but one and
+    # the previous edge
+    far = np.minimum(np.maximum(far, ends + 2), ends + h - 1) % h
+    todo = ends
+    while len(todo):
+        edge = x[todo], y[todo], xn[todo], yn[todo]
+        j = far[todo]
+        # e_i x e_j > 0: the ring still moves away from edge i at vertex j
+        ahead = _cross_sign(*edge, x[j], y[j], xn[j], yn[j]) > 0
+        j = j - 1  # -1 indexes the last vertex
+        behind = _cross_sign(*edge, x[j], y[j], xn[j], yn[j]) <= 0
+        far[todo] = (far[todo] + ahead - behind) % h
+        todo = todo[ahead | behind]
+    return np.concatenate((ends, nxt)), np.concatenate((far, far))
 
 
 def max_pairwise_distance(points) -> float:
     """Diameter of a point set: the largest distance between two of its points.
 
-    Any non-empty set, in any order, duplicates and collinear points
-    included.  The diameter is attained at a pair of antipodal vertices of
+    Any non-empty set of finite points, in any order, duplicates and
+    collinear points included.  The diameter is attained at a pair of antipodal vertices of
     the convex hull, points with parallel supporting lines through them, so
     only those pairs are measured: the hull by Andrew's monotone chain, the
-    pairs by rotating calipers, both with exact orientation signs.  Each
-    pair's distance is ``sqrt(dx**2 + dy**2)``, the expression an all-pairs
-    search evaluates, so the result is the all-pairs value bit for bit
-    unless a pair that is not antipodal comes within rounding (an ulp or
-    so) of the diameter.  O(n log n) time and O(n) memory.
+    pairs by rotating calipers, both with exact orientation signs and both
+    in whole-array numpy passes.  The hull drops duplicate points, then
+    every reflex turn at once, pass after pass, and hands what is left after
+    ``_PRUNE_PASSES`` to the sequential stack (``_convex_hull``); the
+    calipers place every far pointer by binary search and step the few
+    misplaced ones (``_antipodal_pairs``).  Each pair's distance is
+    ``sqrt(dx**2 + dy**2)``, the expression an all-pairs search evaluates,
+    so the result is the all-pairs value bit for bit unless a pair that is
+    not antipodal comes within rounding (an ulp or so) of the diameter.
+    O(n log n) time, also on inputs that defeat the pruning, and O(n)
+    memory.
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
         raise ValueError("the diameter of an empty point set is undefined")
+    if not np.isfinite(pts).all():
+        raise ValueError("the diameter needs finite coordinates")
     by_xy = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    hull = by_xy[_convex_hull(by_xy[:, 0].tolist(), by_xy[:, 1].tolist())]
-    i, j = _antipodal_pairs(hull)
-    diff = hull[i] - hull[j]
-    return float(np.sqrt((diff ** 2).sum(axis=-1)).max())
+    distinct = np.concatenate(([True], np.any(by_xy[1:] != by_xy[:-1], axis=1)))
+    x, y = by_xy[distinct].T
+    hull = _convex_hull(x, y)
+    x, y = x[hull], y[hull]
+    i, j = _antipodal_pairs(x, y)
+    dx, dy = x[i] - x[j], y[i] - y[j]
+    return float(np.sqrt(dx * dx + dy * dy).max())
 
 
 def validate(p: SmallPolygon) -> AreaReport:
     """Check diameter, convexity, mirror symmetry and skeleton edge lengths.
 
     Failures set flags; ``edge_error`` is the largest |length - 1| over the
-    skeleton edges, reported for the caller to judge.  Every step is O(n) in
-    memory and at most O(n log n) in time.
+    skeleton edges, reported for the caller to judge.  Every step works on
+    the polygon's one array ``p.points`` in whole-array numpy passes, the
+    diameter included (``max_pairwise_distance``), and is O(n) in memory
+    and at most O(n log n) in time.
     """
-    pts = np.asarray(p.vertices, dtype=float)
+    pts = p.points
     n = p.n
     diameter = max_pairwise_distance(pts)
 
@@ -351,10 +450,13 @@ def validate(p: SmallPolygon) -> AreaReport:
     ))
     is_symmetric = bool(mirror.max() <= MIRROR_TOL)
 
-    a, b = np.array(p.skeleton_edges).T
+    if p.skeleton_edges is skeleton_edge_list(n):
+        a, b = _skeleton_ends(n)
+    else:
+        a, b = np.array(p.skeleton_edges).T
     edge_error = float(np.abs(np.hypot(*(pts[a] - pts[b]).T) - 1.0).max())
 
-    area = area_shoelace(p)
+    area = shoelace(ordered)
     ub = upper_bound(n)
     return AreaReport(
         area=area,

@@ -180,18 +180,19 @@ def expand_angles(p: ReducedParams) -> AngleVector:
         raise ValueError("derive the parameters before expanding")
     if p.r > 0 and p.gamma_last_derived is None:
         raise ValueError("derive the parameters before expanding")
-    m = p.n // 2
     beta = p.beta_derived
-    if p.r == 0:
-        th = [p.alpha] + [beta] * (m - 1)
-    else:
-        th = _prefix_angles(p, beta, p.gamma_last_derived)
-        th += [beta] * (m - len(th))
-    for k, t in enumerate(th):
-        hi = math.pi / 6 if k == 0 else _THETA_MAX
-        if not -1e-12 <= t <= hi + 1e-12:
-            raise ValueError(f"expanded angle theta_{k} = {t:.6f} outside [0, {hi:.6f}]")
-    return AngleVector(p.n, tuple(th))
+    prefix = [p.alpha] if p.r == 0 else _prefix_angles(p, beta, p.gamma_last_derived)
+    th = np.full(p.n // 2, beta)
+    th[: len(prefix)] = prefix
+    hi = np.full(len(th), _THETA_MAX)
+    hi[0] = math.pi / 6
+    outside = np.flatnonzero(~((th >= -1e-12) & (th <= hi + 1e-12)))
+    if len(outside):
+        k = int(outside[0])
+        raise ValueError(
+            f"expanded angle theta_{k} = {th[k]:.6f} outside [0, {hi[k]:.6f}]"
+        )
+    return AngleVector(p.n, th)
 
 
 def reduced_area(p: ReducedParams) -> float:

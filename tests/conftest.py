@@ -46,8 +46,15 @@ def feasible_sampler():
     return make_sampler(seed=20240817)
 
 
-def brute_force_diameter(points) -> float:
-    """The largest distance over all pairs: O(n^2) memory, a test oracle only."""
+def brute_force_diameter(points, block=256) -> float:
+    """The largest distance over all pairs, a test oracle only.
+
+    O(n^2) time; the rows are taken ``block`` at a time, which keeps memory
+    at O(n * block) and changes no distance.
+    """
     pts = np.asarray(points, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+    best = []
+    for start in range(0, len(pts), block):
+        diff = pts[start : start + block, None, :] - pts[None, :, :]
+        best.append(np.sqrt((diff ** 2).sum(axis=2)).max())
+    return float(np.max(best))

@@ -236,6 +236,36 @@ class TestVerifyRender:
         assert code == 0
         assert svg_path.read_text().count("<line") == 12
 
+    @pytest.mark.parametrize("command", ["verify", "render"])
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda d: {"n": 6, "r": 1}, "record has no 'vertices'"),
+            (lambda d: {**d, "vertices": 5}, "record 'vertices' is malformed"),
+            (lambda d: {**d, "vertices": {"x": 0.0}}, "record 'vertices' is malformed"),
+            (
+                lambda d: {**d, "vertices": d["vertices"][:3] + [[0.5]] + d["vertices"][4:]},
+                "record 'vertices' is malformed",
+            ),
+            (
+                lambda d: {**d, "vertices": [[math.inf, 0.0]] + d["vertices"][1:]},
+                "record 'vertices' is malformed",
+            ),
+            (lambda d: {k: v for k, v in d.items() if k != "area"}, "record has no 'area'"),
+            (lambda d: [d], "record is a JSON list, not an object"),
+        ],
+        ids=["missing_key", "vertices_int", "vertices_dict", "ragged_vertex",
+             "infinite_vertex", "missing_area", "not_an_object"],
+    )
+    def test_malformed_record_is_usage_error(self, capsys, tmp_path, command, tamper, message):
+        path = self._record_file(capsys, tmp_path)
+        path.write_text(json.dumps(tamper(json.loads(path.read_text()))))
+        argv = [command, str(path)] + ([str(tmp_path / "out.svg")] if command == "render" else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+
     def test_svg_deterministic(self, capsys, tmp_path):
         path = self._record_file(capsys, tmp_path)
         record = PolygonRecord.from_json(path.read_text())

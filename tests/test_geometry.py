@@ -1,8 +1,11 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from smallpoly import geometry
 from smallpoly.geometry import (
     AngleVector,
     SkeletonError,
@@ -81,6 +84,21 @@ class TestAngleVector:
         with pytest.raises(ValueError):
             AngleVector(6, (0.1, 1.2, 0.27))  # theta_1 beyond pi/3
 
+    @pytest.mark.parametrize(
+        "theta, named",
+        [
+            ((1.0, 0.3, 0.27), "theta_0 = 1.0 outside [0, pi/6]"),
+            ((0.1, 1.2, 0.27), "theta_1 = 1.2 outside [0, pi/3]"),
+            ((0.1, 0.2, -0.5), "theta_2 = -0.5 outside [0, pi/3]"),
+            ((0.1, 1.2, 1.3), "theta_1 = 1.2"),
+            ((0.6, 1.2, 1.3), "theta_0 = 0.6"),
+            ((0.1, math.nan, 0.27), "theta_1 = nan"),
+        ],
+    )
+    def test_bounds_name_first_offender(self, theta, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            AngleVector(6, theta)
+
     def test_feasible_residuals(self):
         assert abs(PENTAGON_STAR.angle_sum_residual) < 1e-15
         assert abs(PENTAGON_STAR.closure_residual) < 1e-15
@@ -109,6 +127,14 @@ class TestVertices:
             for j in range(i + 1, p.n)
         )
         assert dmax == pytest.approx(1.0, abs=1e-12)
+
+    def test_mirror_is_exact(self, feasible_sampler):
+        for _ in range(20):
+            p = vertices_from_angles(feasible_sampler()[1])
+            n, m = p.n, p.n // 2
+            for k in range(m + 1, n - 1):
+                x, y = p.vertices[n - 1 - k]
+                assert p.vertices[k] == (-x, y)
 
     def test_anchor_vertices(self):
         p = vertices_from_angles(HEXAGON_BEST)
@@ -205,6 +231,9 @@ class TestDiameter:
         assert max_pairwise_distance(sliver) == brute_force_diameter(sliver)
         with pytest.raises(ValueError):
             max_pairwise_distance(np.zeros((0, 2)))
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                max_pairwise_distance([(0.0, 0.0), (1.0, 0.0), (bad, 1.0), (0.0, 1.0)])
 
     @pytest.mark.parametrize("n", [6, 8, 14, 40, 120, 500, 2000])
     def test_constructed_polygons_bit_for_bit(self, n):
@@ -222,6 +251,140 @@ class TestDiameter:
             pts = np.r_[pts, pts[: k // 3]]  # duplicates
             rng.shuffle(pts)
             assert max_pairwise_distance(pts) == brute_force_diameter(pts)
+
+
+def far_low_closed_arc(k=2048):
+    """A convex arc closed by one far point below the arc's last tangent.
+
+    The lower hull follows the arc up to the tangent from the far point;
+    the arc's last points, past that tangent, drop out one per pruning pass.
+    The coordinates are dyadic, so every turn is exact in floats.
+    """
+    t = np.arange(k + 1) / k
+    return np.r_[np.c_[t, t * t - 5 * t], [(10.0, -35.0)]]
+
+
+def sorted_distinct(points):
+    """Coordinates of the distinct points, sorted by (x, y)."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    return pts[:, 0], pts[:, 1]
+
+
+def sequential_hull(x, y):
+    """The hull of sorted distinct points by the stack alone, one chain at a time."""
+    lower = geometry._sequential_chain(x.tolist(), y.tolist())
+    upper = geometry._sequential_chain(x[::-1].tolist(), y[::-1].tolist())
+    upper = [len(x) - 1 - k for k in upper]
+    return lower[:-1] + upper[:-1] or lower
+
+
+def sequential_far(x, y):
+    """Far pointers of the sequential calipers sweep, with signs in Fractions."""
+    h = len(x)
+    px, py = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    ex = [px[(k + 1) % h] - px[k] for k in range(h)]
+    ey = [py[(k + 1) % h] - py[k] for k in range(h)]
+    far, j = [], 1
+    for i in range(h):
+        while j < i + h - 1 and ex[i] * ey[j % h] - ey[i] * ex[j % h] > 0:
+            j += 1
+        far.append(j % h)
+    return far
+
+
+def dyadic_ring(k, rng):
+    """A centrally symmetric 2k-gon on a dyadic grid, shuffled.
+
+    Opposite edges are exactly parallel, so the calipers meet exact ties.
+    """
+    t = np.pi * np.arange(k) / k
+    half = np.round(np.c_[np.cos(t), np.sin(t)] * 2**20) / 2**20
+    ring = np.r_[half, -half]
+    rng.shuffle(ring)
+    return ring
+
+
+def rectangle_with_side_points(rng):
+    """An axis-aligned rectangle with extra dyadic points on its sides."""
+    w, h = rng.integers(1, 64, 2) / 8
+    s = rng.integers(0, 65, (4, int(rng.integers(0, 12)))) / 64
+    pts = np.r_[
+        [(0, 0), (w, 0), (w, h), (0, h)],
+        np.c_[s[0] * w, 0 * s[0]], np.c_[s[1] * w, 0 * s[1] + h],
+        np.c_[0 * s[2], s[2] * h], np.c_[0 * s[3] + w, s[3] * h],
+    ]
+    rng.shuffle(pts)
+    return pts
+
+
+class TestHullAndCalipers:
+    def test_one_point_per_pass_falls_back(self, monkeypatch):
+        calls = []
+        sequential = geometry._sequential_chain
+
+        def spy(xs, ys):
+            calls.append(len(xs))
+            return sequential(xs, ys)
+
+        monkeypatch.setattr(geometry, "_sequential_chain", spy)
+        pts = far_low_closed_arc()
+        assert max_pairwise_distance(pts) == brute_force_diameter(pts)
+        # the pruning passes stopped at their cap with hundreds of points left
+        assert calls and max(calls) > 100
+        x, y = sorted_distinct(pts)
+        assert geometry._convex_hull(x, y).tolist() == sequential_hull(x, y)
+
+    @pytest.mark.parametrize("n", [6, 40, 5000])
+    def test_constructed_polygons_take_no_fallback(self, monkeypatch, n):
+        # the pruning passes alone find the hull of a constructed polygon
+        monkeypatch.setattr(geometry, "_sequential_chain", None)
+        verts = construct_Q(n, min(16, n // 2 - 2))[0].vertices
+        assert max_pairwise_distance(verts) == brute_force_diameter(verts)
+
+    def test_hull_matches_sequential_stack(self):
+        rng = np.random.default_rng(5)
+        sets = [far_low_closed_arc(256), rng.uniform(-1, 1, (500, 2))]
+        sets += [rng.integers(-4, 5, (int(rng.integers(1, 60)), 2)) / 4 for _ in range(200)]
+        sets += [rectangle_with_side_points(rng) for _ in range(50)]
+        for pts in sets:
+            x, y = sorted_distinct(pts)
+            assert geometry._convex_hull(x, y).tolist() == sequential_hull(x, y)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 17, 64])
+    def test_parallel_opposite_edges(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(5):
+            ring = dyadic_ring(k, rng)
+            assert max_pairwise_distance(ring) == brute_force_diameter(ring)
+            x, y = sorted_distinct(ring)
+            hull = geometry._convex_hull(x, y)
+            assert len(hull) == 2 * k
+            far = geometry._antipodal_pairs(x[hull], y[hull])[1][: 2 * k]
+            assert far.tolist() == sequential_far(x[hull], y[hull])
+
+    def test_rectangles_with_collinear_points(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            pts = rectangle_with_side_points(rng)
+            assert max_pairwise_distance(pts) == brute_force_diameter(pts)
+            x, y = sorted_distinct(pts)
+            assert len(geometry._convex_hull(x, y)) == 4
+
+    def test_calipers_match_sequential_sweep(self):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            k = int(rng.integers(3, 60))
+            t = np.sort(rng.uniform(0.0, 2 * np.pi, k))
+            x, y = sorted_distinct(np.c_[np.cos(t), np.sin(t)] * rng.uniform(0.1, 10))
+            hull = geometry._convex_hull(x, y)
+            far = geometry._antipodal_pairs(x[hull], y[hull])[1][: len(hull)]
+            assert far.tolist() == sequential_far(x[hull], y[hull])
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 50])
+    def test_all_duplicates(self, count):
+        assert max_pairwise_distance([(0.3, 0.7)] * count) == 0.0
+        pair = [(0.3, 0.7)] * count + [(-1.5, 2.25)] * count
+        assert max_pairwise_distance(pair) == brute_force_diameter(pair)
 
 
 class TestValidate:

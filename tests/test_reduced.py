@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,6 +135,19 @@ class TestExpand:
         assert expand_angles(p).theta == pytest.approx(
             (math.pi / 10, math.pi / 5, math.pi / 5), abs=1e-15
         )
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"alpha": 1.0}, "theta_0 = 1.000000 outside [0, 0.523599]"),
+            ({"beta_derived": 1.2}, "theta_1 = 1.200000 outside [0, 1.047198]"),
+            ({"alpha": 1.0, "beta_derived": 1.2}, "theta_0 = 1.000000"),
+        ],
+    )
+    def test_bounds_name_first_offender(self, change, named):
+        p = replace(derive(ReducedParams(n=12, r=0, alpha=math.pi / 22)), **change)
+        with pytest.raises(ValueError, match=re.escape(f"expanded angle {named}")):
+            expand_angles(p)
 
     def test_hexagon(self):
         theta = expand_angles(q61_params()).theta
