@@ -41,12 +41,12 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-@dataclass
+@dataclass(eq=False)
 class PolygonRecord:
     """Everything needed to reconstruct, verify, and render one polygon.
 
-    ``points`` is ``vertices`` as one read-only float array of (x, y)
-    rows; it is built from ``vertices`` when not given.
+    ``points`` holds the vertices as one read-only float array of (x, y)
+    rows; ``vertices`` is the same coordinates as a tuple of pairs.
     """
 
     n: int
@@ -57,17 +57,15 @@ class PolygonRecord:
     gap: float
     diameter: float
     angles: tuple[float, ...]
-    vertices: tuple[tuple[float, float], ...]
+    points: np.ndarray = field(repr=False)
     is_convex: bool
     is_symmetric: bool
     is_small: bool
     diagnostics: dict = field(default_factory=dict)
-    points: np.ndarray = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.points is None:
-            self.points = np.array(self.vertices, dtype=float)
-            self.points.flags.writeable = False
+    @property
+    def vertices(self) -> tuple[tuple[float, float], ...]:
+        return tuple(map(tuple, self.points.tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -79,7 +77,7 @@ class PolygonRecord:
             "gap": self.gap,
             "diameter": self.diameter,
             "angles": list(self.angles),
-            "vertices": [list(v) for v in self.vertices],
+            "vertices": self.points.tolist(),
             "valid": {
                 "is_convex": self.is_convex,
                 "is_symmetric": self.is_symmetric,
@@ -114,12 +112,11 @@ class PolygonRecord:
             gap=entry("gap", float),
             diameter=entry("diameter", float),
             angles=entry("angles", lambda a: tuple(float(t) for t in a)),
-            vertices=tuple(zip(*points.T.tolist())),
+            points=points,
             is_convex=bool(valid.get("is_convex")),
             is_symmetric=bool(valid.get("is_symmetric")),
             is_small=bool(valid.get("is_small")),
             diagnostics=entry("diagnostics", dict, {}),
-            points=points,
         )
 
     def to_json(self) -> str:
@@ -156,7 +153,6 @@ def make_record(n, r, method, polygon, report, angles, diagnostics) -> PolygonRe
         gap=report.gap,
         diameter=report.diameter,
         angles=tuple(angles),
-        vertices=polygon.vertices,
         points=polygon.points,
         is_convex=report.is_convex,
         is_symmetric=report.is_symmetric,
@@ -167,7 +163,7 @@ def make_record(n, r, method, polygon, report, angles, diagnostics) -> PolygonRe
 
 def record_to_csv(record: PolygonRecord) -> str:
     lines = ["index,x,y"]
-    for i, (x, y) in enumerate(record.vertices):
+    for i, (x, y) in enumerate(record.points.tolist()):
         lines.append(f"{i},{_format_float(x)},{_format_float(y)}")
     return "\n".join(lines) + "\n"
 
@@ -202,10 +198,11 @@ def record_to_svg(record: PolygonRecord) -> str:
         return f"{v[0]:.6f},{-v[1]:.6f}"
 
     polygon = geometry.polygon_from_vertices(record.n, record.points)
-    path = "M " + " L ".join(pt(record.vertices[i]) for i in polygon.boundary) + " Z"
+    verts = record.points.tolist()
+    path = "M " + " L ".join(pt(verts[i]) for i in polygon.boundary) + " Z"
     lines = []
     for i, j in polygon.skeleton_edges:
-        (x1, y1), (x2, y2) = record.vertices[i], record.vertices[j]
+        (x1, y1), (x2, y2) = verts[i], verts[j]
         lines.append(
             f'  <line class="skeleton" x1="{x1:.6f}" y1="{-y1:.6f}" '
             f'x2="{x2:.6f}" y2="{-y2:.6f}" stroke="#888" stroke-width="0.004"/>'
@@ -255,9 +252,9 @@ def cmd_bound(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    polygon, report, params = reduced.construct_Q(
-        args.n, args.r, multistart=args.multistart, seed=args.seed
-    )
+    if args.multistart < 0:
+        raise ValueError(f"multistart must be >= 0, got {args.multistart}")
+    polygon, report, params = reduced.construct_Q(args.n, args.r)
     angles = reduced.expand_angles(params).theta
     record = make_record(
         args.n, args.r, "reduced", polygon, report, angles,
@@ -449,9 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("construct", help="build a polygon from the reduced family")
     _add_common(p)
     p.add_argument("--r", type=int, required=True, help="free parameter count")
-    p.add_argument("--multistart", type=int, default=0,
-                   help="jittered restarts on top of the deterministic start")
-    p.add_argument("--seed", type=int, default=0, help="seed of the first restart")
+    p.add_argument("--multistart", type=int, default=0, help="accepted and unused")
+    p.add_argument("--seed", type=int, default=0, help="accepted and unused")
     p.set_defaults(func=cmd_construct)
 
     p = subs.add_parser("optimize", help="solve the full angle program")
@@ -488,7 +484,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, solver.BracketError, geometry.SkeletonError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except solver.InfeasibleError as exc:

@@ -72,25 +72,23 @@ class AngleVector:
         return x[m - 1] - half_sign(self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmallPolygon:
     """An n-gon with its unit-distance skeleton and convex boundary order.
 
-    ``points`` is ``vertices`` as one read-only (n, 2) float array, the form
-    every check works on; it is built from ``vertices`` when not given.
+    ``points`` holds the vertices as one read-only (n, 2) float array, the
+    form every check works on; ``vertices`` is the same coordinates as a
+    tuple of pairs.
     """
 
     n: int
-    vertices: tuple[tuple[float, float], ...]
+    points: np.ndarray = field(repr=False)
     skeleton_edges: tuple[tuple[int, int], ...]
     boundary: tuple[int, ...]
-    points: np.ndarray = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.points is None:
-            pts = np.array(self.vertices, dtype=float)
-            pts.flags.writeable = False
-            object.__setattr__(self, "points", pts)
+    @property
+    def vertices(self) -> tuple[tuple[float, float], ...]:
+        return tuple(map(tuple, self.points.tolist()))
 
 
 @dataclass(frozen=True)
@@ -177,10 +175,9 @@ def polygon_from_vertices(n: int, vertices) -> SmallPolygon:
     pts.flags.writeable = False
     return SmallPolygon(
         n=n,
-        vertices=tuple(zip(*pts.T.tolist())),
+        points=pts,
         skeleton_edges=skeleton_edge_list(n),
         boundary=boundary_order(pts),
-        points=pts,
     )
 
 

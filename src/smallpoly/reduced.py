@@ -286,7 +286,7 @@ def objective(n: int, r: int, vec) -> float:
     try:
         p = params_from_vector(n, r, vec)
         p = derive(p)
-    except (ValueError, BracketError):
+    except ValueError:
         return _PENALTY - float(np.sum(np.abs(vec)))
     return reduced_area(p)
 
@@ -308,7 +308,7 @@ def derivatives(n: int, r: int, vec):
     """
     try:
         p = derive(params_from_vector(n, r, vec))
-    except (ValueError, BracketError):
+    except ValueError:
         return None
     nb, ng = free_shape(r)
     k = 1 + nb + ng
@@ -369,27 +369,18 @@ def derivatives(n: int, r: int, vec):
 
 
 def construct_Q(
-    n: int,
-    r: int,
-    *,
-    multistart: int = 0,
-    seed: int = 0,
-    allow_large_r: bool = False,
+    n: int, r: int, *, allow_large_r: bool = False
 ) -> tuple[SmallPolygon, AreaReport, ReducedParams]:
     """Best polygon of the r-parameter family for the given n.
 
-    The box maximizer runs from the deterministic start at the scaled
-    asymptotic limits, plus ``multistart`` jittered restarts seeded from
-    ``seed`` on (none by default; a negative count raises ValueError).  r
-    above 16 has no tabulated start or golden values and must be enabled
-    explicitly.
+    One Newton solve of the box maximizer from the deterministic start at
+    the scaled asymptotic limits.  r above 16 has no tabulated start or
+    golden values and must be enabled explicitly.
     """
     if n % 2 != 0 or n < 6:
         raise ValueError(f"n must be even and >= 6, got {n}")
     if r < 0 or n < 2 * r + 4:
         raise ValueError(f"need n >= 2r + 4 with r >= 0, got n = {n}, r = {r}")
-    if multistart < 0:
-        raise ValueError(f"multistart must be >= 0, got {multistart}")
     if r > MAX_TABULATED_R and not allow_large_r:
         raise ValueError(
             f"r = {r} exceeds the tabulated range ({MAX_TABULATED_R}); "
@@ -407,7 +398,6 @@ def construct_Q(
         upper=tuple(hi),
         objective=lambda v: objective(n, r, v),
         derivatives=lambda v: derivatives(n, r, v),
-        multistart_seeds=tuple(range(seed, seed + multistart)),
     )
     best, value, diag = maximize_box(problem, start_vector(n, r))
     if value <= _PENALTY:
@@ -426,10 +416,7 @@ def theorem_r(n: int) -> int:
 
 
 def construct_Q_theorem(n: int) -> tuple[SmallPolygon, AreaReport, ReducedParams]:
-    """The headline polygon: r = n/2 - 2 up to n = 34, r = 16 beyond.
-
-    One deterministic start, without jittered restarts.
-    """
+    """The headline polygon: r = n/2 - 2 up to n = 34, r = 16 beyond."""
     if n % 2 != 0 or n < 6:
         raise ValueError(f"n must be even and >= 6, got {n}")
     return construct_Q(n, theorem_r(n))

@@ -13,8 +13,7 @@ Two pieces of machinery live here:
 
   - ``maximize_box`` maximizes an objective with analytic gradient and
     Hessian over a box (the reduced family's free parameters, the
-    scaled-limit cubics), from one start; ``BoxProblem.multistart_seeds``
-    can add seeded jittered restarts, which no table or default uses;
+    scaled-limit cubics) with one Newton solve from one start;
   - ``solve_full_nlp`` solves the symmetric-polygon area program over the
     n/2 turning angles with its two equality constraints (angles sum to a
     quarter turn, the chain midpoint lands at x = +-1/2), from one start.
@@ -32,12 +31,10 @@ import numpy as np
 from .geometry import AngleVector, area_dissection, chain_coordinates, half_sign
 
 _EPS = 2.220446049250313e-16
-# objective values (areas) of starts closer than this are treated as equal
-AREA_TIE = 1e-12
-# a box maximizer start is reported converged when the gradient over its
+# a box maximizer solve is reported converged when the gradient over its
 # free variables is at most this
 GRAD_TOL = 1e-8
-# cap on the Newton steps from one start
+# cap on the Newton steps of one solve
 MAX_STEPS = 300
 
 
@@ -60,17 +57,9 @@ class Diagnostics:
     nfev: int = 0
     grad_norm: float = math.nan
     message: str = ""
-    start_values: tuple[float, ...] = ()
     constraint_residual: float | None = None
     kkt_norm: float | None = None
     multipliers: tuple[float, ...] | None = None
-
-    @property
-    def multistart_spread(self) -> float:
-        vals = [v for v in self.start_values if math.isfinite(v)]
-        if len(vals) < 2:
-            return 0.0
-        return max(vals) - min(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +212,13 @@ class BoxProblem:
     encode infeasible regions as strongly negative values.
     ``derivatives(x)`` returns the gradient and the Hessian of ``objective``
     at x, or None where the objective is such a penalty; the Newton kernel
-    never accepts a step to those points.  ``max_iter`` caps the Newton
-    steps per start.  ``multistart_seeds`` adds one jittered restart per seed
-    (5% of the box width), making runs reproducible by construction.
+    never accepts a step to those points.
     """
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     objective: object
     derivatives: object
-    max_iter: int = MAX_STEPS
-    multistart_seeds: tuple[int, ...] = ()
 
     def __post_init__(self):
         self.lower = tuple(float(v) for v in self.lower)
@@ -251,17 +236,15 @@ class BoxProblem:
 
 
 def maximize_box(problem: BoxProblem, start) -> tuple[np.ndarray, float, Diagnostics]:
-    """Maximize within the box from ``start`` plus any jittered restarts.
+    """Maximize within the box by one Newton solve on -objective from ``start``.
 
-    Each start runs the Newton kernel on -objective.  The earliest start whose
-    value is within ``AREA_TIE`` of the best wins, and the diagnostics report
-    its gradient and whether that is at most ``GRAD_TOL`` (``converged``);
-    steps and evaluations (derivatives plus the one objective value per
-    start) are summed over all starts.
+    The diagnostics report the solve's steps, its evaluations (derivatives
+    plus the one objective value at the result), its gradient and whether
+    that is at most ``GRAD_TOL`` (``converged``).
     """
     lo = np.asarray(problem.lower)
     hi = np.asarray(problem.upper)
-    x0 = np.clip(np.asarray(start, dtype=float), lo, hi)
+    x0 = np.asarray(start, dtype=float)
     if len(x0) != problem.dim:
         raise ValueError("start has wrong dimension")
     empty = (np.zeros(0), np.zeros((0, problem.dim)))
@@ -273,32 +256,16 @@ def maximize_box(problem: BoxProblem, start) -> tuple[np.ndarray, float, Diagnos
         g, H = derivs
         return -np.asarray(g, dtype=float), *empty, -np.asarray(H, dtype=float)
 
-    starts = [x0]
-    for seed in problem.multistart_seeds:
-        rng = np.random.default_rng(seed)
-        jitter = 0.05 * (hi - lo) * rng.uniform(-1.0, 1.0, problem.dim)
-        starts.append(np.clip(x0 + jitter, lo, hi))
-
-    results = [_newton(evaluate, s, lo, hi, 0, problem.max_iter) for s in starts]
-    values = tuple(float(problem.objective(res[0])) for res in results)
-    top = max(values)
-    win = next(i for i, v in enumerate(values) if v >= top - AREA_TIE)
-    x, _, gres, _, _, _ = results[win]
+    x, _, gres, _, steps, nfev = _newton(evaluate, x0, lo, hi, 0, MAX_STEPS)
     converged = gres <= GRAD_TOL
     diag = Diagnostics(
         converged=converged,
-        iterations=sum(res[4] for res in results),
-        nfev=sum(res[5] for res in results) + len(starts),
+        iterations=steps,
+        nfev=nfev + 1,
         grad_norm=gres,
-        start_values=values,
         message="" if converged else "gradient above GRAD_TOL; best iterate returned",
     )
-    if diag.multistart_spread > 1e-10:
-        diag.message = (
-            f"multistart values disagree by {diag.multistart_spread:.3e}"
-            + (f"; {diag.message}" if diag.message else "")
-        )
-    return x, values[win], diag
+    return x, float(problem.objective(x)), diag
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ def sweep() -> SweepResult:
         for r, ref_area in enumerate(reference.AREA_COMPARISON[n].q):
             if ref_area is None:
                 continue
-            polygon, report, _ = sp.construct_Q(n, r, multistart=2)
+            polygon, report, _ = sp.construct_Q(n, r)
             result.family_areas[(n, r)] = report.area
             result.family_polygons[(n, r)] = polygon
         angles, area, _ = sp.solve_full_nlp(n)

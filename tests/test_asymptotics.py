@@ -168,7 +168,7 @@ class TestEstimateQ:
         # the optimal alpha approaches its scaled limit like a/n
         from smallpoly.reduced import construct_Q
 
-        _, _, params = construct_Q(10000, 1, multistart=0)
+        _, _, params = construct_Q(10000, 1)
         assert params.alpha * 10000 / math.pi == pytest.approx(
             A1_CLOSED_FORM, abs=1e-3
         )
@@ -179,7 +179,7 @@ class TestEstimateQ:
 
         scaled = []
         for n in (100, 1000):
-            _, _, params = construct_Q(n, 1, multistart=0)
+            _, _, params = construct_Q(n, 1)
             deficit = area_deficit(params)
             rest = deficit - Q1_CLOSED_FORM * math.pi**3 / n**3
             scaled.append(rest * n**4)

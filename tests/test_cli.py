@@ -6,7 +6,6 @@ import sys
 
 import pytest
 
-from smallpoly import reduced, reference
 from smallpoly.cli import PolygonRecord, main, record_to_csv, record_to_svg
 from smallpoly.geometry import max_pairwise_distance
 
@@ -45,7 +44,6 @@ class TestConstruct:
     def test_json_area(self, capsys):
         code, out, _ = run(
             capsys, "construct", "--n", "12", "--r", "4", "--format", "json",
-            "--multistart", "2",
         )
         assert code == 0
         data = json.loads(out)
@@ -62,6 +60,16 @@ class TestConstruct:
         assert out == ""
         assert "multistart" in err
 
+    def test_ignores_restart_flags(self, capsys):
+        base = ("construct", "--n", "40", "--r", "4", "--format", "json")
+        outs = [
+            run(capsys, *base, *flags)
+            for flags in ((), ("--multistart", "2", "--seed", "0"),
+                          ("--multistart", "2", "--seed", "777"))
+        ]
+        assert [code for code, _, _ in outs] == [0, 0, 0]
+        assert outs[0][1] == outs[1][1] == outs[2][1]
+
     def test_text_default(self, capsys):
         code, out, _ = run(capsys, "construct", "--n", "6", "--r", "0")
         assert code == 0
@@ -76,7 +84,7 @@ class TestConstruct:
         out_file = tmp_path / "poly.csv"
         code, _, _ = run(
             capsys, "construct", "--n", "6", "--r", "1", "--format", "csv",
-            "--out", str(out_file), "--multistart", "1",
+            "--out", str(out_file),
         )
         assert code == 0
         text = out_file.read_text()
@@ -131,7 +139,6 @@ class TestRecordSerialization:
     def _record(self, capsys):
         code, out, _ = run(
             capsys, "construct", "--n", "8", "--r", "2", "--format", "json",
-            "--multistart", "1",
         )
         assert code == 0
         return PolygonRecord.from_json(out)
@@ -155,7 +162,7 @@ class TestVerifyRender:
         path = tmp_path / "hex.json"
         code, _, _ = run(
             capsys, "construct", "--n", "6", "--r", "1", "--format", "json",
-            "--out", str(path), "--multistart", "1",
+            "--out", str(path),
         )
         assert code == 0
         return path
@@ -228,7 +235,7 @@ class TestVerifyRender:
         path = tmp_path / "twelve.json"
         code, _, _ = run(
             capsys, "construct", "--n", "12", "--r", "4", "--format", "json",
-            "--out", str(path), "--multistart", "1",
+            "--out", str(path),
         )
         assert code == 0
         svg_path = tmp_path / "twelve.svg"
@@ -294,7 +301,7 @@ class TestLargeN:
     def test_construct_and_verify_n_100000_in_1_gib(self, tmp_path):
         path = str(tmp_path / "n100000.json")
         proc = run_capped(
-            "construct", "--n", "100000", "--r", "16", "--multistart", "0",
+            "construct", "--n", "100000", "--r", "16",
             "--format", "json", "--out", path,
         )
         assert proc.returncode == 0, proc.stderr
@@ -327,39 +334,6 @@ class TestTable:
         ]
         assert outs[0][0] == outs[1][0] == 0
         assert outs[0][1] == outs[1][1]
-
-    @pytest.mark.parametrize(
-        "argv, cells",
-        [
-            # table3: one family cell per default n = 6, 8, 10, 12
-            (("--which", "table3"), 4),
-            # table5: the tabulated families r >= 1 (r = 0 is closed form)
-            (
-                ("--which", "table5", "--n", "6,40"),
-                sum(
-                    1
-                    for n in (6, 40)
-                    for r, ref in enumerate(reference.AREA_COMPARISON[n].q)
-                    if r > 0 and ref is not None
-                ),
-            ),
-        ],
-        ids=["table3", "table5"],
-    )
-    def test_family_cells_single_start(self, capsys, monkeypatch, argv, cells):
-        seen = []
-        inner = reduced.maximize_box
-
-        def recording(problem, start):
-            seen.append(problem.multistart_seeds)
-            return inner(problem, start)
-
-        monkeypatch.setattr(reduced, "maximize_box", recording)
-        code, _, _ = run(capsys, "table", *argv)
-        assert code == 0
-        # table5 adds the full program's warm starts, which are single-start too
-        assert len(seen) >= cells
-        assert all(seeds == () for seeds in seen)
 
     def test_table_bad_n(self, capsys):
         code, _, err = run(capsys, "table", "--which", "table5", "--n", "7")

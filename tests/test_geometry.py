@@ -30,7 +30,7 @@ LARGE_N = (20000, 100000)
 @pytest.fixture(scope="module")
 def large_polygons():
     """Constructed r = 16 polygons at the sizes where rounding matters most."""
-    return {n: construct_Q(n, 16, multistart=0)[0] for n in LARGE_N}
+    return {n: construct_Q(n, 16)[0] for n in LARGE_N}
 
 
 def turn_cross(polygon):
@@ -238,7 +238,7 @@ class TestDiameter:
     @pytest.mark.parametrize("n", [6, 8, 14, 40, 120, 500, 2000])
     def test_constructed_polygons_bit_for_bit(self, n):
         for r in sorted({0, 1, 3, 16} & set(range(n // 2 - 1))):
-            verts = construct_Q(n, r, multistart=0)[0].vertices
+            verts = construct_Q(n, r)[0].vertices
             assert max_pairwise_distance(verts) == brute_force_diameter(verts)
 
     def test_random_sets_bit_for_bit(self):
@@ -406,13 +406,13 @@ class TestValidate:
 
     @pytest.mark.parametrize("k", [1, 2, 5, 6, 9, 10])
     def test_broken_mirror_pair(self, k):
-        p = construct_Q(12, 3, multistart=0)[0]
+        p = construct_Q(12, 3)[0]
         verts = np.array(p.vertices)
         verts[k, 1] += 1e-9
         assert not validate(polygon_from_vertices(p.n, verts)).is_symmetric
 
     def test_edge_error(self):
-        p = construct_Q(40, 4, multistart=0)[0]
+        p = construct_Q(40, 4)[0]
         assert validate(p).edge_error <= 1e-15
         shrunk = polygon_from_vertices(p.n, 0.9 * np.array(p.vertices))
         assert validate(shrunk).edge_error == pytest.approx(0.1, abs=1e-12)

@@ -20,7 +20,6 @@ from smallpoly.reduced import (
     free_shape,
     parameter_bounds,
     params_from_vector,
-    params_to_vector,
     reduced_area,
     solve_beta,
     solve_gamma_last,
@@ -199,19 +198,19 @@ class TestReducedArea:
 
 class TestConstruct:
     def test_hexagon(self):
-        _, report, params = construct_Q(6, 1, multistart=2)
+        _, report, params = construct_Q(6, 1)
         assert report.area == pytest.approx(0.6749814429, abs=1e-9)
         assert params.alpha == pytest.approx(0.3509301888703616, abs=1e-8)
 
     def test_ten_gon(self):
-        _, report, params = construct_Q(10, 3, multistart=2)
+        _, report, params = construct_Q(10, 3)
         assert report.area == pytest.approx(0.7491373459, abs=1e-9)
         assert params.alpha == pytest.approx(0.2126101953, abs=1e-6)
         assert params.betas[0] == pytest.approx(0.3433714044, abs=1e-6)
         assert params.gammas_free[0] == pytest.approx(0.0247600079, abs=1e-6)
 
     def test_twelve_gon_two_params(self):
-        _, report, _ = construct_Q(12, 2, multistart=2)
+        _, report, _ = construct_Q(12, 2)
         assert report.area == pytest.approx(0.7607228359, abs=1e-9)
 
     def test_r0_short_circuit(self):
@@ -228,24 +227,20 @@ class TestConstruct:
         with pytest.raises(ValueError):
             construct_Q(40, 17)
 
-    def test_negative_multistart_rejected(self):
-        with pytest.raises(ValueError, match="multistart"):
-            construct_Q(12, 2, multistart=-3)
-
     def test_large_r_behind_flag(self):
-        _, report, _ = construct_Q(40, 17, multistart=0, allow_large_r=True)
-        _, report4, _ = construct_Q(40, 4, multistart=0)
+        _, report, _ = construct_Q(40, 17, allow_large_r=True)
+        _, report4, _ = construct_Q(40, 4)
         assert report.area >= report4.area - 1e-10
 
     def test_constructed_polygons_validate(self):
         for n, r in ((8, 2), (14, 3), (20, 4)):
-            polygon, report, _ = construct_Q(n, r, multistart=1)
+            polygon, report, _ = construct_Q(n, r)
             assert report.is_valid
             fresh = validate(polygon)
             assert fresh.is_small and fresh.is_convex and fresh.is_symmetric
 
     def test_nesting_in_r(self):
-        areas = [construct_Q(12, r, multistart=2)[1].area for r in range(5)]
+        areas = [construct_Q(12, r)[1].area for r in range(5)]
         for lo, hi in zip(areas, areas[1:]):
             assert hi >= lo - 1e-11
 
@@ -253,28 +248,8 @@ class TestConstruct:
         from smallpoly.geometry import regular_area, upper_bound
 
         _, rep0, _ = construct_Q(12, 0)
-        _, rep4, _ = construct_Q(12, 4, multistart=2)
+        _, rep4, _ = construct_Q(12, 4)
         assert regular_area(12) < rep0.area <= rep4.area < upper_bound(12)
-
-    def test_multistart_agreement(self):
-        _, _, params = construct_Q(6, 1, multistart=4)
-        # re-derive and check the reported optimum is reproducible
-        again = derive(ReducedParams(n=6, r=1, alpha=params.alpha))
-        assert reduced_area(again) == pytest.approx(reduced_area(params), abs=1e-14)
-
-
-@pytest.mark.parametrize("seed", (0, 777))
-@pytest.mark.parametrize("n, r", ((12, 4), (40, 3), (120, 16), (1000, 16)))
-def test_restarts_change_nothing(n, r, seed):
-    """The default single start gives what four jittered restarts give, bit for bit.
-
-    The tables and the library default rest on this; if a kernel change makes
-    restarts matter, the defaults have to be revisited.
-    """
-    _, report, params = construct_Q(n, r)
-    _, report_k, params_k = construct_Q(n, r, multistart=4, seed=seed)
-    assert report.area == report_k.area
-    assert np.array_equal(params_to_vector(params), params_to_vector(params_k))
 
 
 class TestTheoremConstruction:
@@ -294,7 +269,7 @@ class TestTheoremConstruction:
         from smallpoly.geometry import upper_bound
 
         _, report16, _ = construct_Q_theorem(36)
-        _, report4, _ = construct_Q(36, 4, multistart=0)
+        _, report4, _ = construct_Q(36, 4)
         assert report4.area < report16.area < upper_bound(36)
 
 
