@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage error, 3 infeasible or non-convergent,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -432,7 +433,9 @@ def _add_common(sub):
     sub.add_argument("--out", default=None, help="write output to this file")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="smallpoly",
         description="Unit-diameter polygons with near-maximal area",

@@ -90,13 +90,17 @@ HALF_PI = DD(1.5707963267948966, 6.123233995736766e-17)
 QUARTER_PI = DD(0.7853981633974483, 3.061616997868383e-17)
 
 # sin(b) - tan(b/2) = b/2 - 5 b^3/24 + b^5/240 - 5 b^7/8064 - 29 b^9/725760 - ...
-_SIN_MINUS_HALFTAN = (
+_SIN_MINUS_HALFTAN_FRACTIONS = (
     (1, 2),
     (-5, 24),
     (1, 240),
     (-5, 8064),
     (-29, 725760),
     (-139, 31933440),
+)
+# the same coefficients as double-doubles, highest order first for Horner
+_SIN_MINUS_HALFTAN = tuple(
+    DD(float(num)) / DD(float(den)) for num, den in reversed(_SIN_MINUS_HALFTAN_FRACTIONS)
 )
 
 
@@ -109,10 +113,9 @@ def sin_minus_half_tan(beta: DD) -> DD:
     """
     if abs(beta.hi) < 0.02:
         b2 = beta * beta
-        num, den = _SIN_MINUS_HALFTAN[-1]
-        acc = DD(float(num)) / DD(float(den))
-        for num, den in reversed(_SIN_MINUS_HALFTAN[:-1]):
-            acc = acc * b2 + DD(float(num)) / DD(float(den))
+        acc = _SIN_MINUS_HALFTAN[0]
+        for coeff in _SIN_MINUS_HALFTAN[1:]:
+            acc = acc * b2 + coeff
         return acc * beta
     b = beta.to_float()
     return DD(math.tan(b / 2) * math.cos(b))

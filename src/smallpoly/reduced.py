@@ -14,6 +14,7 @@ so r counts the genuinely free parameters in every case.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -116,48 +117,63 @@ def _prefix_angles(p: ReducedParams, beta: float, gamma_last: float) -> list[flo
     return th
 
 
+def _walk(th) -> tuple[float, float, float]:
+    """Turn after the angles ``th`` and the chain vertex they lead to.
+
+    A scalar loop: it runs inside every root-finder solve, on at most 17
+    angles.
+    """
+    s = x = y = 0.0
+    for j, t in enumerate(th):
+        s += t
+        sign = 1.0 if j % 2 == 0 else -1.0
+        x += sign * math.sin(s)
+        y += sign * math.cos(s)
+    return s, x, y
+
+
 def _prefix_state(th) -> tuple[float, float, float]:
     """Turn phi after the prefix angles and the chain vertex (x, y) before the last.
 
     For the rp + 1 angles of the varying prefix this is the state from which
     the constant-angle tail continues: phi = theta_0 + ... + theta_rp and
-    vertex rp of the chain.  A scalar loop: it runs inside every root-finder
-    step, on at most 17 angles.
+    vertex rp of the chain.
     """
-    s = x = y = 0.0
-    for j, t in enumerate(th[:-1]):
-        s += t
-        sign = 1.0 if j % 2 == 0 else -1.0
-        x += sign * math.sin(s)
-        y += sign * math.cos(s)
+    s, x, y = _walk(th[:-1])
     return s + th[-1], x, y
 
 
-def closure_residual(p: ReducedParams, beta: float, gamma_last: float) -> float:
-    """Chain-midpoint condition expressed through the varying prefix.
+def _closure(p: ReducedParams, beta: float):
+    """The closure residual as a function of gamma_last alone.
 
     Summing the constant-angle tail in closed form reduces x_{n/2-1} = +-1/2
-    to: (x after the prefix) + sin(phi - beta/2) / (2 cos(beta/2)) = 0.
+    to: (x after the prefix) + sin(phi - beta/2) / (2 cos(beta/2)) = 0.  The
+    prefix before the last pair does not depend on gamma_last, so it is
+    walked once here; each evaluation adds only the last pair (b + g, b - g),
+    whose first angle is an odd step of the chain.  The operations are those
+    of ``_prefix_state`` on the whole prefix, in the same order.
     """
-    phi, x, _ = _prefix_state(_prefix_angles(p, beta, gamma_last))
-    return x + math.sin(phi - beta / 2) / (2.0 * math.cos(beta / 2))
+    th = _prefix_angles(p, beta, 0.0)[:-2]
+    s0, x0, _ = _walk(th)
+    b = beta if p.r % 2 else p.betas[-1]
+    half = beta / 2
+    den = 2.0 * math.cos(half)
+
+    def residual(g: float) -> float:
+        s = s0 + (b + g)
+        return x0 - math.sin(s) + math.sin(s + (b - g) - half) / den
+
+    return residual
 
 
-def solve_gamma_last(p: ReducedParams) -> float:
-    """Final asymmetry from the closure condition, by bracketed root finding.
+def closure_residual(p: ReducedParams, beta: float, gamma_last: float) -> float:
+    """Chain-midpoint condition expressed through the varying prefix (see ``_closure``)."""
+    return _closure(p, beta)(gamma_last)
 
-    The bracket [-pi/n, pi/n] is deliberately wider than the feasible box
-    [0, pi/n]: a negative root is located reliably and the caller treats it
-    as an infeasibility signal rather than a hard failure.
-    """
-    if p.r == 0:
-        raise ValueError("r = 0 has no asymmetry parameter to derive")
-    if p.beta_derived is None:
-        raise ValueError("derive the tail angle first")
-    beta = p.beta_derived
-    f = lambda g: closure_residual(p, beta, g)
-    lo, hi = -math.pi / p.n, math.pi / p.n
-    gamma = brentq(f, lo, hi, rtol=1e-15)
+
+def _root_gamma_last(p: ReducedParams, beta: float) -> float:
+    f = _closure(p, beta)
+    gamma = brentq(f, -math.pi / p.n, math.pi / p.n, rtol=1e-15)
     res = f(gamma)
     if abs(res) > CLOSURE_RESIDUAL_TOL:
         raise BracketError(
@@ -166,12 +182,27 @@ def solve_gamma_last(p: ReducedParams) -> float:
     return gamma
 
 
+def solve_gamma_last(p: ReducedParams) -> float:
+    """Final asymmetry from the closure condition, by bracketed root finding.
+
+    The prefix before the last pair is walked once per solve; each ``brentq``
+    step then evaluates only the last pair (``_closure``).  The bracket
+    [-pi/n, pi/n] is deliberately wider than the feasible box [0, pi/n]: a
+    negative root is located reliably and the caller treats it as an
+    infeasibility signal rather than a hard failure.
+    """
+    if p.r == 0:
+        raise ValueError("r = 0 has no asymmetry parameter to derive")
+    if p.beta_derived is None:
+        raise ValueError("derive the tail angle first")
+    return _root_gamma_last(p, p.beta_derived)
+
+
 def derive(p: ReducedParams) -> ReducedParams:
-    """Fill in the two derived parameters."""
-    p = replace(p, beta_derived=solve_beta(p))
-    if p.r > 0:
-        p = replace(p, gamma_last_derived=solve_gamma_last(p))
-    return p
+    """Fill in the two derived parameters (one copy of ``p``)."""
+    beta = solve_beta(p)
+    gamma = _root_gamma_last(p, beta) if p.r > 0 else p.gamma_last_derived
+    return replace(p, beta_derived=beta, gamma_last_derived=gamma)
 
 
 def expand_angles(p: ReducedParams) -> AngleVector:
@@ -291,38 +322,22 @@ def objective(n: int, r: int, vec) -> float:
     return reduced_area(p)
 
 
-def derivatives(n: int, r: int, vec):
-    """Gradient and Hessian of ``objective`` in the free parameters, r >= 1.
+@functools.lru_cache(maxsize=1)
+def _sum_map(n: int, r: int) -> np.ndarray:
+    """The affine map A = dz/du of ``derivatives``, read-only; fixed per (n, r).
 
-    Returns None where ``objective`` is a penalty.  With u = (free parameters
-    p, gamma_last), the area F and the closure residual C are closed forms
-    in z = (S_0, ..., S_rp, beta), the partial sums of the rp + 1 prefix
-    angles and the tail angle, and z is affine in u.  In z the prefix
-    triangle sum T has the full program's gradient and Hessian in partial
-    sums; the prefix vertex (X, Y) = vertex rp has gradient (q_j, -p_j) and
-    diagonal Hessians -p_j and -q_j in S_j, j < rp, where (p_j, q_j) are the
-    chain steps; the turn phi = S_rp is a coordinate.  The closure defines
-    gamma_last(p), hence grad = F_p - mu C_p and Hessian = Z^T (F_uu - mu
-    C_uu) Z with mu = F_gamma / C_gamma and Z = [I; -C_p / C_gamma].
-    Everything is evaluated at the point ``derive`` returns.
+    Row order: the partial sums S_0, ..., S_rp of the prefix angles, then the
+    tail angle beta.  Columns: the free parameters, then gamma_last.  beta
+    comes from the angle sum (it fills the tail and, for odd r, the last
+    pair), the prefix angles are alpha and (b + g, b - g), and the partial
+    sums accumulate the prefix rows.
     """
-    try:
-        p = derive(params_from_vector(n, r, vec))
-    except ValueError:
-        return None
     nb, ng = free_shape(r)
     k = 1 + nb + ng
-    beta = p.beta_derived
-    th = _prefix_angles(p, beta, p.gamma_last_derived)
-    rp = len(th) - 1
-    tc = n // 2 - rp - 1  # tail angles after the prefix
-
-    # A = dz/du: beta from the angle sum (beta fills the tail and, for odd
-    # r, the last pair), the prefix angles alpha and (b + g, b - g), then
-    # the partial sums of the prefix rows
+    rp = 2 * (ng + 1)
+    tail = n // 2 - rp - 1 + 2 * (r % 2)
     A = np.zeros((rp + 2, k + 1))
     eye = np.eye(k + 1)
-    tail = tc + 2 * (r % 2)
     A[rp + 1, 0] = -1.0 / tail
     A[rp + 1, 1 : 1 + nb] = -2.0 / tail
     A[0, 0] = 1.0
@@ -332,6 +347,38 @@ def derivatives(n: int, r: int, vec):
         A[2 * i + 1] = b + g
         A[2 * i + 2] = b - g
     A[: rp + 1] = np.cumsum(A[: rp + 1], axis=0)
+    A.flags.writeable = False
+    return A
+
+
+def derivatives(n: int, r: int, vec):
+    """Gradient and Hessian of ``objective`` in the free parameters, r >= 1.
+
+    Returns None where ``objective`` is a penalty.  With u = (free parameters
+    p, gamma_last), the area F and the closure residual C are closed forms
+    in z = (S_0, ..., S_rp, beta), the partial sums of the rp + 1 prefix
+    angles and the tail angle, and z = A u is linear with A fixed per (n, r)
+    (``_sum_map``).  In z the prefix triangle sum T has the full program's
+    gradient and Hessian in partial sums; the prefix vertex (X, Y) = vertex
+    rp has gradient (q_j, -p_j) and diagonal Hessians -p_j and -q_j in S_j,
+    j < rp, where (p_j, q_j) are the chain steps; the turn phi = S_rp is a
+    coordinate.  Every term other than T is diagonal or lies in the phi and
+    beta rows and columns, so F_zz - mu C_zz is written into T's Hessian
+    there.  The closure defines gamma_last(p), hence grad = F_p - mu C_p
+    and Hessian = Z^T (F_uu - mu C_uu) Z with mu = F_gamma / C_gamma and
+    Z = [I; -C_p / C_gamma].  Everything is evaluated at the point
+    ``derive`` returns.
+    """
+    try:
+        p = derive(params_from_vector(n, r, vec))
+    except ValueError:
+        return None
+    k = 1 + sum(free_shape(r))
+    A = _sum_map(n, r)
+    beta = p.beta_derived
+    th = _prefix_angles(p, beta, p.gamma_last_derived)
+    rp = len(th) - 1
+    tc = n // 2 - rp - 1  # tail angles after the prefix
 
     # prefix terms in z: triangles T, vertex rp = (X, Y), phi = S_rp
     x, y = chain_coordinates(th)
@@ -339,33 +386,47 @@ def derivatives(n: int, r: int, vec):
     gT[: rp + 1] = _area_gradient_s(x, y)
     gX[:rp] = np.diff(y)[:rp]  # q_j
     gY[:rp] = -np.diff(x)[:rp]  # -p_j
-    HT = np.zeros((rp + 2, rp + 2))
-    HT[: rp + 1, : rp + 1] = _area_hessian_s(th)
-    HX, HY = np.diag(gY), np.diag(-gX)  # diag(-p_j), diag(-q_j)
-    e_phi, e_beta = np.eye(rp + 2)[rp:]
-    sym = lambda a, b: np.outer(a, b) + np.outer(b, a)
 
     phi, X, Y = math.fsum(th), x[rp], y[rp]
     sp, cp = math.sin(phi), math.cos(phi)
     t = math.tan(beta / 2)
     t1 = (1.0 + t * t) / 2.0
     t2 = t * t1
-    # F = tc (sin beta - t) + T - (W + 1/2) t,  W = X sin phi + Y cos phi
+    # F = tc (sin beta - t) + T - (W + 1/2) t,  W = X sin phi + Y cos phi,
+    # with dW = sp gX + cp gY + (X cp - Y sp) e_phi and d2W = diag(sp gY -
+    # cp gX) + sym(cp gX - sp gY, e_phi) - W e_phi e_phi
     w_val = X * sp + Y * cp
-    gW = sp * gX + cp * gY + (X * cp - Y * sp) * e_phi
-    HW = sp * HX + cp * HY + sym(cp * gX - sp * gY, e_phi) - w_val * np.outer(e_phi, e_phi)
-    gF = gT - t * gW + (tc * (math.cos(beta) - t1) - (w_val + 0.5) * t1) * e_beta
-    HF = (HT - t * HW - t1 * sym(gW, e_beta)
-          + (tc * (-math.sin(beta) - t2) - (w_val + 0.5) * t2) * np.outer(e_beta, e_beta))
-    # C = X + (sin phi - t cos phi) / 2
-    gC = gX + (cp + sp * t) / 2.0 * e_phi - cp * t1 / 2.0 * e_beta
-    HC = (HX + (t * cp - sp) / 2.0 * np.outer(e_phi, e_phi) + sp * t1 / 2.0 * sym(e_phi, e_beta)
-          - cp * t2 / 2.0 * np.outer(e_beta, e_beta))
+    gW = sp * gX + cp * gY
+    gW[rp] = X * cp - Y * sp
+    gF = gT - t * gW
+    gF[rp + 1] += tc * (math.cos(beta) - t1) - (w_val + 0.5) * t1
+    # C = X + (sin phi - t cos phi) / 2, d2C = diag(gY) + terms in phi, beta
+    gC = gX.copy()
+    gC[rp] = (cp + sp * t) / 2.0
+    gC[rp + 1] = -cp * t1 / 2.0
 
     gFu, gCu = A.T @ gF, A.T @ gC
     mu = gFu[k] / gCu[k]
+
+    # H = F_zz - mu C_zz, written into T's Hessian: the diagonals of -t d2W
+    # and -mu d2C, -t sym(cp gX - sp gY, e_phi), -t1 sym(dW, e_beta), then
+    # the phi and beta corners
+    H = np.zeros((rp + 2, rp + 2))
+    H[: rp + 1, : rp + 1] = _area_hessian_s(th)
+    H.flat[:: rp + 3] -= t * (sp * gY - cp * gX) + mu * gY
+    v = t * (cp * gX - sp * gY)
+    H[rp] -= v
+    H[:, rp] -= v
+    H[rp + 1] -= t1 * gW
+    H[:, rp + 1] -= t1 * gW
+    H[rp, rp] += t * w_val - mu * (t * cp - sp) / 2.0
+    H[rp, rp + 1] -= mu * sp * t1 / 2.0
+    H[rp + 1, rp] -= mu * sp * t1 / 2.0
+    H[rp + 1, rp + 1] += (tc * (-math.sin(beta) - t2) - (w_val + 0.5) * t2
+                          + mu * cp * t2 / 2.0)
+
     B = A @ np.vstack((np.eye(k), -gCu[:k] / gCu[k]))
-    return gFu[:k] - mu * gCu[:k], B.T @ (HF - mu * HC) @ B
+    return gFu[:k] - mu * gCu[:k], B.T @ H @ B
 
 
 def construct_Q(

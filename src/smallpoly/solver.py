@@ -138,11 +138,14 @@ def _newton(evaluate, x0, lo, hi, ncon: int, max_steps: int):
     magnitude is added to the diagonal, so a far start heads for a minimum of
     f, not a saddle; an eigenvalue within rounding of zero is lifted to the
     rounding level, so a flat direction (a linear f) still gets a step, which
-    the projection cuts at the bound.  Near a nondegenerate optimum no shift
-    is needed and the steps are Newton's.  A step, or a halving of it, is
-    projected onto the box and accepted if f is defined there and the
-    max-norm KKT residual (held variables excluded) falls.  The loop stops
-    below 1e-13, after ``max_steps`` steps, or when no halving is accepted.
+    the projection cuts at the bound.  The null-space basis comes from a
+    complete QR of the free Jacobian's transpose; without constraints the
+    null space is the whole space and the Hessian is used as it is, with no
+    QR.  Near a nondegenerate optimum no shift is needed and the steps are
+    Newton's.  A step, or a halving of it, is projected onto the box and
+    accepted if f is defined there and the max-norm KKT residual (held
+    variables excluded) falls.  The loop stops below 1e-13, after
+    ``max_steps`` steps, or when no halving is accepted.
 
     Returns ``(x, lam, gradient residual, constraint residual, steps,
     evaluations)``; the residuals are infinite if f is undefined at the start.
@@ -173,11 +176,17 @@ def _newton(evaluate, x0, lo, hi, ncon: int, max_steps: int):
         k = int(free.sum())
         Hf = H[np.ix_(free, free)]
         Jf = J[:, free]
-        Z = np.linalg.qr(Jf.T, mode="complete")[0][:, ncon:]
-        low = min(np.linalg.eigvalsh(Z.T @ Hf @ Z), default=math.inf)
+        Hz = Hf
+        if ncon:
+            Z = np.linalg.qr(Jf.T, mode="complete")[0][:, ncon:]
+            Hz = Z.T @ Hf @ Z
+        low = min(np.linalg.eigvalsh(Hz), default=math.inf)
         floor = _EPS * max(1.0, float(np.max(np.abs(Hf), initial=0.0)))
         shift = -2.0 * low if low < -floor else max(0.0, floor - low)
-        K = np.block([[Hf + shift * np.eye(k), Jf.T], [Jf, np.zeros((ncon, ncon))]])
+        K = np.zeros((k + ncon, k + ncon))
+        K[:k, :k] = Hf + shift * np.eye(k)
+        K[:k, k:] = Jf.T
+        K[k:, :k] = Jf
         try:
             d = np.linalg.solve(K, -np.concatenate((g[free], c)))
         except np.linalg.LinAlgError:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from smallpoly.cli import PolygonRecord, main, record_to_csv, record_to_svg
+from smallpoly.cli import PolygonRecord, build_parser, main, record_to_csv, record_to_svg
 from smallpoly.geometry import max_pairwise_distance
 
 
@@ -133,6 +133,27 @@ def test_removed_flags_rejected(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "unrecognized arguments" in err
+
+
+def test_parser_reuse_matches_fresh_parser(capsys):
+    """The parser is built once; later calls behave as on a fresh parser."""
+    calls = [
+        ("bound", "--n", "6"),
+        ("construct", "--n", "8", "--r", "2", "--format", "json"),
+        ("construct", "--n", "6", "--r", "1", "--tol", "1e-8"),  # usage error
+        ("table", "--which", "table3", "--n", "6"),
+        ("bound", "--n", "7"),  # domain error
+        ("table", "--which", "table9"),  # invalid choice
+        ("bound", "--n", "6"),
+    ]
+    assert build_parser() is build_parser()
+    reused = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 2, 2, 0]
+    assert reused == fresh
 
 
 class TestRecordSerialization:

@@ -7,7 +7,9 @@ import pytest
 
 from smallpoly.geometry import area_dissection, validate, vertices_from_angles
 from smallpoly.reduced import (
+    CLOSURE_RESIDUAL_TOL,
     ReducedParams,
+    _sum_map,
     _prefix_angles,
     _prefix_state,
     area_deficit,
@@ -27,6 +29,7 @@ from smallpoly.reduced import (
     theorem_r,
 )
 from smallpoly.reference import OPTIMAL_SMALL_N
+from smallpoly.solver import BracketError, brentq
 
 
 def q61_params():
@@ -126,6 +129,77 @@ class TestSolveGammaLast:
     def test_r0_has_no_gamma(self):
         with pytest.raises(ValueError):
             solve_gamma_last(derive(ReducedParams(n=6, r=0, alpha=math.pi / 10)))
+
+
+def walked_residual(p, beta, gamma_last):
+    """The closure residual by walking every prefix angle from scratch."""
+    th = _prefix_angles(p, beta, gamma_last)
+    s = x = 0.0
+    for j, t in enumerate(th[:-1]):
+        s += t
+        x += (1.0 if j % 2 == 0 else -1.0) * math.sin(s)
+    return x + math.sin(s + th[-1] - beta / 2) / (2.0 * math.cos(beta / 2))
+
+
+def walked_gamma_last(p, beta):
+    f = lambda g: walked_residual(p, beta, g)
+    gamma = brentq(f, -math.pi / p.n, math.pi / p.n, rtol=1e-15)
+    if abs(f(gamma)) > CLOSURE_RESIDUAL_TOL:
+        raise BracketError("residual above tolerance")
+    return gamma
+
+
+def test_hoisted_closure_matches_prefix_walk():
+    """One prefix walk per root solve gives the root of the full walk, bit for bit.
+
+    1000 points, 125 per family, up to 10% of the box off the tabulated
+    start; (6, 1), (10, 3), (14, 5) and (30, 13) are zero-tail families.
+    """
+    families = [(6, 1), (10, 3), (14, 5), (12, 4), (30, 13), (120, 16), (1000, 7), (50000, 16)]
+    solved = 0
+    for n, r in families:
+        lo, hi = parameter_bounds(n, r)
+        rng = np.random.default_rng(7 * n + r)
+        for _ in range(125):
+            x = np.clip(start_vector(n, r) + 0.1 * (hi - lo) * rng.uniform(-1, 1, len(lo)), lo, hi)
+            p = params_from_vector(n, r, x)
+            try:
+                beta = solve_beta(p)
+            except ValueError:
+                continue
+            g = float(rng.uniform(-math.pi / n, math.pi / n))
+            assert closure_residual(p, beta, g) == walked_residual(p, beta, g)
+            try:
+                expected = walked_gamma_last(p, beta)
+            except BracketError:
+                with pytest.raises(BracketError):
+                    solve_gamma_last(replace(p, beta_derived=beta))
+                continue
+            assert solve_gamma_last(replace(p, beta_derived=beta)) == expected
+            solved += 1
+    assert solved >= 900
+
+
+@pytest.mark.parametrize("n, r", [(6, 1), (12, 4), (14, 5), (40, 3), (120, 16), (50000, 16)])
+def test_sum_map_is_the_jacobian_of_the_partial_sums(n, r):
+    A = _sum_map(n, r)
+    assert not A.flags.writeable
+    with pytest.raises(ValueError):
+        A[0, 0] = 2.0
+
+    def z(u):
+        # u = (free parameters, gamma_last) -> (S_0, ..., S_rp, beta)
+        p = params_from_vector(n, r, u[:-1])
+        beta = solve_beta(p)
+        return np.append(np.cumsum(_prefix_angles(p, beta, u[-1])), beta)
+
+    u0 = np.append(start_vector(n, r), 0.1 * math.pi / n)
+    h = 1e-3 * math.pi / n
+    fd = np.column_stack(
+        [(z(u0 + h * e) - z(u0 - h * e)) / (2 * h) for e in np.eye(len(u0))]
+    )
+    assert A.shape == fd.shape
+    assert np.max(np.abs(A - fd)) <= 1e-9
 
 
 class TestExpand:
