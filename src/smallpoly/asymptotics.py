@@ -133,7 +133,7 @@ def minimize_cubic(r: int) -> tuple[float, np.ndarray]:
         lower=cubic.lower,
         upper=cubic.upper,
         objective=lambda v: -cubic.value(v),
-        derivatives=lambda v: (-cubic.gradient(v), -cubic.hessian(v)),
+        derivatives=lambda v: (-cubic.gradient(v), lambda: -cubic.hessian(v)),
     )
     start = np.array([0.5, 1.0, 0.1][: cubic.dim])
     x, _, _ = maximize_box(problem, start)

@@ -53,6 +53,7 @@ class ReducedParams:
     ``betas`` holds the floor(r/2) free pair angles, ``gammas_free`` the
     ceil(r/2) - 1 free asymmetries.  ``beta_derived`` (tail angle) and
     ``gamma_last_derived`` (final asymmetry) are filled in by ``derive``.
+    Every angle is stored as a Python float.
     """
 
     n: int
@@ -70,8 +71,12 @@ class ReducedParams:
             raise ValueError(f"r must be >= 0, got {self.r}")
         if self.n < 2 * self.r + 4:
             raise ValueError(f"need n >= 2r + 4, got n = {self.n}, r = {self.r}")
+        object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
         object.__setattr__(self, "gammas_free", tuple(float(g) for g in self.gammas_free))
+        for name in ("beta_derived", "gamma_last_derived"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
         nb, ng = free_shape(self.r)
         if len(self.betas) != nb:
             raise ValueError(f"r = {self.r} takes {nb} free betas, got {len(self.betas)}")
@@ -92,9 +97,12 @@ def _beta_dd(p: ReducedParams) -> dd.DD:
     m = p.n // 2
     if p.r == 0:
         return (dd.HALF_PI - dd.DD(p.alpha)) / dd.DD(float(m - 1))
-    s = dd.DD(p.alpha)
-    for b in p.betas:
-        s = s + dd.DD(2.0 * b)
+    # alpha + 2 sum(betas) as a double-double: the correctly rounded sum and
+    # the correctly rounded remainder
+    terms = [p.alpha, *(2.0 * b for b in p.betas)]
+    hi = math.fsum(terms)
+    terms.append(-hi)
+    s = dd.DD(hi, math.fsum(terms))
     tail = m - p.r - 1 if p.r % 2 == 0 else m - p.r
     return (dd.HALF_PI - s) / dd.DD(float(tail))
 
@@ -198,8 +206,32 @@ def solve_gamma_last(p: ReducedParams) -> float:
     return _root_gamma_last(p, p.beta_derived)
 
 
+def _zero_signs(p: ReducedParams) -> tuple[float, ...]:
+    """The signs of the zero angles of ``p``, in field order.
+
+    ``p == q`` holds for a 0.0 in one and a -0.0 in the other, so the memos
+    below key on ``(p, _zero_signs(p))``: a hit is then bit-identical.
+    """
+    return tuple(
+        math.copysign(1.0, v)
+        for v in (p.alpha, *p.betas, *p.gammas_free, p.beta_derived, p.gamma_last_derived)
+        if v == 0.0
+    )
+
+
 def derive(p: ReducedParams) -> ReducedParams:
-    """Fill in the two derived parameters (one copy of ``p``)."""
+    """Fill in the two derived parameters (one copy of ``p``).
+
+    The last point derived is kept (a one-entry memo), so the closing
+    ``objective`` of a box solve, and the ``derive`` of its result in
+    ``construct_Q`` and ``estimate_q_numeric``, reuse the point that the
+    solve's last ``derivatives`` call derived, root solve included.
+    """
+    return _derive(p, _zero_signs(p))
+
+
+@functools.lru_cache(maxsize=1)
+def _derive(p: ReducedParams, zero_signs) -> ReducedParams:
     beta = solve_beta(p)
     gamma = _root_gamma_last(p, beta) if p.r > 0 else p.gamma_last_derived
     return replace(p, beta_derived=beta, gamma_last_derived=gamma)
@@ -236,7 +268,7 @@ def reduced_area(p: ReducedParams) -> float:
     """
     if p.beta_derived is None:
         raise ValueError("derive the parameters before evaluating the area")
-    return _area_terms(p)[0]
+    return _area_terms(p, _zero_signs(p))[0]
 
 
 def area_deficit(p: ReducedParams) -> float:
@@ -248,19 +280,22 @@ def area_deficit(p: ReducedParams) -> float:
     """
     if p.beta_derived is None:
         raise ValueError("derive the parameters before evaluating the deficit")
-    _, acc = _area_terms(p)
+    _, acc = _area_terms(p, _zero_signs(p))
     n = p.n
     pi3 = dd.PI * dd.PI * dd.PI
     corr = pi3 * dd.DD(5.0) / dd.DD(float(48 * n * n))
     return (dd.QUARTER_PI - acc - corr).to_float()
 
 
-def _area_terms(p: ReducedParams) -> tuple[float, dd.DD]:
+@functools.lru_cache(maxsize=1)
+def _area_terms(p: ReducedParams, zero_signs) -> tuple[float, dd.DD]:
     """Area both as a plain double and as a compensated accumulation.
 
     The prefix contributes the triangle sum of its rp + 1 angles, the tail
     (n/2 - rp - 1) copies of sin(beta) - tan(beta/2), and one correction term
-    joins them; for r = 0 the prefix is theta_0 = alpha alone.
+    joins them; for r = 0 the prefix is theta_0 = alpha alone.  Keyed like
+    ``derive``'s memo and, like it, kept for the last point, so the
+    ``area_deficit`` after a solve's closing ``objective`` reuses its terms.
     """
     beta_dd = _beta_dd(p)
     beta = beta_dd.to_float()
@@ -354,7 +389,11 @@ def _sum_map(n: int, r: int) -> np.ndarray:
 def derivatives(n: int, r: int, vec):
     """Gradient and Hessian of ``objective`` in the free parameters, r >= 1.
 
-    Returns None where ``objective`` is a penalty.  With u = (free parameters
+    Returns ``(gradient, hessian)`` with ``hessian`` a zero-argument callable
+    (the ``BoxProblem`` contract), or None where ``objective`` is a penalty.
+    The gradient and mu are computed here; the prefix triangles' dense
+    Hessian and the B^T H B assembly wait for ``hessian()``, which the Newton
+    kernel calls only at the points it steps from.  With u = (free parameters
     p, gamma_last), the area F and the closure residual C are closed forms
     in z = (S_0, ..., S_rp, beta), the partial sums of the rp + 1 prefix
     angles and the tail angle, and z = A u is linear with A fixed per (n, r)
@@ -391,7 +430,6 @@ def derivatives(n: int, r: int, vec):
     sp, cp = math.sin(phi), math.cos(phi)
     t = math.tan(beta / 2)
     t1 = (1.0 + t * t) / 2.0
-    t2 = t * t1
     # F = tc (sin beta - t) + T - (W + 1/2) t,  W = X sin phi + Y cos phi,
     # with dW = sp gX + cp gY + (X cp - Y sp) e_phi and d2W = diag(sp gY -
     # cp gX) + sym(cp gX - sp gY, e_phi) - W e_phi e_phi
@@ -408,25 +446,28 @@ def derivatives(n: int, r: int, vec):
     gFu, gCu = A.T @ gF, A.T @ gC
     mu = gFu[k] / gCu[k]
 
-    # H = F_zz - mu C_zz, written into T's Hessian: the diagonals of -t d2W
-    # and -mu d2C, -t sym(cp gX - sp gY, e_phi), -t1 sym(dW, e_beta), then
-    # the phi and beta corners
-    H = np.zeros((rp + 2, rp + 2))
-    H[: rp + 1, : rp + 1] = _area_hessian_s(th)
-    H.flat[:: rp + 3] -= t * (sp * gY - cp * gX) + mu * gY
-    v = t * (cp * gX - sp * gY)
-    H[rp] -= v
-    H[:, rp] -= v
-    H[rp + 1] -= t1 * gW
-    H[:, rp + 1] -= t1 * gW
-    H[rp, rp] += t * w_val - mu * (t * cp - sp) / 2.0
-    H[rp, rp + 1] -= mu * sp * t1 / 2.0
-    H[rp + 1, rp] -= mu * sp * t1 / 2.0
-    H[rp + 1, rp + 1] += (tc * (-math.sin(beta) - t2) - (w_val + 0.5) * t2
-                          + mu * cp * t2 / 2.0)
+    def hessian():
+        # H = F_zz - mu C_zz, written into T's Hessian: the diagonals of -t
+        # d2W and -mu d2C, -t sym(cp gX - sp gY, e_phi), -t1 sym(dW,
+        # e_beta), then the phi and beta corners
+        H = np.zeros((rp + 2, rp + 2))
+        H[: rp + 1, : rp + 1] = _area_hessian_s(th)
+        H.flat[:: rp + 3] -= t * (sp * gY - cp * gX) + mu * gY
+        v = t * (cp * gX - sp * gY)
+        H[rp] -= v
+        H[:, rp] -= v
+        H[rp + 1] -= t1 * gW
+        H[:, rp + 1] -= t1 * gW
+        H[rp, rp] += t * w_val - mu * (t * cp - sp) / 2.0
+        H[rp, rp + 1] -= mu * sp * t1 / 2.0
+        H[rp + 1, rp] -= mu * sp * t1 / 2.0
+        t2 = t * t1
+        H[rp + 1, rp + 1] += (tc * (-math.sin(beta) - t2) - (w_val + 0.5) * t2
+                              + mu * cp * t2 / 2.0)
+        B = A @ np.vstack((np.eye(k), -gCu[:k] / gCu[k]))
+        return B.T @ H @ B
 
-    B = A @ np.vstack((np.eye(k), -gCu[:k] / gCu[k]))
-    return gFu[:k] - mu * gCu[:k], B.T @ H @ B
+    return gFu[:k] - mu * gCu[:k], hessian
 
 
 def construct_Q(

@@ -18,7 +18,12 @@ Two pieces of machinery live here:
     n/2 turning angles with its two equality constraints (angles sum to a
     quarter turn, the chain midpoint lands at x = +-1/2), from one start.
 
-Both stop at a KKT residual below 1e-13 or after ``MAX_STEPS`` Newton steps.
+A solve stops for one of five reasons, which both front ends report as
+``Diagnostics.stop_reason``: the KKT residual fell below 1e-13
+(``STOP_CONVERGED``), ``MAX_STEPS`` Newton steps were taken
+(``STOP_MAX_STEPS``), no halving of a step lowered the residual
+(``STOP_NO_DESCENT``), the KKT matrix was singular (``STOP_SINGULAR``), or
+the objective was undefined at the start (``STOP_UNDEFINED``).
 """
 
 from __future__ import annotations
@@ -36,6 +41,12 @@ _EPS = 2.220446049250313e-16
 GRAD_TOL = 1e-8
 # cap on the Newton steps of one solve
 MAX_STEPS = 300
+# why a Newton solve stopped (``Diagnostics.stop_reason``)
+STOP_CONVERGED = "residual below 1e-13"
+STOP_MAX_STEPS = "MAX_STEPS reached"
+STOP_NO_DESCENT = "no halving accepted"
+STOP_SINGULAR = "singular KKT matrix"
+STOP_UNDEFINED = "undefined at the start"
 
 
 class BracketError(ValueError):
@@ -60,6 +71,7 @@ class Diagnostics:
     constraint_residual: float | None = None
     kkt_norm: float | None = None
     multipliers: tuple[float, ...] | None = None
+    stop_reason: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -129,33 +141,37 @@ def _newton(evaluate, x0, lo, hi, ncon: int, max_steps: int):
     """Newton steps on the KKT system of min f(x) s.t. c(x) = 0, lo <= x <= hi.
 
     ``evaluate(x, lam)`` returns the gradient of the Lagrangian f + lam @ c,
-    the ``ncon`` constraint values c, their Jacobian and the Hessian of the
-    Lagrangian, or None where f is undefined.  The multipliers start at their
-    least-squares values.  A variable at a bound whose gradient points out of
-    the box is held there for the step; the others take the step from the
-    KKT system with the exact Hessian.  Where that Hessian has a negative
-    eigenvalue on the null space of the constraint Jacobian, twice its
-    magnitude is added to the diagonal, so a far start heads for a minimum of
-    f, not a saddle; an eigenvalue within rounding of zero is lifted to the
-    rounding level, so a flat direction (a linear f) still gets a step, which
-    the projection cuts at the bound.  The null-space basis comes from a
-    complete QR of the free Jacobian's transpose; without constraints the
-    null space is the whole space and the Hessian is used as it is, with no
-    QR.  Near a nondegenerate optimum no shift is needed and the steps are
-    Newton's.  A step, or a halving of it, is projected onto the box and
-    accepted if f is defined there and the max-norm KKT residual (held
-    variables excluded) falls.  The loop stops below 1e-13, after
-    ``max_steps`` steps, or when no halving is accepted.
+    the ``ncon`` constraint values c, their Jacobian and a zero-argument
+    callable that returns the Hessian of the Lagrangian, or None where f is
+    undefined.  The Hessian is asked for only at a point the solve steps
+    from, so a trial point that is rejected, and the point the solve ends
+    on, never build one.  The multipliers start at their least-squares
+    values.  A variable at a bound whose gradient points out of the box is
+    held there for the step; the others take the step from the KKT system
+    with the exact Hessian.  Where that Hessian has a negative eigenvalue on
+    the null space of the constraint Jacobian, twice its magnitude is added
+    to the diagonal, so a far start heads for a minimum of f, not a saddle;
+    an eigenvalue within rounding of zero is lifted to the rounding level, so
+    a flat direction (a linear f) still gets a step, which the projection
+    cuts at the bound.  The null-space basis comes from a complete QR of the
+    free Jacobian's transpose; without constraints the null space is the
+    whole space and the Hessian is used as it is, with no QR.  Near a
+    nondegenerate optimum no shift is needed and the steps are Newton's.  A
+    step, or a halving of it, is projected onto the box and accepted if f is
+    defined there and the max-norm KKT residual (held variables excluded)
+    falls.  The loop ends for one of the five reasons in the module
+    docstring.
 
     Returns ``(x, lam, gradient residual, constraint residual, steps,
-    evaluations)``; the residuals are infinite if f is undefined at the start.
+    evaluations, stop reason)``, the reason being one of the ``STOP_*``
+    constants; the residuals are infinite if f is undefined at the start.
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     lam = np.zeros(ncon)
     ev = evaluate(x, lam)
     nfev = 1
     if ev is None:
-        return x, lam, math.inf, math.inf, 0, nfev
+        return x, lam, math.inf, math.inf, 0, nfev, STOP_UNDEFINED
     if ncon:
         lam = np.linalg.lstsq(ev[2].T, -ev[0], rcond=None)[0]
         ev = evaluate(x, lam)
@@ -170,11 +186,15 @@ def _newton(evaluate, x0, lo, hi, ncon: int, max_steps: int):
 
     gres, cres = residuals(x, ev)
     steps = 0
-    while steps < max_steps and max(gres, cres) >= 1e-13:
-        g, c, J, H = ev
+    reason = STOP_CONVERGED
+    while max(gres, cres) >= 1e-13:
+        if steps == max_steps:
+            reason = STOP_MAX_STEPS
+            break
+        g, c, J, hessian = ev
         free = ~_held(x, lo, hi, g)
         k = int(free.sum())
-        Hf = H[np.ix_(free, free)]
+        Hf = hessian()[np.ix_(free, free)]
         Jf = J[:, free]
         Hz = Hf
         if ncon:
@@ -190,6 +210,7 @@ def _newton(evaluate, x0, lo, hi, ncon: int, max_steps: int):
         try:
             d = np.linalg.solve(K, -np.concatenate((g[free], c)))
         except np.linalg.LinAlgError:
+            reason = STOP_SINGULAR
             break
         dx = np.zeros(len(x))
         dx[free] = d[:k]
@@ -203,10 +224,11 @@ def _newton(evaluate, x0, lo, hi, ncon: int, max_steps: int):
                 if max(rn) < max(gres, cres):
                     break
         else:
+            reason = STOP_NO_DESCENT
             break
         x, lam, ev, (gres, cres) = xn, lamn, evn, rn
         steps += 1
-    return x, lam, gres, cres, steps, nfev
+    return x, lam, gres, cres, steps, nfev, reason
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +241,11 @@ class BoxProblem:
 
     ``objective`` must return a finite float everywhere in the box; callers
     encode infeasible regions as strongly negative values.
-    ``derivatives(x)`` returns the gradient and the Hessian of ``objective``
-    at x, or None where the objective is such a penalty; the Newton kernel
-    never accepts a step to those points.
+    ``derivatives(x)`` returns ``(gradient, hessian)``: the gradient of
+    ``objective`` at x and a zero-argument callable that returns its Hessian
+    there, or None where the objective is such a penalty; the Newton kernel
+    calls ``hessian`` only at the points it steps from and never accepts a
+    step to a penalty point.
     """
 
     lower: tuple[float, ...]
@@ -237,7 +261,9 @@ class BoxProblem:
         if any(lo > hi for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("lower bound exceeds upper bound")
         if not callable(self.derivatives):
-            raise TypeError("derivatives must be a callable returning (gradient, Hessian)")
+            raise TypeError(
+                "derivatives must be a callable returning (gradient, Hessian callable)"
+            )
 
     @property
     def dim(self) -> int:
@@ -247,9 +273,11 @@ class BoxProblem:
 def maximize_box(problem: BoxProblem, start) -> tuple[np.ndarray, float, Diagnostics]:
     """Maximize within the box by one Newton solve on -objective from ``start``.
 
-    The diagnostics report the solve's steps, its evaluations (derivatives
-    plus the one objective value at the result), its gradient and whether
-    that is at most ``GRAD_TOL`` (``converged``).
+    The diagnostics report the solve's steps (``iterations``, each one
+    Hessian), its evaluations (``nfev``: the ``derivatives`` calls plus the
+    one ``objective`` call at the result), its gradient, whether that is at
+    most ``GRAD_TOL`` (``converged``) and why the solve stopped
+    (``stop_reason``).
     """
     lo = np.asarray(problem.lower)
     hi = np.asarray(problem.upper)
@@ -262,17 +290,24 @@ def maximize_box(problem: BoxProblem, start) -> tuple[np.ndarray, float, Diagnos
         derivs = problem.derivatives(x)
         if derivs is None:
             return None
-        g, H = derivs
-        return -np.asarray(g, dtype=float), *empty, -np.asarray(H, dtype=float)
+        g, hessian = derivs
+        return (
+            -np.asarray(g, dtype=float),
+            *empty,
+            lambda: -np.asarray(hessian(), dtype=float),
+        )
 
-    x, _, gres, _, steps, nfev = _newton(evaluate, x0, lo, hi, 0, MAX_STEPS)
+    x, _, gres, _, steps, nfev, reason = _newton(evaluate, x0, lo, hi, 0, MAX_STEPS)
     converged = gres <= GRAD_TOL
     diag = Diagnostics(
         converged=converged,
         iterations=steps,
         nfev=nfev + 1,
         grad_norm=gres,
-        message="" if converged else "gradient above GRAD_TOL; best iterate returned",
+        message="" if converged else (
+            f"gradient above GRAD_TOL ({reason}); best iterate returned"
+        ),
+        stop_reason=reason,
     )
     return x, float(problem.objective(x)), diag
 
@@ -382,7 +417,7 @@ def _nlp_evaluate(n):
             -objective_gradient(theta) + J.T @ lam,
             constraint_values(theta, n),
             J,
-            lagrangian_hessian(theta, lam),
+            lambda: lagrangian_hessian(theta, lam),
         )
 
     return evaluate
@@ -402,8 +437,8 @@ def solve_full_nlp(n: int, start=None, *, ctol: float = 1e-10, ktol: float = 1e-
     One Newton solve on the KKT system with the exact Hessian of the
     Lagrangian, capped at ``MAX_STEPS`` steps; a start far from the optimum,
     such as the r = 0 closed form, converges without a warm start.  The
-    diagnostics report its Newton steps (``iterations``) and KKT-residual
-    evaluations (``nfev``).
+    diagnostics report its Newton steps (``iterations``), KKT-residual
+    evaluations (``nfev``) and why it stopped (``stop_reason``).
 
     Returns ``(AngleVector, area, Diagnostics)``.  Raises InfeasibleError if
     the solve does not reach both tolerances.
@@ -426,7 +461,7 @@ def solve_full_nlp(n: int, start=None, *, ctol: float = 1e-10, ktol: float = 1e-
     if len(theta0) != m:
         raise ValueError(f"start must have {m} angles")
 
-    theta, lam, kkt, cmax, steps, nfev = _newton(
+    theta, lam, kkt, cmax, steps, nfev, reason = _newton(
         _nlp_evaluate(n), theta0, lower, upper, 2, MAX_STEPS
     )
     diag = Diagnostics(
@@ -437,11 +472,12 @@ def solve_full_nlp(n: int, start=None, *, ctol: float = 1e-10, ktol: float = 1e-
         constraint_residual=cmax,
         kkt_norm=kkt,
         multipliers=tuple(float(v) for v in lam),
+        stop_reason=reason,
     )
     if not diag.converged:
         diag.message = (
             f"constraint residual {cmax:.3e} (tol {ctol:.1e}), "
-            f"stationarity {kkt:.3e} (tol {ktol:.1e})"
+            f"stationarity {kkt:.3e} (tol {ktol:.1e}); stopped: {reason}"
         )
         raise InfeasibleError(diag.message, diag)
     return AngleVector(n, tuple(theta)), nlp_objective(theta), diag

@@ -1,14 +1,17 @@
 import math
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from smallpoly import asymptotics, dd, reduced
 from smallpoly.geometry import area_dissection, validate, vertices_from_angles
 from smallpoly.reduced import (
     CLOSURE_RESIDUAL_TOL,
     ReducedParams,
+    _beta_dd,
     _sum_map,
     _prefix_angles,
     _prefix_state,
@@ -383,7 +386,8 @@ class TestDerivatives:
         lo, hi = parameter_bounds(n, r)
         rng = np.random.default_rng(n)
         x = np.clip(start_vector(n, r) + 0.02 * (hi - lo) * rng.uniform(-1, 1, len(lo)), lo, hi)
-        g, H = derivatives(n, r, x)
+        g, hessian = derivatives(n, r, x)
+        H = hessian()
         area = lambda v: -area_deficit(derive(params_from_vector(n, r, v)))
         shrink = 0.1 if r % 2 and n == 2 * r + 4 else 1.0
         h = shrink * 1e-2 * math.pi / n
@@ -404,3 +408,78 @@ class TestDerivatives:
         # alpha at the top of its box with large betas leaves no tail angle
         lo, hi = parameter_bounds(12, 4)
         assert derivatives(12, 4, hi) is None
+
+
+@pytest.mark.parametrize(
+    "n, r",
+    [(6, 0), (1000, 0), (6, 1), (10, 3), (12, 4), (36, 16), (120, 16), (1000, 7), (100000, 16)],
+)
+def test_tail_angle_is_double_double(n, r):
+    # the tail angle (pi/2 - alpha - 2 sum(betas)) / tail against the same
+    # quotient in exact rationals, pi/2 taken as its double-double; the
+    # error is measured against the quarter turn the tail shares out, since
+    # a small tail angle is the difference of two nearly equal sums
+    m = n // 2
+    tail = m - 1 if r == 0 else m - r - 1 if r % 2 == 0 else m - r
+    quarter = Fraction(dd.HALF_PI.hi) + Fraction(dd.HALF_PI.lo)
+    lo, hi = parameter_bounds(n, r)
+    rng = np.random.default_rng(n + r)
+    for _ in range(200):
+        x = np.clip(start_vector(n, r) + 0.02 * (hi - lo) * rng.uniform(-1, 1, len(lo)), lo, hi)
+        p = params_from_vector(n, r, x)
+        exact = (quarter - Fraction(p.alpha) - 2 * sum(map(Fraction, p.betas))) / tail
+        got = _beta_dd(p)
+        assert abs(Fraction(got.hi) + Fraction(got.lo) - exact) * tail <= quarter * 2**-104
+
+
+class TestPointDerivedOnce:
+    """The end of a box solve reuses the point its last Newton evaluation derived."""
+
+    @staticmethod
+    def spy(monkeypatch, owner, name):
+        """Count the root solves that run outside every Newton evaluation."""
+        counts = {"inside": 0, "outside": 0}
+        depth = [0]
+        real_brentq = reduced.brentq
+        real_derivatives = getattr(owner, name)
+
+        def brentq(*args, **kwargs):
+            counts["inside" if depth[0] else "outside"] += 1
+            return real_brentq(*args, **kwargs)
+
+        def derivatives(*args):
+            depth[0] += 1
+            try:
+                return real_derivatives(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(reduced, "brentq", brentq)
+        monkeypatch.setattr(owner, name, derivatives)
+        return counts
+
+    def test_construct_q(self, monkeypatch):
+        counts = self.spy(monkeypatch, reduced, "derivatives")
+        construct_Q(40, 4)
+        assert counts["outside"] == 0 and counts["inside"] > 0
+
+    def test_estimate_q_numeric(self, monkeypatch):
+        counts = self.spy(monkeypatch, asymptotics, "reduced_derivatives")
+        asymptotics.estimate_q_numeric(2, (1000, 2000))
+        assert counts["outside"] == 0 and counts["inside"] > 0
+
+    def test_memo_keeps_the_sign_of_zero(self):
+        x = start_vector(40, 5)
+        x[3] = 0.0  # the first free gamma, at its lower bound
+        pos = params_from_vector(40, 5, x)
+        neg = replace(pos, gammas_free=(-0.0, pos.gammas_free[1]))
+        assert pos == neg  # equal as values, hence the signs in the key
+        for p in (pos, neg, pos, neg):
+            derived = derive(p)
+            assert math.copysign(1.0, derived.gammas_free[0]) == math.copysign(1.0, p.gammas_free[0])
+            misses = reduced._area_terms.cache_info().misses
+            reduced_area(derived)
+            assert reduced._area_terms.cache_info().misses == misses + 1
+        # a bit-identical input, even a new object, is served from the memo
+        first = derive(params_from_vector(40, 5, x))
+        assert derive(params_from_vector(40, 5, x)) is first

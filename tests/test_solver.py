@@ -3,11 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from smallpoly import solver
 from smallpoly.geometry import AngleVector
 from smallpoly.solver import (
+    STOP_CONVERGED,
+    STOP_MAX_STEPS,
+    STOP_NO_DESCENT,
+    STOP_SINGULAR,
+    STOP_UNDEFINED,
     BoxProblem,
     BracketError,
     InfeasibleError,
+    _newton,
     brentq,
     constraint_jacobian,
     constraint_values,
@@ -35,13 +42,35 @@ class TestBrentq:
         assert brentq(lambda x: x, 0.0, 1.0) == 0.0
 
 
+def _wave_problem(hessian_calls=None):
+    """sin(3 v0) cos(2 v1) on the unit square: four Newton steps from (0.5, 0.5)."""
+
+    def derivatives(v):
+        s0, c0 = math.sin(3 * v[0]), math.cos(3 * v[0])
+        s1, c1 = math.sin(2 * v[1]), math.cos(2 * v[1])
+
+        def hessian():
+            if hessian_calls is not None:
+                hessian_calls.append(tuple(v))
+            return np.array([[-9 * s0 * c1, -6 * c0 * s1], [-6 * c0 * s1, -4 * s0 * c1]])
+
+        return np.array([3 * c0 * c1, -2 * s0 * s1]), hessian
+
+    return BoxProblem(
+        lower=(0.0, 0.0),
+        upper=(1.0, 1.0),
+        objective=lambda v: math.sin(3 * v[0]) * math.cos(2 * v[1]),
+        derivatives=derivatives,
+    )
+
+
 class TestMaximizeBox:
     def test_quadratic_1d(self):
         problem = BoxProblem(
             lower=(0.0,),
             upper=(1.0,),
             objective=lambda v: -(v[0] - 0.3) ** 2,
-            derivatives=lambda v: (np.array([-2 * (v[0] - 0.3)]), np.array([[-2.0]])),
+            derivatives=lambda v: (np.array([-2 * (v[0] - 0.3)]), lambda: np.array([[-2.0]])),
         )
         x, val, diag = maximize_box(problem, (0.9,))
         assert x[0] == pytest.approx(0.3, abs=1e-8)
@@ -52,7 +81,7 @@ class TestMaximizeBox:
             lower=(-1.0, -1.0),
             upper=(1.0, 1.0),
             objective=lambda v: -(v[0] ** 2) - 2 * v[1] ** 2,
-            derivatives=lambda v: (np.array([-2 * v[0], -4 * v[1]]), np.diag([-2.0, -4.0])),
+            derivatives=lambda v: (np.array([-2 * v[0], -4 * v[1]]), lambda: np.diag([-2.0, -4.0])),
         )
         x, val, _ = maximize_box(problem, (0.7, -0.6))
         assert np.max(np.abs(x)) < 1e-8
@@ -62,7 +91,7 @@ class TestMaximizeBox:
             lower=(0.0,),
             upper=(2.0,),
             objective=lambda v: v[0],
-            derivatives=lambda v: (np.array([1.0]), np.zeros((1, 1))),
+            derivatives=lambda v: (np.array([1.0]), lambda: np.zeros((1, 1))),
         )
         x, val, diag = maximize_box(problem, (0.1,))
         assert x[0] == pytest.approx(2.0, abs=1e-12)
@@ -76,7 +105,7 @@ class TestMaximizeBox:
             objective=lambda v: -(v[0] - 0.25) ** 2 - (v[1] + 0.5) ** 2 + v[0] * v[1],
             derivatives=lambda v: (
                 np.array([-2 * (v[0] - 0.25) + v[1], -2 * (v[1] + 0.5) + v[0]]),
-                np.array([[-2.0, 1.0], [1.0, -2.0]]),
+                lambda: np.array([[-2.0, 1.0], [1.0, -2.0]]),
             ),
         )
         x, _, diag = maximize_box(problem, (0.9, 0.8))
@@ -91,27 +120,14 @@ class TestMaximizeBox:
             objective=lambda v: -(v[0] - 1) ** 2 - (v[1] + 0.5) ** 2,
             derivatives=lambda v: (
                 np.array([-2 * (v[0] - 1), -2 * (v[1] + 0.5)]),
-                -2.0 * np.eye(2),
+                lambda: -2.0 * np.eye(2),
             ),
         )
         x, _, _ = maximize_box(problem, (0.0, 0.0))
         assert x == pytest.approx([1.0, -0.5], abs=1e-10)
 
     def test_deterministic(self):
-        f = lambda v: math.sin(3 * v[0]) * math.cos(2 * v[1])
-
-        def derivatives(v):
-            s0, c0 = math.sin(3 * v[0]), math.cos(3 * v[0])
-            s1, c1 = math.sin(2 * v[1]), math.cos(2 * v[1])
-            g = np.array([3 * c0 * c1, -2 * s0 * s1])
-            return g, np.array([[-9 * s0 * c1, -6 * c0 * s1], [-6 * c0 * s1, -4 * s0 * c1]])
-
-        problem = BoxProblem(
-            lower=(0.0, 0.0),
-            upper=(1.0, 1.0),
-            objective=f,
-            derivatives=derivatives,
-        )
+        problem = _wave_problem()
         x1, v1, _ = maximize_box(problem, (0.5, 0.5))
         x2, v2, _ = maximize_box(problem, (0.5, 0.5))
         assert tuple(x1) == tuple(x2) and v1 == v2
@@ -123,7 +139,7 @@ class TestMaximizeBox:
                 lower=(1.0,),
                 upper=(0.0,),
                 objective=lambda v: 0.0,
-                derivatives=lambda v: (np.zeros(1), np.zeros((1, 1))),
+                derivatives=lambda v: (np.zeros(1), lambda: np.zeros((1, 1))),
             )
 
     def test_derivatives_required(self):
@@ -158,6 +174,98 @@ class TestMaximizeBox:
         )
         _, _, diag = maximize_box(problem, start_vector(n, 16))
         assert diag.converged and diag.grad_norm <= 1e-8
+
+
+class TestHessianOnDemand:
+    def test_one_hessian_per_step(self):
+        calls = []
+        x, _, diag = maximize_box(_wave_problem(calls), (0.5, 0.5))
+        assert diag.converged and diag.iterations >= 3
+        assert len(calls) == diag.iterations
+        # never at the point the solve ends on
+        assert tuple(x) not in calls
+
+    @pytest.mark.parametrize("n, r", [(40, 4), (1000, 16)])
+    def test_reduced_family(self, n, r):
+        from smallpoly.reduced import derivatives, objective, parameter_bounds, start_vector
+
+        calls = []
+
+        def spied(v):
+            g, hessian = derivatives(n, r, v)
+
+            def counted():
+                calls.append(tuple(v))
+                return hessian()
+
+            return g, counted
+
+        lo, hi = parameter_bounds(n, r)
+        problem = BoxProblem(lower=lo, upper=hi, objective=lambda v: objective(n, r, v), derivatives=spied)
+        _, _, diag = maximize_box(problem, start_vector(n, r))
+        assert diag.converged and diag.iterations >= 1
+        assert len(calls) == diag.iterations
+
+
+class TestStopReason:
+    def test_residual_below_floor(self):
+        _, _, diag = maximize_box(_wave_problem(), (0.5, 0.5))
+        assert diag.stop_reason == STOP_CONVERGED and diag.message == ""
+
+    def test_max_steps(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_STEPS", 1)
+        _, _, diag = maximize_box(_wave_problem(), (0.5, 0.5))
+        assert diag.iterations == 1 and not diag.converged
+        assert diag.stop_reason == STOP_MAX_STEPS
+        assert STOP_MAX_STEPS in diag.message
+
+    def test_no_halving_accepted(self):
+        # f = -(v^2 - 1/4)^2 near its saddle at 0: the Newton step heads for
+        # a maximum at +-1/2, but |f'| grows along the way, so no halving
+        # lowers the residual
+        problem = BoxProblem(
+            lower=(-1.0,),
+            upper=(1.0,),
+            objective=lambda v: -((v[0] ** 2 - 0.25) ** 2),
+            derivatives=lambda v: (
+                np.array([-4 * v[0] * (v[0] ** 2 - 0.25)]),
+                lambda: np.array([[1.0 - 12 * v[0] ** 2]]),
+            ),
+        )
+        x, _, diag = maximize_box(problem, (0.02,))
+        assert x[0] == 0.02 and diag.iterations == 0 and not diag.converged
+        assert diag.stop_reason == STOP_NO_DESCENT
+        assert STOP_NO_DESCENT in diag.message
+
+    def test_singular_kkt_matrix(self):
+        # one constraint c = 1 with a zero Jacobian: the KKT matrix
+        # [[1, 0], [0, 0]] has no inverse
+        def evaluate(x, lam):
+            return np.array([x[0] - 0.5]), np.array([1.0]), np.zeros((1, 1)), lambda: np.eye(1)
+
+        x, _, gres, cres, steps, _, reason = _newton(
+            evaluate, np.array([0.2]), np.zeros(1), np.ones(1), 1, 10
+        )
+        assert reason == STOP_SINGULAR
+        assert x[0] == 0.2 and steps == 0 and cres == 1.0
+
+    def test_undefined_at_the_start(self):
+        problem = BoxProblem(
+            lower=(0.0,), upper=(1.0,), objective=lambda v: -1.0, derivatives=lambda v: None
+        )
+        _, _, diag = maximize_box(problem, (0.5,))
+        assert diag.stop_reason == STOP_UNDEFINED
+        assert STOP_UNDEFINED in diag.message
+
+    def test_full_program_reports_its_reason(self, monkeypatch):
+        _, _, diag = solve_full_nlp(6)
+        assert diag.stop_reason == STOP_CONVERGED
+        alpha = math.pi / 10
+        cold = np.array([alpha, 2 * alpha, 2 * alpha])
+        monkeypatch.setattr(solver, "MAX_STEPS", 0)
+        with pytest.raises(InfeasibleError, match=STOP_MAX_STEPS) as err:
+            solve_full_nlp(6, start=cold)
+        assert err.value.diagnostics.stop_reason == STOP_MAX_STEPS
 
 
 class TestObjectiveGradient:
