@@ -33,7 +33,6 @@ from .solver import (
 )
 from .asymptotics import (
     AsymptoticFit,
-    CubicObjective,
     estimate_q_numeric,
     minimize_cubic,
     theorem_constants,
@@ -48,7 +47,6 @@ __all__ = [
     "AsymptoticFit",
     "BoxProblem",
     "BracketError",
-    "CubicObjective",
     "Diagnostics",
     "InfeasibleError",
     "ReducedParams",

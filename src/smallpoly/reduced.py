@@ -337,14 +337,9 @@ def params_to_vector(p: ReducedParams) -> np.ndarray:
 
 
 def start_vector(n: int, r: int) -> np.ndarray:
-    """Scaled asymptotic limits as the initial point; best prior available."""
-    nb, ng = free_shape(r)
-    row = coeff_row(min(r, MAX_TABULATED_R))
-    a = row.a if row.a is not None else 0.6587
-    bs = list(row.b[:nb]) + [1.0] * max(0, nb - len(row.b))
-    cs = list(row.c[:ng]) + [1e-6] * max(0, ng - len(row.c))
-    scale = math.pi / n
-    return np.array([a * scale] + [b * scale for b in bs] + [c * scale for c in cs])
+    """The tabulated scaled limits of ``coeff_row(r)`` times pi/n, r >= 1."""
+    row = coeff_row(r)
+    return math.pi / n * np.array([row.a, *row.b, *row.c])
 
 
 def objective(n: int, r: int, vec) -> float:
@@ -470,30 +465,15 @@ def derivatives(n: int, r: int, vec):
     return gFu[:k] - mu * gCu[:k], hessian
 
 
-def construct_Q(
-    n: int, r: int, *, allow_large_r: bool = False
-) -> tuple[SmallPolygon, AreaReport, ReducedParams]:
-    """Best polygon of the r-parameter family for the given n.
+def best_params(n: int, r: int) -> ReducedParams:
+    """Derived parameters of the family's best polygon for the given n.
 
-    One Newton solve of the box maximizer from the deterministic start at
-    the scaled asymptotic limits.  r above 16 has no tabulated start or
-    golden values and must be enabled explicitly.
+    r = 0 has no free parameter: alpha = pi/(2n - 2), half the tail angle.
+    Otherwise one Newton solve of the box maximizer from ``start_vector``;
+    raises InfeasibleError if that solve ends on a penalty point.
     """
-    if n % 2 != 0 or n < 6:
-        raise ValueError(f"n must be even and >= 6, got {n}")
-    if r < 0 or n < 2 * r + 4:
-        raise ValueError(f"need n >= 2r + 4 with r >= 0, got n = {n}, r = {r}")
-    if r > MAX_TABULATED_R and not allow_large_r:
-        raise ValueError(
-            f"r = {r} exceeds the tabulated range ({MAX_TABULATED_R}); "
-            "pass allow_large_r=True to proceed without golden values"
-        )
-
     if r == 0:
-        params = derive(ReducedParams(n=n, r=0, alpha=math.pi / (2 * n - 2)))
-        polygon = vertices_from_angles(expand_angles(params))
-        return polygon, validate(polygon), params
-
+        return derive(ReducedParams(n=n, r=0, alpha=math.pi / (2 * n - 2)))
     lo, hi = parameter_bounds(n, r)
     problem = BoxProblem(
         lower=tuple(lo),
@@ -507,7 +487,18 @@ def construct_Q(
             f"no feasible point found for n = {n}, r = {r}; best value {value:.3e}",
             diag,
         )
-    params = derive(params_from_vector(n, r, best))
+    return derive(params_from_vector(n, r, best))
+
+
+def construct_Q(n: int, r: int) -> tuple[SmallPolygon, AreaReport, ReducedParams]:
+    """Best polygon of the r-parameter family for the given n (``best_params``)."""
+    if n % 2 != 0 or n < 6:
+        raise ValueError(f"n must be even and >= 6, got {n}")
+    if not 0 <= r <= MAX_TABULATED_R or n < 2 * r + 4:
+        raise ValueError(
+            f"need 0 <= r <= {MAX_TABULATED_R} and n >= 2r + 4, got n = {n}, r = {r}"
+        )
+    params = best_params(n, r)
     polygon = vertices_from_angles(expand_angles(params))
     return polygon, validate(polygon), params
 

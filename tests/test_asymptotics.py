@@ -1,23 +1,29 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from smallpoly import asymptotics
 from smallpoly.asymptotics import (
     A1_CLOSED_FORM,
+    CUBICS,
     DEGREE8_Q3,
     GAP_LINK_CLOSED_FORM,
     Q1_CLOSED_FORM,
     QUARTIC_Q2,
-    CubicObjective,
     estimate_q_numeric,
     evaluate_certificate,
     minimize_cubic,
+    poly_derivative,
+    poly_value,
     theorem_constants,
     verify_certificates,
 )
 from smallpoly.reduced import ReducedParams, area_deficit, derive
 from smallpoly.reference import ASYMPTOTIC_COEFFS, coeff_row
+from smallpoly.solver import STOP_CONVERGED
 
 # deficits of the one-free-parameter-less family (r = 0) computed with
 # 50-digit decimal arithmetic, rounded once to double
@@ -27,32 +33,63 @@ R0_DEFICIT_ORACLE = {
 }
 
 
+def factored_cubic(r, x):
+    """The scaled-limit cubics as first written, in factored form."""
+    if r == 1:
+        (a,) = x
+        return 88 * a**3 + 84 * a**2 - 222 * a + 107
+    if r == 2:
+        a, b = x
+        return (88 * a**3 + 12 * a**2 * (8 * b - 1) - 6 * a * (16 * b**2 + 21)
+                + 128 * b**3 - 48 * b**2 - 216 * b + 243)
+    a, b, c = x
+    return (88 * a**3 + 12 * a**2 * (16 * b - 12 * c + 7)
+            - 6 * a * (32 * b**2 + 64 * b * c - 80 * c**2 + 56 * c + 37)
+            + 128 * b**3 + 192 * b**2 * c + 384 * b * c**2 - 384 * c**3
+            + 336 * c**2 - 240 * b + 204 * c + 267)
+
+
+def gradient(r, x):
+    return np.array([poly_value(poly_derivative(CUBICS[r], i), x) for i in range(r)])
+
+
 class TestCubics:
+    def test_tables_equal_the_factored_cubics(self):
+        # a polynomial of degree at most 3 in each variable is fixed by its
+        # values on a 4 x 4 x 4 grid, so exact agreement there is equality
+        nodes = [Fraction(-1), Fraction(1, 3), Fraction(2), Fraction(7, 5)]
+        for r, table in CUBICS.items():
+            assert len(table) == {1: 4, 2: 9, 3: 17}[r]
+            for x in itertools.product(nodes, repeat=r):
+                exact = sum(c * math.prod(map(pow, x, e)) for e, c in table.items())
+                assert exact == factored_cubic(r, x), (r, x)
+
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(3)
         for r in (1, 2, 3):
-            cubic = CubicObjective(r)
             for _ in range(5):
-                x = rng.uniform(0.1, 0.9, cubic.dim)
-                g = cubic.gradient(x)
+                x = rng.uniform(0.1, 0.9, r)
+                g = gradient(r, x)
                 h = 1e-6
-                for i in range(cubic.dim):
+                for i in range(r):
                     xp, xm = x.copy(), x.copy()
                     xp[i] += h
                     xm[i] -= h
-                    fd = (cubic.value(xp) - cubic.value(xm)) / (2 * h)
+                    fd = (poly_value(CUBICS[r], xp) - poly_value(CUBICS[r], xm)) / (2 * h)
                     assert g[i] == pytest.approx(fd, rel=1e-6, abs=1e-4)
 
     def test_hessian_matches_fd(self):
-        cubic = CubicObjective(3)
         x = np.array([0.6, 1.0, 0.07])
-        H = cubic.hessian(x)
+        H = np.array([
+            [poly_value(poly_derivative(poly_derivative(CUBICS[3], i), j), x) for j in range(3)]
+            for i in range(3)
+        ])
         h = 1e-5
         for i in range(3):
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
-            col = (cubic.gradient(xp) - cubic.gradient(xm)) / (2 * h)
+            col = (gradient(3, xp) - gradient(3, xm)) / (2 * h)
             assert np.allclose(H[:, i], col, atol=1e-5)
 
     def test_table_normalization(self):
@@ -60,13 +97,11 @@ class TestCubics:
         for r in (1, 2, 3):
             row = coeff_row(r)
             point = [row.a, *row.b, *row.c][: r]
-            assert CubicObjective(r).value(point) / 192.0 == pytest.approx(
-                row.q, abs=1e-12
-            )
+            assert poly_value(CUBICS[r], point) / 192.0 == pytest.approx(row.q, abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            CubicObjective(4)
+            minimize_cubic(4)
 
 
 class TestMinimizeCubic:
@@ -88,6 +123,21 @@ class TestMinimizeCubic:
         assert q == pytest.approx(0.1150899130453658, abs=1e-12)
         row = coeff_row(3)
         assert x == pytest.approx([row.a, row.b[0], row.c[0]], abs=1e-9)
+
+    def test_each_solve_converges_in_a_few_evaluations(self, monkeypatch):
+        diagnostics = []
+        real = asymptotics.maximize_box
+
+        def spy(problem, start):
+            result = real(problem, start)
+            diagnostics.append(result[2])
+            return result
+
+        monkeypatch.setattr(asymptotics, "maximize_box", spy)
+        for r in (1, 2, 3):
+            minimize_cubic(r)
+        assert [d.stop_reason for d in diagnostics] == [STOP_CONVERGED] * 3
+        assert all(d.nfev <= 8 for d in diagnostics), [d.nfev for d in diagnostics]
 
 
 class TestCertificates:

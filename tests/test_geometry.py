@@ -444,6 +444,19 @@ class TestValidate:
         assert report.is_symmetric
         assert not report.is_convex
 
+    def test_dent_below_rounding_is_not_convex(self):
+        # the midpoint of the bottom edge moved inward by 2^-55: its turn,
+        # -2^-55, is far inside the float tolerance 4 eps s (|a| + |b|) that
+        # convexity was once judged by, but its exact sign is negative
+        dent = 2.0**-55
+        pts = [(0.0, 0.0), (0.5, dent), (1.0, 0.0), (1.0, 1.0), (0.5, 1.5), (0.0, 1.0)]
+        assert dent < 4 * np.finfo(float).eps * 1.5 * 2 * math.hypot(0.5, dent)
+        p = polygon_from_vertices(6, pts)
+        assert p.boundary == (0, 1, 2, 3, 4, 5)
+        assert not validate(p).is_convex
+        flat = polygon_from_vertices(6, [(x, 0.0 if y == dent else y) for x, y in pts])
+        assert validate(flat).is_convex
+
     def test_mirror_symmetry_by_construction(self, feasible_sampler):
         for _ in range(50):
             _, angles = feasible_sampler()
