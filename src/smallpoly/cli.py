@@ -265,7 +265,14 @@ def cmd_construct(args) -> int:
     return 0 if report.is_valid else VALIDATION_ERROR
 
 
+def _check_tol(tol: float | None) -> None:
+    """A ``--tol`` must be a positive finite number (``None``: the default)."""
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ValueError(f"--tol must be a positive finite number, got {tol}")
+
+
 def cmd_optimize(args) -> int:
+    _check_tol(args.tol)
     angles, area, diag = solver.solve_full_nlp(args.n, ctol=args.tol, ktol=args.tol * 100.0)
     polygon = geometry.vertices_from_angles(angles)
     report = geometry.validate(polygon)
@@ -276,6 +283,8 @@ def cmd_optimize(args) -> int:
             "kkt_norm": diag.kkt_norm,
             "inner_iterations": diag.iterations,
             "multipliers": list(diag.multipliers),
+            "stop_reason": diag.stop_reason,
+            "nfev": diag.nfev,
         },
     )
     _emit_record(record, args.format, args.out)
@@ -342,6 +351,7 @@ def table5_rows(n_list):
 
 
 def cmd_table(args) -> int:
+    _check_tol(args.tol)
     failed = False
     if args.which == "table2":
         r_list = _parse_int_list(args.r) if args.r else list(asymptotics.CUBICS)

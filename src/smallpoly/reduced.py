@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .geometry import (
     AngleVector,
     AreaReport,
     SmallPolygon,
-    chain_coordinates,
     validate,
     vertices_from_angles,
 )
@@ -34,7 +33,6 @@ from .solver import (
     BoxProblem,
     BracketError,
     InfeasibleError,
-    _area_gradient_s,
     _area_hessian_s,
     brentq,
     maximize_box,
@@ -234,7 +232,11 @@ def derive(p: ReducedParams) -> ReducedParams:
 def _derive(p: ReducedParams, zero_signs) -> ReducedParams:
     beta = solve_beta(p)
     gamma = _root_gamma_last(p, beta) if p.r > 0 else p.gamma_last_derived
-    return replace(p, beta_derived=beta, gamma_last_derived=gamma)
+    # a copy of the validated p with the two floats set; ``dataclasses.replace``
+    # would run ``__post_init__`` again
+    q = object.__new__(ReducedParams)
+    q.__dict__.update(p.__dict__, beta_derived=beta, gamma_last_derived=gamma)
+    return q
 
 
 def expand_angles(p: ReducedParams) -> AngleVector:
@@ -381,27 +383,73 @@ def _sum_map(n: int, r: int) -> np.ndarray:
     return A
 
 
+def _prefix_walk(th) -> tuple[list, list, list, list, list]:
+    """The prefix chain and its area gradient in the partial sums, in floats.
+
+    Returns the vertices 0..m (``x``, ``y``), the steps (``p``, ``q``), each
+    the difference of two vertices, and the gradient of the prefix triangle
+    sum in S_0, ..., S_{m-1}, for the m angles ``th``.  The operations are
+    those of ``chain_coordinates``, ``np.diff`` and
+    ``solver._area_gradient_s``, in their order: a prefix has at most 17
+    angles, where numpy's fixed cost per call outweighs the arithmetic.
+    """
+    m = len(th)
+    x = [0.0] * (m + 1)
+    y = [0.0] * (m + 1)
+    s = 0.0
+    for j, t in enumerate(th):
+        s += t
+        if j % 2:
+            x[j + 1] = x[j] - math.sin(s)
+            y[j + 1] = y[j] - math.cos(s)
+        else:
+            x[j + 1] = x[j] + math.sin(s)
+            y[j + 1] = y[j] + math.cos(s)
+    p = [x[j + 1] - x[j] for j in range(m)]
+    q = [y[j + 1] - y[j] for j in range(m)]
+    # the vertex adjoints: triangle k touches vertices k - 1 and k + 1
+    ax = [0.0] * (m + 1)
+    ay = [0.0] * (m + 1)
+    for k in range(3, m + 1):
+        ax[k] += y[k - 2]
+    for k in range(1, m - 1):
+        ax[k] -= y[k + 2]
+        ay[k] += x[k + 2]
+    for k in range(3, m + 1):
+        ay[k] -= x[k - 2]
+    # step j inherits the adjoints of the vertices after it: suffix sums
+    grad = [0.0] * m
+    sx, sy = ax[m], ay[m]
+    for j in range(m - 1, -1, -1):
+        grad[j] = q[j] * sx - p[j] * sy
+        sx += ax[j]
+        sy += ay[j]
+    grad[0] += q[0]  # the apex triangle sin S_0
+    return x, y, p, q, grad
+
+
 def derivatives(n: int, r: int, vec):
     """Gradient and Hessian of ``objective`` in the free parameters, r >= 1.
 
-    Returns ``(gradient, hessian)`` with ``hessian`` a zero-argument callable
-    (the ``BoxProblem`` contract), or None where ``objective`` is a penalty.
-    The gradient and mu are computed here; the prefix triangles' dense
-    Hessian and the B^T H B assembly wait for ``hessian()``, which the Newton
-    kernel calls only at the points it steps from.  With u = (free parameters
-    p, gamma_last), the area F and the closure residual C are closed forms
-    in z = (S_0, ..., S_rp, beta), the partial sums of the rp + 1 prefix
-    angles and the tail angle, and z = A u is linear with A fixed per (n, r)
-    (``_sum_map``).  In z the prefix triangle sum T has the full program's
-    gradient and Hessian in partial sums; the prefix vertex (X, Y) = vertex
-    rp has gradient (q_j, -p_j) and diagonal Hessians -p_j and -q_j in S_j,
-    j < rp, where (p_j, q_j) are the chain steps; the turn phi = S_rp is a
-    coordinate.  Every term other than T is diagonal or lies in the phi and
-    beta rows and columns, so F_zz - mu C_zz is written into T's Hessian
-    there.  The closure defines gamma_last(p), hence grad = F_p - mu C_p
-    and Hessian = Z^T (F_uu - mu C_uu) Z with mu = F_gamma / C_gamma and
-    Z = [I; -C_p / C_gamma].  Everything is evaluated at the point
-    ``derive`` returns.
+    Returns ``(gradient, hessian)`` with ``hessian`` a zero-argument
+    callable (the ``BoxProblem`` contract), or None where ``objective`` is a
+    penalty.  The gradient and mu are computed here, in one walk of the
+    prefix in plain floats (``_prefix_walk``) and one product with A; the
+    prefix triangles' dense Hessian and the B^T H B assembly wait for
+    ``hessian()``, which the Newton kernel calls only at the points it steps
+    from.  With u = (free parameters p, gamma_last), the area F and the
+    closure residual C are closed forms in z = (S_0, ..., S_rp, beta), the
+    partial sums of the rp + 1 prefix angles and the tail angle, and z = A u
+    is linear with A fixed per (n, r) (``_sum_map``).  In z the prefix
+    triangle sum T has the full program's gradient and Hessian in partial
+    sums; the prefix vertex (X, Y) = vertex rp has gradient (q_j, -p_j) and
+    diagonal Hessians -p_j and -q_j in S_j, j < rp, where (p_j, q_j) are the
+    chain steps; the turn phi = S_rp is a coordinate.  Every term other than
+    T is diagonal or lies in the phi and beta rows and columns, so F_zz - mu
+    C_zz is written into T's Hessian there.  The closure defines
+    gamma_last(p), hence grad = F_p - mu C_p and Hessian = Z^T (F_uu - mu
+    C_uu) Z with mu = F_gamma / C_gamma and Z = [I; -C_p / C_gamma].
+    Everything is evaluated at the point ``derive`` returns.
     """
     try:
         p = derive(params_from_vector(n, r, vec))
@@ -414,12 +462,11 @@ def derivatives(n: int, r: int, vec):
     rp = len(th) - 1
     tc = n // 2 - rp - 1  # tail angles after the prefix
 
-    # prefix terms in z: triangles T, vertex rp = (X, Y), phi = S_rp
-    x, y = chain_coordinates(th)
-    gT, gX, gY = np.zeros((3, rp + 2))
-    gT[: rp + 1] = _area_gradient_s(x, y)
-    gX[:rp] = np.diff(y)[:rp]  # q_j
-    gY[:rp] = -np.diff(x)[:rp]  # -p_j
+    # prefix terms in z: triangles T, vertex rp = (X, Y), phi = S_rp; the
+    # entries of gX and gY after rp - 1 are zero and left out
+    x, y, steps_p, steps_q, gT = _prefix_walk(th)
+    gX = steps_q[:rp]  # q_j
+    gY = [-v for v in steps_p[:rp]]  # -p_j
 
     phi, X, Y = math.fsum(th), x[rp], y[rp]
     sp, cp = math.sin(phi), math.cos(phi)
@@ -429,30 +476,32 @@ def derivatives(n: int, r: int, vec):
     # with dW = sp gX + cp gY + (X cp - Y sp) e_phi and d2W = diag(sp gY -
     # cp gX) + sym(cp gX - sp gY, e_phi) - W e_phi e_phi
     w_val = X * sp + Y * cp
-    gW = sp * gX + cp * gY
-    gW[rp] = X * cp - Y * sp
-    gF = gT - t * gW
-    gF[rp + 1] += tc * (math.cos(beta) - t1) - (w_val + 0.5) * t1
+    gW = [sp * a + cp * b for a, b in zip(gX, gY)]
+    gW.append(X * cp - Y * sp)
+    gF = [a - t * b for a, b in zip(gT, gW)]
+    gF.append(tc * (math.cos(beta) - t1) - (w_val + 0.5) * t1)
     # C = X + (sin phi - t cos phi) / 2, d2C = diag(gY) + terms in phi, beta
-    gC = gX.copy()
-    gC[rp] = (cp + sp * t) / 2.0
-    gC[rp + 1] = -cp * t1 / 2.0
+    gC = gX + [(cp + sp * t) / 2.0, -cp * t1 / 2.0]
 
-    gFu, gCu = A.T @ gF, A.T @ gC
+    gFu, gCu = A.T @ np.array(gF), A.T @ np.array(gC)
     mu = gFu[k] / gCu[k]
 
     def hessian():
         # H = F_zz - mu C_zz, written into T's Hessian: the diagonals of -t
         # d2W and -mu d2C, -t sym(cp gX - sp gY, e_phi), -t1 sym(dW,
         # e_beta), then the phi and beta corners
+        gXa, gYa, gWa = np.zeros((3, rp + 2))
+        gXa[:rp] = gX
+        gYa[:rp] = gY
+        gWa[: rp + 1] = gW
         H = np.zeros((rp + 2, rp + 2))
         H[: rp + 1, : rp + 1] = _area_hessian_s(th)
-        H.flat[:: rp + 3] -= t * (sp * gY - cp * gX) + mu * gY
-        v = t * (cp * gX - sp * gY)
+        H.flat[:: rp + 3] -= t * (sp * gYa - cp * gXa) + mu * gYa
+        v = t * (cp * gXa - sp * gYa)
         H[rp] -= v
         H[:, rp] -= v
-        H[rp + 1] -= t1 * gW
-        H[:, rp + 1] -= t1 * gW
+        H[rp + 1] -= t1 * gWa
+        H[:, rp + 1] -= t1 * gWa
         H[rp, rp] += t * w_val - mu * (t * cp - sp) / 2.0
         H[rp, rp + 1] -= mu * sp * t1 / 2.0
         H[rp + 1, rp] -= mu * sp * t1 / 2.0

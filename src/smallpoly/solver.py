@@ -28,6 +28,7 @@ the objective was undefined at the start (``STOP_UNDEFINED``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +48,8 @@ STOP_MAX_STEPS = "MAX_STEPS reached"
 STOP_NO_DESCENT = "no halving accepted"
 STOP_SINGULAR = "singular KKT matrix"
 STOP_UNDEFINED = "undefined at the start"
+# the step lengths a Newton step tries, longest first
+_HALVINGS = tuple(0.5**i for i in range(30))
 
 
 class BracketError(ValueError):
@@ -178,13 +181,15 @@ def _newton(evaluate, x0, lo, hi, ncon: int, max_steps: int):
         nfev += 1
 
     def residuals(x, ev):
+        """The held variables at x and the two max-norm residuals there."""
         g, c = ev[0], ev[1]
-        return (
-            float(np.max(np.abs(np.where(_held(x, lo, hi, g), 0.0, g)), initial=0.0)),
-            float(np.max(np.abs(c), initial=0.0)),
+        held = _held(x, lo, hi, g)
+        return held, (
+            float(np.max(np.abs(np.where(held, 0.0, g)), initial=0.0)),
+            float(np.max(np.abs(c), initial=0.0)) if ncon else 0.0,
         )
 
-    gres, cres = residuals(x, ev)
+    held, (gres, cres) = residuals(x, ev)
     steps = 0
     reason = STOP_CONVERGED
     while max(gres, cres) >= 1e-13:
@@ -192,10 +197,12 @@ def _newton(evaluate, x0, lo, hi, ncon: int, max_steps: int):
             reason = STOP_MAX_STEPS
             break
         g, c, J, hessian = ev
-        free = ~_held(x, lo, hi, g)
-        k = int(free.sum())
-        Hf = hessian()[np.ix_(free, free)]
-        Jf = J[:, free]
+        # without held variables the free block is the whole system
+        free = ~held if held.any() else None
+        Hf, Jf, gf = hessian(), J, g
+        if free is not None:
+            Hf, Jf, gf = Hf[np.ix_(free, free)], J[:, free], g[free]
+        k = len(gf)
         Hz = Hf
         if ncon:
             Z = np.linalg.qr(Jf.T, mode="complete")[0][:, ncon:]
@@ -203,30 +210,36 @@ def _newton(evaluate, x0, lo, hi, ncon: int, max_steps: int):
         low = min(np.linalg.eigvalsh(Hz), default=math.inf)
         floor = _EPS * max(1.0, float(np.max(np.abs(Hf), initial=0.0)))
         shift = -2.0 * low if low < -floor else max(0.0, floor - low)
-        K = np.zeros((k + ncon, k + ncon))
-        K[:k, :k] = Hf + shift * np.eye(k)
-        K[:k, k:] = Jf.T
-        K[k:, :k] = Jf
+        # the KKT matrix; without constraints it is the shifted Hessian alone
+        K, rhs = Hf + shift * np.eye(k), -gf
+        if ncon:
+            Hs, K = K, np.zeros((k + ncon, k + ncon))
+            K[:k, :k] = Hs
+            K[:k, k:] = Jf.T
+            K[k:, :k] = Jf
+            rhs = -np.concatenate((gf, c))
         try:
-            d = np.linalg.solve(K, -np.concatenate((g[free], c)))
+            d = np.linalg.solve(K, rhs)
         except np.linalg.LinAlgError:
             reason = STOP_SINGULAR
             break
-        dx = np.zeros(len(x))
-        dx[free] = d[:k]
-        for t in 0.5 ** np.arange(30):
+        dx = d[:k]
+        if free is not None:
+            dx = np.zeros(len(x))
+            dx[free] = d[:k]
+        for t in _HALVINGS:
             xn = np.clip(x + t * dx, lo, hi)
             lamn = lam + t * d[k:]
             evn = evaluate(xn, lamn)
             nfev += 1
             if evn is not None:
-                rn = residuals(xn, evn)
+                heldn, rn = residuals(xn, evn)
                 if max(rn) < max(gres, cres):
                     break
         else:
             reason = STOP_NO_DESCENT
             break
-        x, lam, ev, (gres, cres) = xn, lamn, evn, rn
+        x, lam, ev, held, (gres, cres) = xn, lamn, evn, heldn, rn
         steps += 1
     return x, lam, gres, cres, steps, nfev, reason
 
@@ -371,6 +384,21 @@ def constraint_jacobian(theta, n: int) -> np.ndarray:
     return np.vstack([np.ones(m), y[m - 1] - y[:m]])
 
 
+@functools.lru_cache(maxsize=32)
+def _pair_weights(m: int) -> np.ndarray:
+    """The signed pair counts w - w.T of ``_area_hessian_s``, read-only; fixed per m.
+
+    32 sizes hold the reduced family's nine prefix lengths and the 20 sizes
+    of a table5 sweep's full programs.
+    """
+    idx = np.arange(m)
+    sign = np.where(idx % 2 == 0, 1.0, -1.0)
+    w = np.maximum(0, m - np.maximum(np.maximum.outer(idx, idx + 2), 2)) * np.outer(sign, sign)
+    weights = w - w.T
+    weights.flags.writeable = False
+    return weights
+
+
 def _area_hessian_s(theta) -> np.ndarray:
     """Hessian of the dissection area in the partial sums S = cumsum(theta).
 
@@ -382,10 +410,7 @@ def _area_hessian_s(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     m = len(theta)
     s = np.cumsum(theta)
-    idx = np.arange(m)
-    sign = np.where(idx % 2 == 0, 1.0, -1.0)
-    w = np.maximum(0, m - np.maximum(np.maximum.outer(idx, idx + 2), 2)) * np.outer(sign, sign)
-    pair = (w - w.T) * np.sin(s[:, None] - s[None, :])
+    pair = _pair_weights(m) * np.sin(s[:, None] - s[None, :])
     hess = pair - np.diag(pair.sum(axis=1))
     hess[0, 0] -= math.sin(s[0])
     return hess

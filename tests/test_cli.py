@@ -116,6 +116,27 @@ class TestOptimize:
         assert code == 3
         assert "infeasible" in err
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "-inf"])
+    def test_bad_tolerance_is_usage_error(self, capsys, tol):
+        code, out, err = run(capsys, "optimize", "--n", "14", f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --tol must be a positive finite number")
+
+    def test_diagnostics_schema(self, capsys):
+        code, out, _ = run(capsys, "optimize", "--n", "14", "--format", "json")
+        assert code == 0
+        diag = json.loads(out)["diagnostics"]
+        assert set(diag) == {
+            "constraint_residual", "kkt_norm", "inner_iterations", "multipliers",
+            "stop_reason", "nfev",
+        }
+        assert diag["stop_reason"] == "residual below 1e-13"
+        assert isinstance(diag["nfev"], int)
+        # the start is evaluated once, then once more with its least-squares
+        # multipliers, and each Newton step adds at least one evaluation
+        assert diag["nfev"] >= diag["inner_iterations"] + 2
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -359,6 +380,16 @@ class TestTable:
     def test_table_bad_n(self, capsys):
         code, _, err = run(capsys, "table", "--which", "table5", "--n", "7")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "which, tol",
+        [("table5", "-1"), ("table5", "nan"), ("table3", "0"), ("table2", "inf")],
+    )
+    def test_bad_tolerance_is_usage_error(self, capsys, which, tol):
+        code, out, err = run(capsys, "table", "--which", which, "--n", "6", f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --tol must be a positive finite number")
 
 
 class TestCsv:

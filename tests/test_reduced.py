@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from dataclasses import replace
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from smallpoly import asymptotics, dd, reduced
-from smallpoly.geometry import area_dissection, validate, vertices_from_angles
+from smallpoly.geometry import area_dissection, chain_coordinates, validate, vertices_from_angles
 from smallpoly.reduced import (
     CLOSURE_RESIDUAL_TOL,
     ReducedParams,
@@ -15,6 +16,7 @@ from smallpoly.reduced import (
     _sum_map,
     _prefix_angles,
     _prefix_state,
+    _prefix_walk,
     area_deficit,
     closure_residual,
     construct_Q,
@@ -32,7 +34,7 @@ from smallpoly.reduced import (
     theorem_r,
 )
 from smallpoly.reference import OPTIMAL_SMALL_N
-from smallpoly.solver import BracketError, brentq
+from smallpoly.solver import BracketError, _area_gradient_s, brentq
 
 
 def q61_params():
@@ -203,6 +205,48 @@ def test_sum_map_is_the_jacobian_of_the_partial_sums(n, r):
     )
     assert A.shape == fd.shape
     assert np.max(np.abs(A - fd)) <= 1e-9
+
+
+@pytest.mark.parametrize("r", range(1, 17))
+def test_prefix_walk_matches_the_numpy_path(r):
+    """The float walk of ``derivatives`` against ``chain_coordinates``,
+    ``np.diff`` and ``_area_gradient_s``, which the full program uses.
+
+    The operations are the same, in the same order, so the two agree bit for
+    bit where ``np.sin`` and ``np.cos`` round as ``math.sin`` and
+    ``math.cos``; the bound of 4 ulp of the largest entry leaves room for a
+    numpy whose vectorized sine rounds differently.  Tabulated starts and
+    points up to 5% of the box off them, at n = 2r + 4 (no tail angle for
+    odd r), 100 and 1000.
+    """
+    rng = np.random.default_rng(300 + r)
+    walked = 0
+    for n in (2 * r + 4, 100, 1000):
+        lo, hi = parameter_bounds(n, r)
+        start = start_vector(n, r)
+        points = [start] + [
+            np.clip(start + 0.05 * (hi - lo) * rng.uniform(-1, 1, len(lo)), lo, hi)
+            for _ in range(8)
+        ]
+        for vec in points:
+            try:
+                p = derive(params_from_vector(n, r, vec))
+            except ValueError:
+                continue
+            th = _prefix_angles(p, p.beta_derived, p.gamma_last_derived)
+            assert len(th) == 2 * ((r + 1) // 2) + 1  # 3 angles at r = 1
+            x, y, steps_p, steps_q, grad = _prefix_walk(th)
+            nx, ny = chain_coordinates(th)
+            pairs = [
+                (x, nx), (y, ny), (steps_p, np.diff(nx)), (steps_q, np.diff(ny)),
+                (grad, _area_gradient_s(nx, ny)),
+            ]
+            for got, want in pairs:
+                assert len(got) == len(want)
+                ulp = np.spacing(np.max(np.abs(want)))
+                assert np.max(np.abs(np.array(got) - want)) <= 4 * ulp
+            walked += 1
+    assert walked >= 20
 
 
 class TestExpand:
@@ -428,6 +472,26 @@ def test_tail_angle_is_double_double(n, r):
         exact = (quarter - Fraction(p.alpha) - 2 * sum(map(Fraction, p.betas))) / tail
         got = _beta_dd(p)
         assert abs(Fraction(got.hi) + Fraction(got.lo) - exact) * tail <= quarter * 2**-104
+
+
+class TestDeriveCopy:
+    """``derive`` copies its validated input without validating it again."""
+
+    @pytest.mark.parametrize("n, r", [(6, 0), (6, 1), (10, 3), (12, 4), (120, 16), (1000, 7)])
+    def test_derived_fields_are_floats(self, n, r):
+        if r == 0:
+            p = ReducedParams(n=n, r=0, alpha=math.pi / (2 * n - 2))
+        else:
+            p = params_from_vector(n, r, start_vector(n, r))
+        d = derive(p)
+        assert type(d) is ReducedParams
+        assert type(d.beta_derived) is float
+        assert type(d.gamma_last_derived) is (float if r else type(None))
+        assert p.beta_derived is None and p.gamma_last_derived is None
+        # the copy passes the construction checks it skipped
+        assert replace(d) == d
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.alpha = 0.0
 
 
 class TestPointDerivedOnce:

@@ -359,6 +359,35 @@ class TestLagrangianHessian:
         assert np.min(np.linalg.eigvalsh(reduced)) > 0.0
 
 
+class TestAreaHessianWeights:
+    """``_area_hessian_s`` with its pair weights built once per size."""
+
+    @staticmethod
+    def uncached(theta):
+        m = len(theta)
+        s = np.cumsum(theta)
+        idx = np.arange(m)
+        sign = np.where(idx % 2 == 0, 1.0, -1.0)
+        w = np.maximum(0, m - np.maximum(np.maximum.outer(idx, idx + 2), 2)) * np.outer(sign, sign)
+        pair = (w - w.T) * np.sin(s[:, None] - s[None, :])
+        hess = pair - np.diag(pair.sum(axis=1))
+        hess[0, 0] -= math.sin(s[0])
+        return hess
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 17, 256])
+    def test_matches_the_uncached_formula(self, m):
+        theta = np.random.default_rng(m).uniform(0.0, math.pi / (2 * m), m)
+        for _ in range(2):  # a miss, then a hit
+            assert np.array_equal(solver._area_hessian_s(theta), self.uncached(theta))
+
+    def test_weights_are_read_only(self):
+        weights = solver._pair_weights(17)
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0, 1] = 0.0
+        assert solver._pair_weights(17) is weights
+
+
 class TestSolveFullNlp:
     def test_hexagon(self):
         angles, area, diag = solve_full_nlp(6)
