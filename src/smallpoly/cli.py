@@ -352,6 +352,10 @@ def table5_rows(n_list):
 
 def cmd_table(args) -> int:
     _check_tol(args.tol)
+    if args.which == "table2" and args.n is not None:
+        raise ValueError("--n does not apply to table2, which takes --r")
+    if args.which != "table2" and args.r is not None:
+        raise ValueError(f"--r does not apply to {args.which}, which takes --n")
     failed = False
     if args.which == "table2":
         r_list = _parse_int_list(args.r) if args.r else list(asymptotics.CUBICS)

@@ -36,7 +36,6 @@ from .solver import (
     _area_hessian_s,
     brentq,
     maximize_box,
-    nlp_objective,
 )
 
 CLOSURE_RESIDUAL_TOL = 1e-14
@@ -123,44 +122,46 @@ def _prefix_angles(p: ReducedParams, beta: float, gamma_last: float) -> list[flo
     return th
 
 
-def _walk(th) -> tuple[float, float, float]:
-    """Turn after the angles ``th`` and the chain vertex they lead to.
+def _walk(th) -> tuple[list, list, list, float]:
+    """Partial sums S_j, chain vertices 0..m and triangle sum of the m angles ``th``.
 
-    A scalar loop: it runs inside every root-finder solve, on at most 17
-    angles.
+    The one chain walk of this module, in plain floats with the operations
+    of ``chain_coordinates`` in their order (a prefix has at most 17 angles,
+    where numpy's fixed cost per call outweighs the arithmetic).  The
+    triangle sum is ``area_dissection(th)`` added in sequence.
     """
-    s = x = y = 0.0
+    m = len(th)
+    S = [0.0] * m
+    x = [0.0] * (m + 1)
+    y = [0.0] * (m + 1)
+    s = 0.0
     for j, t in enumerate(th):
         s += t
-        sign = 1.0 if j % 2 == 0 else -1.0
-        x += sign * math.sin(s)
-        y += sign * math.cos(s)
-    return s, x, y
-
-
-def _prefix_state(th) -> tuple[float, float, float]:
-    """Turn phi after the prefix angles and the chain vertex (x, y) before the last.
-
-    For the rp + 1 angles of the varying prefix this is the state from which
-    the constant-angle tail continues: phi = theta_0 + ... + theta_rp and
-    vertex rp of the chain.
-    """
-    s, x, y = _walk(th[:-1])
-    return s + th[-1], x, y
+        S[j] = s
+        if j % 2:
+            x[j + 1] = x[j] - math.sin(s)
+            y[j + 1] = y[j] - math.cos(s)
+        else:
+            x[j + 1] = x[j] + math.sin(s)
+            y[j + 1] = y[j] + math.cos(s)
+    tri = 0.0
+    for k in range(2, m):
+        tri += x[k + 1] * y[k - 1] - y[k + 1] * x[k - 1]
+    return S, x, y, x[1] + tri
 
 
 def _closure(p: ReducedParams, beta: float):
     """The closure residual as a function of gamma_last alone.
 
     Summing the constant-angle tail in closed form reduces x_{n/2-1} = +-1/2
-    to: (x after the prefix) + sin(phi - beta/2) / (2 cos(beta/2)) = 0.  The
-    prefix before the last pair does not depend on gamma_last, so it is
-    walked once here; each evaluation adds only the last pair (b + g, b - g),
-    whose first angle is an odd step of the chain.  The operations are those
-    of ``_prefix_state`` on the whole prefix, in the same order.
+    to: x_rp + sin(phi - beta/2) / (2 cos(beta/2)) = 0, phi = S_rp.  The
+    prefix before the last pair does not depend on gamma_last, so ``_walk``
+    runs once here; each evaluation adds only the last pair (b + g, b - g),
+    whose first angle is an odd step of the chain, as ``_walk`` would.
     """
     th = _prefix_angles(p, beta, 0.0)[:-2]
-    s0, x0, _ = _walk(th)
+    S, x, _, _ = _walk(th)
+    s0, x0 = S[-1], x[-1]
     b = beta if p.r % 2 else p.betas[-1]
     half = beta / 2
     den = 2.0 * math.cos(half)
@@ -170,38 +171,6 @@ def _closure(p: ReducedParams, beta: float):
         return x0 - math.sin(s) + math.sin(s + (b - g) - half) / den
 
     return residual
-
-
-def closure_residual(p: ReducedParams, beta: float, gamma_last: float) -> float:
-    """Chain-midpoint condition expressed through the varying prefix (see ``_closure``)."""
-    return _closure(p, beta)(gamma_last)
-
-
-def _root_gamma_last(p: ReducedParams, beta: float) -> float:
-    f = _closure(p, beta)
-    gamma = brentq(f, -math.pi / p.n, math.pi / p.n, rtol=1e-15)
-    res = f(gamma)
-    if abs(res) > CLOSURE_RESIDUAL_TOL:
-        raise BracketError(
-            f"closure residual {res:.3e} above {CLOSURE_RESIDUAL_TOL:.0e} at root"
-        )
-    return gamma
-
-
-def solve_gamma_last(p: ReducedParams) -> float:
-    """Final asymmetry from the closure condition, by bracketed root finding.
-
-    The prefix before the last pair is walked once per solve; each ``brentq``
-    step then evaluates only the last pair (``_closure``).  The bracket
-    [-pi/n, pi/n] is deliberately wider than the feasible box [0, pi/n]: a
-    negative root is located reliably and the caller treats it as an
-    infeasibility signal rather than a hard failure.
-    """
-    if p.r == 0:
-        raise ValueError("r = 0 has no asymmetry parameter to derive")
-    if p.beta_derived is None:
-        raise ValueError("derive the tail angle first")
-    return _root_gamma_last(p, p.beta_derived)
 
 
 def _zero_signs(p: ReducedParams) -> tuple[float, ...]:
@@ -220,7 +189,9 @@ def _zero_signs(p: ReducedParams) -> tuple[float, ...]:
 def derive(p: ReducedParams) -> ReducedParams:
     """Fill in the two derived parameters (one copy of ``p``).
 
-    The last point derived is kept (a one-entry memo), so the closing
+    The tail angle comes from the angle sum (``solve_beta``); for r >= 1 the
+    last asymmetry is the ``brentq`` root of the closure (``_closure``),
+    checked to ``CLOSURE_RESIDUAL_TOL``.  The last point derived is kept (a one-entry memo), so the closing
     ``objective`` of a box solve, and the ``derive`` of its result in
     ``construct_Q`` and ``estimate_q_numeric``, reuse the point that the
     solve's last ``derivatives`` call derived, root solve included.
@@ -231,7 +202,17 @@ def derive(p: ReducedParams) -> ReducedParams:
 @functools.lru_cache(maxsize=1)
 def _derive(p: ReducedParams, zero_signs) -> ReducedParams:
     beta = solve_beta(p)
-    gamma = _root_gamma_last(p, beta) if p.r > 0 else p.gamma_last_derived
+    gamma = p.gamma_last_derived
+    if p.r > 0:
+        # the bracket [-pi/n, pi/n] is deliberately wider than the box
+        # [0, pi/n], so a negative root is found rather than failing it
+        f = _closure(p, beta)
+        gamma = brentq(f, -math.pi / p.n, math.pi / p.n)
+        res = f(gamma)
+        if abs(res) > CLOSURE_RESIDUAL_TOL:
+            raise BracketError(
+                f"closure residual {res:.3e} above {CLOSURE_RESIDUAL_TOL:.0e} at root"
+            )
     # a copy of the validated p with the two floats set; ``dataclasses.replace``
     # would run ``__post_init__`` again
     q = object.__new__(ReducedParams)
@@ -295,17 +276,19 @@ def _area_terms(p: ReducedParams, zero_signs) -> tuple[float, dd.DD]:
 
     The prefix contributes the triangle sum of its rp + 1 angles, the tail
     (n/2 - rp - 1) copies of sin(beta) - tan(beta/2), and one correction term
-    joins them; for r = 0 the prefix is theta_0 = alpha alone.  Keyed like
-    ``derive``'s memo and, like it, kept for the last point, so the
-    ``area_deficit`` after a solve's closing ``objective`` reuses its terms.
+    in phi = S_rp and vertex rp joins them, all three from one ``_walk``; for
+    r = 0 the prefix is theta_0 = alpha alone.  Keyed like ``derive``'s memo
+    and, like it, kept for the last point, so the ``area_deficit`` after a
+    solve's closing ``objective`` reuses its terms.
     """
     beta_dd = _beta_dd(p)
     beta = beta_dd.to_float()
     th = _prefix_angles(p, beta, p.gamma_last_derived)
-    phi, x, y = _prefix_state(th)
-    correction = (x * math.sin(phi) + y * math.cos(phi) + 0.5) * math.tan(beta / 2)
+    S, x, y, tri = _walk(th)
+    phi, X, Y = S[-1], x[-2], y[-2]  # S_rp and vertex rp
+    correction = (X * math.sin(phi) + Y * math.cos(phi) + 0.5) * math.tan(beta / 2)
     tail = dd.sin_minus_half_tan(beta_dd) * dd.DD(float(p.n // 2 - len(th)))
-    acc = tail + dd.DD(nlp_objective(th)) + dd.DD(-correction)
+    acc = tail + dd.DD(tri) + dd.DD(-correction)
     return acc.to_float(), acc
 
 
@@ -383,28 +366,15 @@ def _sum_map(n: int, r: int) -> np.ndarray:
     return A
 
 
-def _prefix_walk(th) -> tuple[list, list, list, list, list]:
-    """The prefix chain and its area gradient in the partial sums, in floats.
+def _prefix_gradient(x, y) -> tuple[list, list, list]:
+    """The prefix's chain steps and area gradient in the partial sums, in floats.
 
-    Returns the vertices 0..m (``x``, ``y``), the steps (``p``, ``q``), each
-    the difference of two vertices, and the gradient of the prefix triangle
-    sum in S_0, ..., S_{m-1}, for the m angles ``th``.  The operations are
-    those of ``chain_coordinates``, ``np.diff`` and
-    ``solver._area_gradient_s``, in their order: a prefix has at most 17
-    angles, where numpy's fixed cost per call outweighs the arithmetic.
+    Takes the vertices 0..m of ``_walk``; returns the steps (``p``, ``q``),
+    each the difference of two vertices, and the gradient of the prefix
+    triangle sum in S_0, ..., S_{m-1}.  The operations are those of
+    ``np.diff`` and ``solver._area_gradient_s``, in their order.
     """
-    m = len(th)
-    x = [0.0] * (m + 1)
-    y = [0.0] * (m + 1)
-    s = 0.0
-    for j, t in enumerate(th):
-        s += t
-        if j % 2:
-            x[j + 1] = x[j] - math.sin(s)
-            y[j + 1] = y[j] - math.cos(s)
-        else:
-            x[j + 1] = x[j] + math.sin(s)
-            y[j + 1] = y[j] + math.cos(s)
+    m = len(x) - 1
     p = [x[j + 1] - x[j] for j in range(m)]
     q = [y[j + 1] - y[j] for j in range(m)]
     # the vertex adjoints: triangle k touches vertices k - 1 and k + 1
@@ -425,7 +395,7 @@ def _prefix_walk(th) -> tuple[list, list, list, list, list]:
         sx += ax[j]
         sy += ay[j]
     grad[0] += q[0]  # the apex triangle sin S_0
-    return x, y, p, q, grad
+    return p, q, grad
 
 
 def derivatives(n: int, r: int, vec):
@@ -433,11 +403,13 @@ def derivatives(n: int, r: int, vec):
 
     Returns ``(gradient, hessian)`` with ``hessian`` a zero-argument
     callable (the ``BoxProblem`` contract), or None where ``objective`` is a
-    penalty.  The gradient and mu are computed here, in one walk of the
-    prefix in plain floats (``_prefix_walk``) and one product with A; the
-    prefix triangles' dense Hessian and the B^T H B assembly wait for
-    ``hessian()``, which the Newton kernel calls only at the points it steps
-    from.  With u = (free parameters p, gamma_last), the area F and the
+    penalty.  The gradient and mu are computed here, from the vertices of
+    one ``_walk`` of the prefix, their steps and area gradient
+    (``_prefix_gradient``) and one product with A; the prefix triangles'
+    dense Hessian and the B^T H B assembly wait for ``hessian()``, which the
+    Newton kernel calls only at the points it steps from.  The turn phi is
+    taken as ``math.fsum`` of the prefix angles, not the walk's S_rp.
+    With u = (free parameters p, gamma_last), the area F and the
     closure residual C are closed forms in z = (S_0, ..., S_rp, beta), the
     partial sums of the rp + 1 prefix angles and the tail angle, and z = A u
     is linear with A fixed per (n, r) (``_sum_map``).  In z the prefix
@@ -464,7 +436,8 @@ def derivatives(n: int, r: int, vec):
 
     # prefix terms in z: triangles T, vertex rp = (X, Y), phi = S_rp; the
     # entries of gX and gY after rp - 1 are zero and left out
-    x, y, steps_p, steps_q, gT = _prefix_walk(th)
+    _, x, y, _ = _walk(th)
+    steps_p, steps_q, gT = _prefix_gradient(x, y)
     gX = steps_q[:rp]  # q_j
     gY = [-v for v in steps_p[:rp]]  # -p_j
 
@@ -558,7 +531,8 @@ def theorem_r(n: int) -> int:
 
 
 def construct_Q_theorem(n: int) -> tuple[SmallPolygon, AreaReport, ReducedParams]:
-    """The headline polygon: r = n/2 - 2 up to n = 34, r = 16 beyond."""
-    if n % 2 != 0 or n < 6:
-        raise ValueError(f"n must be even and >= 6, got {n}")
+    """The headline polygon: r = n/2 - 2 up to n = 34, r = 16 beyond.
+
+    ``construct_Q`` checks n first, so an odd n or n < 6 raises its error.
+    """
     return construct_Q(n, theorem_r(n))

@@ -40,8 +40,11 @@ _EPS = 2.220446049250313e-16
 # a box maximizer solve is reported converged when the gradient over its
 # free variables is at most this
 GRAD_TOL = 1e-8
-# cap on the Newton steps of one solve
+# cap on the Newton steps of one solve, read by ``_newton`` at call time
 MAX_STEPS = 300
+# ``brentq``'s absolute tolerance on the root and its cap on steps
+_ROOT_TOL = 1e-15
+_ROOT_MAX_ITER = 200
 # why a Newton solve stopped (``Diagnostics.stop_reason``)
 STOP_CONVERGED = "residual below 1e-13"
 STOP_MAX_STEPS = "MAX_STEPS reached"
@@ -81,8 +84,12 @@ class Diagnostics:
 # scalar root finding
 # ---------------------------------------------------------------------------
 
-def brentq(f, a: float, b: float, rtol: float = 1e-15, max_iter: int = 200) -> float:
-    """Root of f in [a, b]; f(a) and f(b) must differ in sign."""
+def brentq(f, a: float, b: float) -> float:
+    """Root of f in [a, b]; f(a) and f(b) must differ in sign.
+
+    Stops when half the bracket is at most 2 eps |b| + ``_ROOT_TOL``, or
+    after ``_ROOT_MAX_ITER`` steps.
+    """
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -92,14 +99,14 @@ def brentq(f, a: float, b: float, rtol: float = 1e-15, max_iter: int = 200) -> f
         raise BracketError(f"no sign change on [{a}, {b}]: f = ({fa:.3e}, {fb:.3e})")
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(_ROOT_MAX_ITER):
         if (fb > 0) == (fc > 0):
             c, fc = a, fa
             d = e = b - a
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * _EPS * abs(b) + rtol
+        tol = 2.0 * _EPS * abs(b) + _ROOT_TOL
         mid = 0.5 * (c - b)
         if abs(mid) <= tol or fb == 0.0:
             return b
@@ -140,7 +147,7 @@ def _held(x, lo, hi, g) -> np.ndarray:
     return ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
 
 
-def _newton(evaluate, x0, lo, hi, ncon: int, max_steps: int):
+def _newton(evaluate, x0, lo, hi, ncon: int):
     """Newton steps on the KKT system of min f(x) s.t. c(x) = 0, lo <= x <= hi.
 
     ``evaluate(x, lam)`` returns the gradient of the Lagrangian f + lam @ c,
@@ -163,7 +170,8 @@ def _newton(evaluate, x0, lo, hi, ncon: int, max_steps: int):
     step, or a halving of it, is projected onto the box and accepted if f is
     defined there and the max-norm KKT residual (held variables excluded)
     falls.  The loop ends for one of the five reasons in the module
-    docstring.
+    docstring; the step cap is the module's ``MAX_STEPS``, read when the
+    cap is checked.
 
     Returns ``(x, lam, gradient residual, constraint residual, steps,
     evaluations, stop reason)``, the reason being one of the ``STOP_*``
@@ -193,7 +201,7 @@ def _newton(evaluate, x0, lo, hi, ncon: int, max_steps: int):
     steps = 0
     reason = STOP_CONVERGED
     while max(gres, cres) >= 1e-13:
-        if steps == max_steps:
+        if steps == MAX_STEPS:
             reason = STOP_MAX_STEPS
             break
         g, c, J, hessian = ev
@@ -310,7 +318,7 @@ def maximize_box(problem: BoxProblem, start) -> tuple[np.ndarray, float, Diagnos
             lambda: -np.asarray(hessian(), dtype=float),
         )
 
-    x, _, gres, _, steps, nfev, reason = _newton(evaluate, x0, lo, hi, 0, MAX_STEPS)
+    x, _, gres, _, steps, nfev, reason = _newton(evaluate, x0, lo, hi, 0)
     converged = gres <= GRAD_TOL
     diag = Diagnostics(
         converged=converged,
@@ -486,9 +494,7 @@ def solve_full_nlp(n: int, start=None, *, ctol: float = 1e-10, ktol: float = 1e-
     if len(theta0) != m:
         raise ValueError(f"start must have {m} angles")
 
-    theta, lam, kkt, cmax, steps, nfev, reason = _newton(
-        _nlp_evaluate(n), theta0, lower, upper, 2, MAX_STEPS
-    )
+    theta, lam, kkt, cmax, steps, nfev, reason = _newton(_nlp_evaluate(n), theta0, lower, upper, 2)
     diag = Diagnostics(
         converged=cmax <= ctol and kkt <= ktol,
         iterations=steps,

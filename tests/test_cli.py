@@ -382,6 +382,23 @@ class TestTable:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "which, flag, value",
+        [("table2", "--n", "999"), ("table3", "--r", "5"), ("table5", "--r", "2")],
+    )
+    def test_flag_of_another_table_is_usage_error(self, capsys, which, flag, value):
+        code, out, err = run(capsys, "table", "--which", which, flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} does not apply to {which}, which takes " + (
+            "--r\n" if which == "table2" else "--n\n"
+        )
+
+    def test_table5_takes_n_and_seed(self, capsys):
+        code, out, _ = run(capsys, "table", "--which", "table5", "--n", "6", "--seed", "3")
+        assert code == 0
+        assert out.strip().endswith("PASS")
+
+    @pytest.mark.parametrize(
         "which, tol",
         [("table5", "-1"), ("table5", "nan"), ("table3", "0"), ("table2", "inf")],
     )

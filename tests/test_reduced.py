@@ -13,12 +13,12 @@ from smallpoly.reduced import (
     CLOSURE_RESIDUAL_TOL,
     ReducedParams,
     _beta_dd,
-    _sum_map,
+    _closure,
     _prefix_angles,
-    _prefix_state,
-    _prefix_walk,
+    _prefix_gradient,
+    _sum_map,
+    _walk,
     area_deficit,
-    closure_residual,
     construct_Q,
     construct_Q_theorem,
     derivatives,
@@ -29,7 +29,6 @@ from smallpoly.reduced import (
     params_from_vector,
     reduced_area,
     solve_beta,
-    solve_gamma_last,
     start_vector,
     theorem_r,
 )
@@ -99,7 +98,7 @@ class TestSolveGammaLast:
         p = q61_params()
         a, b, g = p.alpha, p.beta_derived, p.gamma_last_derived
         classic = math.sin(a + b + g) - math.sin(a) - math.sin(a + 1.5 * b) / (2 * math.cos(b / 2))
-        generalized = closure_residual(p, b, g)
+        generalized = _closure(p, b)(g)
         assert abs(generalized + classic) <= 1e-14
         assert abs(classic) <= 1e-14
 
@@ -112,28 +111,17 @@ class TestSolveGammaLast:
 
     def test_zero_root(self):
         # tune the free beta so the closure already holds at gamma = 0,
-        # then the solver must return (numerically) zero
-        from smallpoly.solver import brentq
-
+        # then the root solve in derive must return (numerically) zero
         n, r, alpha = 8, 2, 0.2725
         def residual_at_zero(b1):
-            p = ReducedParams(n=n, r=r, alpha=alpha, betas=(b1,), beta_derived=None)
-            beta = solve_beta(p)
-            return closure_residual(p, beta, 0.0)
+            p = ReducedParams(n=n, r=r, alpha=alpha, betas=(b1,))
+            return _closure(p, solve_beta(p))(0.0)
 
         # keep the tail angle positive: b1 < (pi/2 - alpha)/2
         b1 = brentq(residual_at_zero, math.pi / n * 1.001, (math.pi / 2 - alpha) / 2 * 0.98)
         p = ReducedParams(n=n, r=r, alpha=alpha, betas=(b1,))
         p = derive(p)
         assert abs(p.gamma_last_derived) <= 1e-12
-
-    def test_requires_beta(self):
-        with pytest.raises(ValueError):
-            solve_gamma_last(ReducedParams(n=6, r=1, alpha=0.35))
-
-    def test_r0_has_no_gamma(self):
-        with pytest.raises(ValueError):
-            solve_gamma_last(derive(ReducedParams(n=6, r=0, alpha=math.pi / 10)))
 
 
 def walked_residual(p, beta, gamma_last):
@@ -148,7 +136,7 @@ def walked_residual(p, beta, gamma_last):
 
 def walked_gamma_last(p, beta):
     f = lambda g: walked_residual(p, beta, g)
-    gamma = brentq(f, -math.pi / p.n, math.pi / p.n, rtol=1e-15)
+    gamma = brentq(f, -math.pi / p.n, math.pi / p.n)
     if abs(f(gamma)) > CLOSURE_RESIDUAL_TOL:
         raise BracketError("residual above tolerance")
     return gamma
@@ -173,14 +161,14 @@ def test_hoisted_closure_matches_prefix_walk():
             except ValueError:
                 continue
             g = float(rng.uniform(-math.pi / n, math.pi / n))
-            assert closure_residual(p, beta, g) == walked_residual(p, beta, g)
+            assert _closure(p, beta)(g) == walked_residual(p, beta, g)
             try:
                 expected = walked_gamma_last(p, beta)
             except BracketError:
                 with pytest.raises(BracketError):
-                    solve_gamma_last(replace(p, beta_derived=beta))
+                    derive(p)
                 continue
-            assert solve_gamma_last(replace(p, beta_derived=beta)) == expected
+            assert derive(p).gamma_last_derived == expected
             solved += 1
     assert solved >= 900
 
@@ -209,15 +197,18 @@ def test_sum_map_is_the_jacobian_of_the_partial_sums(n, r):
 
 @pytest.mark.parametrize("r", range(1, 17))
 def test_prefix_walk_matches_the_numpy_path(r):
-    """The float walk of ``derivatives`` against ``chain_coordinates``,
-    ``np.diff`` and ``_area_gradient_s``, which the full program uses.
+    """``_walk`` and ``_prefix_gradient`` against ``np.cumsum``,
+    ``chain_coordinates``, ``area_dissection``, ``np.diff`` and
+    ``_area_gradient_s``, which the full program uses.
 
-    The operations are the same, in the same order, so the two agree bit for
-    bit where ``np.sin`` and ``np.cos`` round as ``math.sin`` and
-    ``math.cos``; the bound of 4 ulp of the largest entry leaves room for a
-    numpy whose vectorized sine rounds differently.  Tabulated starts and
-    points up to 5% of the box off them, at n = 2r + 4 (no tail angle for
-    odd r), 100 and 1000.
+    The partial sums are the same additions in the same order, so they agree
+    bit for bit.  So do the vertices, steps and gradient where ``np.sin``
+    and ``np.cos`` round as ``math.sin`` and ``math.cos``; the bound of 4
+    ulp of the largest entry leaves room for a numpy whose vectorized sine
+    rounds differently.  The triangle sum is added in sequence, where
+    ``np.sum`` adds 8 or more terms pairwise, hence 4 ulp there too.
+    Tabulated starts and points up to 5% of the box off them, at n = 2r + 4
+    (no tail angle for odd r), 100 and 1000.
     """
     rng = np.random.default_rng(300 + r)
     walked = 0
@@ -235,7 +226,10 @@ def test_prefix_walk_matches_the_numpy_path(r):
                 continue
             th = _prefix_angles(p, p.beta_derived, p.gamma_last_derived)
             assert len(th) == 2 * ((r + 1) // 2) + 1  # 3 angles at r = 1
-            x, y, steps_p, steps_q, grad = _prefix_walk(th)
+            S, x, y, tri = _walk(th)
+            assert S == list(np.cumsum(th))
+            assert abs(tri - area_dissection(th)) <= 4 * np.spacing(tri)
+            steps_p, steps_q, grad = _prefix_gradient(x, y)
             nx, ny = chain_coordinates(th)
             pairs = [
                 (x, nx), (y, ny), (steps_p, np.diff(nx)), (steps_q, np.diff(ny)),
@@ -286,10 +280,14 @@ class TestExpand:
                 continue
             rp = params.r if params.r % 2 == 0 else params.r + 1
             th = _prefix_angles(params, params.beta_derived, params.gamma_last_derived)
-            phi, x, y = _prefix_state(th)
+            S, x, y, _ = _walk(th)
+            phi = S[rp]
             assert phi == pytest.approx(sum(angles.theta[: rp + 1]), abs=1e-14)
             chain = vertices_from_angles(angles).vertices[rp]
-            assert (x, y) == pytest.approx(chain, abs=1e-14)
+            assert (x[rp], y[rp]) == pytest.approx(chain, abs=1e-14)
+            # the closure the root solve met, through the same walk
+            closure = _closure(params, params.beta_derived)
+            assert abs(closure(params.gamma_last_derived)) <= CLOSURE_RESIDUAL_TOL
             # strict only when tail angles remain; at n = 2r + 4 with r odd
             # the prefix is the whole quarter turn
             if rp + 1 < params.n // 2:
@@ -380,6 +378,11 @@ class TestTheoremConstruction:
         assert report.area == pytest.approx(0.6749814429, abs=1e-9)
         _, report, _ = construct_Q_theorem(12)
         assert report.area == pytest.approx(0.7607298734, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [4, 7, -2])
+    def test_domain_error_names_n(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"n must be even and >= 6, got {n}")):
+            construct_Q_theorem(n)
 
     def test_large_n_bracketed(self):
         from smallpoly.geometry import upper_bound

@@ -244,7 +244,7 @@ class TestStopReason:
             return np.array([x[0] - 0.5]), np.array([1.0]), np.zeros((1, 1)), lambda: np.eye(1)
 
         x, _, gres, cres, steps, _, reason = _newton(
-            evaluate, np.array([0.2]), np.zeros(1), np.ones(1), 1, 10
+            evaluate, np.array([0.2]), np.zeros(1), np.ones(1), 1
         )
         assert reason == STOP_SINGULAR
         assert x[0] == 0.2 and steps == 0 and cres == 1.0
