@@ -273,7 +273,7 @@ def _check_tol(tol: float | None) -> None:
 
 def cmd_optimize(args) -> int:
     _check_tol(args.tol)
-    angles, area, diag = solver.solve_full_nlp(args.n, ctol=args.tol, ktol=args.tol * 100.0)
+    angles, area, diag = solver.solve_full_nlp(args.n, tol=args.tol)
     polygon = geometry.vertices_from_angles(angles)
     report = geometry.validate(polygon)
     record = make_record(

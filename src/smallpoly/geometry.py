@@ -8,7 +8,6 @@ shape is determined by the n/2 turning angles of the star chain.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -78,17 +77,20 @@ class SmallPolygon:
 
     ``points`` holds the vertices as one read-only (n, 2) float array, the
     form every check works on; ``vertices`` is the same coordinates as a
-    tuple of pairs.
+    tuple of pairs.  The skeleton depends on n alone (``skeleton_edge_list``).
     """
 
     n: int
     points: np.ndarray = field(repr=False)
-    skeleton_edges: tuple[tuple[int, int], ...]
     boundary: tuple[int, ...]
 
     @property
     def vertices(self) -> tuple[tuple[float, float], ...]:
         return tuple(map(tuple, self.points.tolist()))
+
+    @property
+    def skeleton_edges(self) -> tuple[tuple[int, int], ...]:
+        return skeleton_edge_list(self.n)
 
 
 @dataclass(frozen=True)
@@ -138,21 +140,12 @@ def chain_coordinates(theta) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-@functools.lru_cache(maxsize=1)
 def skeleton_edge_list(n: int) -> tuple[tuple[int, int], ...]:
     """The (n-1)-cycle v_0 v_1 ... v_{n-2} plus the pendant edge v_0 v_{n-1}."""
     edges = [(k, k + 1) for k in range(n - 2)]
     edges.append((n - 2, 0))
     edges.append((0, n - 1))
     return tuple(edges)
-
-
-@functools.lru_cache(maxsize=1)
-def _skeleton_ends(n: int) -> np.ndarray:
-    """``skeleton_edge_list(n)`` as a read-only (2, n) array of edge ends."""
-    ends = np.array(skeleton_edge_list(n)).T
-    ends.flags.writeable = False
-    return ends
 
 
 def boundary_order(vertices) -> tuple[int, ...]:
@@ -173,12 +166,7 @@ def polygon_from_vertices(n: int, vertices) -> SmallPolygon:
     if pts.shape != (n, 2):
         raise ValueError(f"expected {n} (x, y) vertices, got an array of shape {pts.shape}")
     pts.flags.writeable = False
-    return SmallPolygon(
-        n=n,
-        points=pts,
-        skeleton_edges=skeleton_edge_list(n),
-        boundary=boundary_order(pts),
-    )
+    return SmallPolygon(n=n, points=pts, boundary=boundary_order(pts))
 
 
 def vertices_from_angles(a: AngleVector) -> SmallPolygon:
@@ -438,11 +426,10 @@ def validate(p: SmallPolygon) -> AreaReport:
     ))
     is_symmetric = bool(mirror.max() <= MIRROR_TOL)
 
-    if p.skeleton_edges is skeleton_edge_list(n):
-        a, b = _skeleton_ends(n)
-    else:
-        a, b = np.array(p.skeleton_edges).T
-    edge_error = float(np.abs(np.hypot(*(pts[a] - pts[b]).T) - 1.0).max())
+    # the skeleton's edge vectors: the cycle steps v_k v_{k+1}, k < n - 2,
+    # then the closing edge v_{n-2} v_0 and the pendant edge v_0 v_{n-1}
+    steps = np.concatenate((pts[1 : n - 1] - pts[: n - 2], pts[[n - 2, 0]] - pts[[0, n - 1]]))
+    edge_error = float(np.abs(np.hypot(*steps.T) - 1.0).max())
 
     area = shoelace(ordered)
     ub = upper_bound(n)

@@ -50,7 +50,8 @@ class ReducedParams:
     ``betas`` holds the floor(r/2) free pair angles, ``gammas_free`` the
     ceil(r/2) - 1 free asymmetries.  ``beta_derived`` (tail angle) and
     ``gamma_last_derived`` (final asymmetry) are filled in by ``derive``.
-    Every angle is stored as a Python float.
+    Every angle is stored as a Python float, -0.0 as 0.0, so equal points
+    have identical bits and the memos below can key on the point alone.
     """
 
     n: int
@@ -68,12 +69,12 @@ class ReducedParams:
             raise ValueError(f"r must be >= 0, got {self.r}")
         if self.n < 2 * self.r + 4:
             raise ValueError(f"need n >= 2r + 4, got n = {self.n}, r = {self.r}")
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
-        object.__setattr__(self, "gammas_free", tuple(float(g) for g in self.gammas_free))
+        object.__setattr__(self, "alpha", float(self.alpha) + 0.0)
+        object.__setattr__(self, "betas", tuple(float(b) + 0.0 for b in self.betas))
+        object.__setattr__(self, "gammas_free", tuple(float(g) + 0.0 for g in self.gammas_free))
         for name in ("beta_derived", "gamma_last_derived"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, float(getattr(self, name)))
+                object.__setattr__(self, name, float(getattr(self, name)) + 0.0)
         nb, ng = free_shape(self.r)
         if len(self.betas) != nb:
             raise ValueError(f"r = {self.r} takes {nb} free betas, got {len(self.betas)}")
@@ -92,8 +93,6 @@ def free_shape(r: int) -> tuple[int, int]:
 
 def _beta_dd(p: ReducedParams) -> dd.DD:
     m = p.n // 2
-    if p.r == 0:
-        return (dd.HALF_PI - dd.DD(p.alpha)) / dd.DD(float(m - 1))
     # alpha + 2 sum(betas) as a double-double: the correctly rounded sum and
     # the correctly rounded remainder
     terms = [p.alpha, *(2.0 * b for b in p.betas)]
@@ -173,48 +172,36 @@ def _closure(p: ReducedParams, beta: float):
     return residual
 
 
-def _zero_signs(p: ReducedParams) -> tuple[float, ...]:
-    """The signs of the zero angles of ``p``, in field order.
-
-    ``p == q`` holds for a 0.0 in one and a -0.0 in the other, so the memos
-    below key on ``(p, _zero_signs(p))``: a hit is then bit-identical.
-    """
-    return tuple(
-        math.copysign(1.0, v)
-        for v in (p.alpha, *p.betas, *p.gammas_free, p.beta_derived, p.gamma_last_derived)
-        if v == 0.0
-    )
-
-
 def derive(p: ReducedParams) -> ReducedParams:
     """Fill in the two derived parameters (one copy of ``p``).
 
     The tail angle comes from the angle sum (``solve_beta``); for r >= 1 the
     last asymmetry is the ``brentq`` root of the closure (``_closure``),
-    checked to ``CLOSURE_RESIDUAL_TOL``.  The last point derived is kept (a one-entry memo), so the closing
-    ``objective`` of a box solve, and the ``derive`` of its result in
-    ``construct_Q`` and ``estimate_q_numeric``, reuse the point that the
-    solve's last ``derivatives`` call derived, root solve included.
+    checked to ``CLOSURE_RESIDUAL_TOL``.  The last point derived is kept (a
+    one-entry memo keyed on ``p``), so the closing ``objective`` of a box
+    solve, and the ``derive`` of its result in ``construct_Q`` and
+    ``estimate_q_numeric``, reuse the point that the solve's last
+    ``derivatives`` call derived, root solve included.
     """
-    return _derive(p, _zero_signs(p))
+    return _derive(p)
 
 
 @functools.lru_cache(maxsize=1)
-def _derive(p: ReducedParams, zero_signs) -> ReducedParams:
+def _derive(p: ReducedParams) -> ReducedParams:
     beta = solve_beta(p)
     gamma = p.gamma_last_derived
     if p.r > 0:
         # the bracket [-pi/n, pi/n] is deliberately wider than the box
         # [0, pi/n], so a negative root is found rather than failing it
         f = _closure(p, beta)
-        gamma = brentq(f, -math.pi / p.n, math.pi / p.n)
+        gamma = brentq(f, -math.pi / p.n, math.pi / p.n) + 0.0
         res = f(gamma)
         if abs(res) > CLOSURE_RESIDUAL_TOL:
             raise BracketError(
                 f"closure residual {res:.3e} above {CLOSURE_RESIDUAL_TOL:.0e} at root"
             )
-    # a copy of the validated p with the two floats set; ``dataclasses.replace``
-    # would run ``__post_init__`` again
+    # a copy of the validated p with the two floats set, stored as
+    # ``__post_init__`` stores them; ``dataclasses.replace`` would run it again
     q = object.__new__(ReducedParams)
     q.__dict__.update(p.__dict__, beta_derived=beta, gamma_last_derived=gamma)
     return q
@@ -227,7 +214,7 @@ def expand_angles(p: ReducedParams) -> AngleVector:
     if p.r > 0 and p.gamma_last_derived is None:
         raise ValueError("derive the parameters before expanding")
     beta = p.beta_derived
-    prefix = [p.alpha] if p.r == 0 else _prefix_angles(p, beta, p.gamma_last_derived)
+    prefix = _prefix_angles(p, beta, p.gamma_last_derived)
     th = np.full(p.n // 2, beta)
     th[: len(prefix)] = prefix
     hi = np.full(len(th), _THETA_MAX)
@@ -251,7 +238,7 @@ def reduced_area(p: ReducedParams) -> float:
     """
     if p.beta_derived is None:
         raise ValueError("derive the parameters before evaluating the area")
-    return _area_terms(p, _zero_signs(p))[0]
+    return _area_terms(p)[0]
 
 
 def area_deficit(p: ReducedParams) -> float:
@@ -263,7 +250,7 @@ def area_deficit(p: ReducedParams) -> float:
     """
     if p.beta_derived is None:
         raise ValueError("derive the parameters before evaluating the deficit")
-    _, acc = _area_terms(p, _zero_signs(p))
+    _, acc = _area_terms(p)
     n = p.n
     pi3 = dd.PI * dd.PI * dd.PI
     corr = pi3 * dd.DD(5.0) / dd.DD(float(48 * n * n))
@@ -271,7 +258,7 @@ def area_deficit(p: ReducedParams) -> float:
 
 
 @functools.lru_cache(maxsize=1)
-def _area_terms(p: ReducedParams, zero_signs) -> tuple[float, dd.DD]:
+def _area_terms(p: ReducedParams) -> tuple[float, dd.DD]:
     """Area both as a plain double and as a compensated accumulation.
 
     The prefix contributes the triangle sum of its rp + 1 angles, the tail

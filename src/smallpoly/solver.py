@@ -456,7 +456,7 @@ def _nlp_evaluate(n):
     return evaluate
 
 
-def solve_full_nlp(n: int, start=None, *, ctol: float = 1e-10, ktol: float = 1e-8):
+def solve_full_nlp(n: int, start=None, *, tol: float = 1e-10):
     """Best symmetric unit-diameter n-gon from the full angle program.
 
     Parameters
@@ -465,7 +465,7 @@ def solve_full_nlp(n: int, start=None, *, ctol: float = 1e-10, ktol: float = 1e-
     start : optional initial angles (AngleVector or sequence).  The default
         is the expanded best reduced construction for this n, whose angles
         already show the damped oscillation of the optimum.
-    ctol, ktol : constraint and stationarity tolerances for success.
+    tol : constraint tolerance for success; stationarity must reach 100 tol.
 
     One Newton solve on the KKT system with the exact Hessian of the
     Lagrangian, capped at ``MAX_STEPS`` steps; a start far from the optimum,
@@ -496,7 +496,7 @@ def solve_full_nlp(n: int, start=None, *, ctol: float = 1e-10, ktol: float = 1e-
 
     theta, lam, kkt, cmax, steps, nfev, reason = _newton(_nlp_evaluate(n), theta0, lower, upper, 2)
     diag = Diagnostics(
-        converged=cmax <= ctol and kkt <= ktol,
+        converged=cmax <= tol and kkt <= 100.0 * tol,
         iterations=steps,
         nfev=nfev,
         grad_norm=kkt,
@@ -507,8 +507,8 @@ def solve_full_nlp(n: int, start=None, *, ctol: float = 1e-10, ktol: float = 1e-
     )
     if not diag.converged:
         diag.message = (
-            f"constraint residual {cmax:.3e} (tol {ctol:.1e}), "
-            f"stationarity {kkt:.3e} (tol {ktol:.1e}); stopped: {reason}"
+            f"constraint residual {cmax:.3e} (tol {tol:.1e}), "
+            f"stationarity {kkt:.3e} (tol {100.0 * tol:.1e}); stopped: {reason}"
         )
         raise InfeasibleError(diag.message, diag)
     return AngleVector(n, tuple(theta)), nlp_objective(theta), diag

@@ -417,6 +417,20 @@ class TestValidate:
         shrunk = polygon_from_vertices(p.n, 0.9 * np.array(p.vertices))
         assert validate(shrunk).edge_error == pytest.approx(0.1, abs=1e-12)
 
+    @pytest.mark.parametrize("edge", ["pendant", "closing"])
+    def test_edge_error_sees_one_moved_end(self, edge):
+        p = construct_Q(40, 4)[0]
+        n = p.n
+        verts = np.array(p.vertices)
+        if edge == "pendant":
+            verts[n - 1, 1] += 1e-6  # the apex, along the axis
+        else:
+            # v_{n-2} along the closing edge (n - 2, 0), away from v_0
+            step = verts[n - 2] - verts[0]
+            verts[n - 2] += 1e-6 * step / np.hypot(*step)
+        moved = polygon_from_vertices(n, verts)
+        assert validate(moved).edge_error == pytest.approx(1e-6, abs=1e-12)
+
     @pytest.mark.parametrize("n", LARGE_N)
     def test_large_constructions_valid(self, large_polygons, n):
         report = validate(large_polygons[n])

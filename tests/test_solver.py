@@ -447,7 +447,7 @@ class TestSolveFullNlp:
 
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(InfeasibleError) as err:
-            solve_full_nlp(8, ctol=1e-30, ktol=1e-30)
+            solve_full_nlp(8, tol=1e-30)
         assert err.value.diagnostics is not None
 
     def test_domain(self):
