@@ -184,9 +184,10 @@ class AsymptoticFit:
 def estimate_q_numeric(r: int, n_grid, *, seed: int = 0) -> AsymptoticFit:
     """Fit q (and the 1/n^4 coefficient d) to computed deficits.
 
-    For each grid n the deficit of ``best_params(n, r)`` is evaluated with
-    compensated accumulation; the model pi/4 - 5 pi^3/48n^2 - q pi^3/n^3 - d pi^4/n^4 is then fit by
-    ordinary least squares with the known terms fixed.  Every solve is
+    For each grid n the deficit of ``best_params(n, r)`` is evaluated by
+    ``area_deficit``, one ``fsum`` of O(1/n) terms with no O(1) term to
+    cancel; the model pi/4 - 5 pi^3/48n^2 - q pi^3/n^3 - d pi^4/n^4 is then
+    fit by ordinary least squares with the known terms fixed.  Every solve is
     deterministic; ``seed`` is accepted and unused.
     """
     grid = [int(n) for n in n_grid]

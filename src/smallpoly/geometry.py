@@ -156,7 +156,8 @@ def boundary_order(vertices) -> tuple[int, ...]:
     pts = np.asarray(vertices, dtype=float)
     cx, cy = pts.mean(axis=0)
     order = np.argsort(np.arctan2(pts[:, 1] - cy, pts[:, 0] - cx), kind="stable")
-    return tuple(np.roll(order, -int(np.flatnonzero(order == 0)[0])).tolist())
+    k = int(np.flatnonzero(order == 0)[0])
+    return tuple(np.concatenate((order[k:], order[:k])).tolist())
 
 
 def polygon_from_vertices(n: int, vertices) -> SmallPolygon:
@@ -226,8 +227,8 @@ def shoelace(points) -> float:
     """
     pts = np.asarray(points, dtype=float)
     pts = pts - pts.mean(axis=0)
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+    x, y = np.concatenate((pts, pts[:1])).T  # the ring, closed
+    return 0.5 * abs(float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1])))
 
 
 def _exact_cross(ax, ay, bx, by, cx, cy, dx, dy) -> Fraction:
@@ -415,9 +416,9 @@ def validate(p: SmallPolygon) -> AreaReport:
     # convex when no turn of the boundary ring has the other sign; the signs
     # are exact (``_cross_sign``), as in the hull and the calipers
     ordered = pts[list(p.boundary)]
-    x, y = ordered.T
-    x1, y1, x2, y2 = np.roll(x, -1), np.roll(y, -1), np.roll(x, -2), np.roll(y, -2)
-    turn = _cross_sign(x, y, x1, y1, x1, y1, x2, y2)
+    x, y = np.concatenate((ordered, ordered[:2])).T  # the ring, then its first two again
+    x0, y0, x1, y1, x2, y2 = x[:-2], y[:-2], x[1:-1], y[1:-1], x[2:], y[2:]
+    turn = _cross_sign(x0, y0, x1, y1, x1, y1, x2, y2)
     is_convex = bool(np.all(turn >= 0) or np.all(turn <= 0))
 
     mirror = np.concatenate((

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dd
 from .geometry import (
     AngleVector,
     AreaReport,
@@ -41,6 +40,11 @@ from .solver import (
 CLOSURE_RESIDUAL_TOL = 1e-14
 _THETA_MAX = math.pi / 3
 _PENALTY = -1.0
+_PI_LO = 1.2246467991473532e-16  # pi - math.pi, rounded
+_SPLITTER = 134217729.0  # 2**27 + 1: Dekker's split into two 26-bit halves
+# g(b) = sin b - tan(b/2) - b/2 = -5 b^3/24 + b^5/240 - 5 b^7/8064
+#        - 29 b^9/725760 - 139 b^11/31933440 - ..., highest order first
+_G_TAYLOR = (-139 / 31933440, -29 / 725760, -5 / 8064, 1 / 240, -5 / 24)
 
 
 @dataclass(frozen=True)
@@ -63,12 +67,7 @@ class ReducedParams:
     gamma_last_derived: float | None = None
 
     def __post_init__(self):
-        if self.n % 2 != 0 or self.n < 6:
-            raise ValueError(f"n must be even and >= 6, got {self.n}")
-        if self.r < 0:
-            raise ValueError(f"r must be >= 0, got {self.r}")
-        if self.n < 2 * self.r + 4:
-            raise ValueError(f"need n >= 2r + 4, got n = {self.n}, r = {self.r}")
+        _check_size(self.n, self.r)
         object.__setattr__(self, "alpha", float(self.alpha) + 0.0)
         object.__setattr__(self, "betas", tuple(float(b) + 0.0 for b in self.betas))
         object.__setattr__(self, "gammas_free", tuple(float(g) + 0.0 for g in self.gammas_free))
@@ -84,6 +83,15 @@ class ReducedParams:
             )
 
 
+def _check_size(n: int, r: int) -> None:
+    if n % 2 != 0 or n < 6:
+        raise ValueError(f"n must be even and >= 6, got {n}")
+    if r < 0:
+        raise ValueError(f"r must be >= 0, got {r}")
+    if n < 2 * r + 4:
+        raise ValueError(f"need n >= 2r + 4, got n = {n}, r = {r}")
+
+
 def free_shape(r: int) -> tuple[int, int]:
     """(number of free betas, number of free gammas) for a given r."""
     if r == 0:
@@ -91,21 +99,29 @@ def free_shape(r: int) -> tuple[int, int]:
     return r // 2, (r + 1) // 2 - 1
 
 
-def _beta_dd(p: ReducedParams) -> dd.DD:
-    m = p.n // 2
-    # alpha + 2 sum(betas) as a double-double: the correctly rounded sum and
-    # the correctly rounded remainder
-    terms = [p.alpha, *(2.0 * b for b in p.betas)]
-    hi = math.fsum(terms)
-    terms.append(-hi)
-    s = dd.DD(hi, math.fsum(terms))
-    tail = m - p.r - 1 if p.r % 2 == 0 else m - p.r
-    return (dd.HALF_PI - s) / dd.DD(float(tail))
+def _split(a: float) -> tuple[float, float]:
+    """Dekker's split of ``a`` into two halves whose pairwise products are exact."""
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
 
 
 def solve_beta(p: ReducedParams) -> float:
-    """Tail angle from the quarter-turn angle sum; linear in the inputs."""
-    beta = _beta_dd(p).to_float()
+    """Tail angle from the quarter-turn angle sum, correctly rounded.
+
+    The quotient (pi/2 - alpha - 2 sum(betas)) / tail of the ``fsum`` of
+    the terms (pi/2 as its high and low parts), plus the exact remainder,
+    itself an ``fsum`` of the same terms and the four exact partial products
+    of the split quotient and tail count, divided by the tail count.
+    """
+    m = p.n // 2
+    tail = float(m - p.r - 1 if p.r % 2 == 0 else m - p.r)
+    terms = [math.pi / 2, _PI_LO / 2, -p.alpha, *(-2.0 * b for b in p.betas)]
+    q = math.fsum(terms) / tail
+    qh, ql = _split(q)
+    th, tl = _split(tail)
+    terms += (-qh * th, -qh * tl, -ql * th, -ql * tl)
+    beta = q + math.fsum(terms) / tail
     if not 0.0 < beta < _THETA_MAX:
         raise ValueError(f"derived tail angle {beta:.6f} outside (0, pi/3)")
     return beta
@@ -235,6 +251,7 @@ def reduced_area(p: ReducedParams) -> float:
     sin(beta) - tan(beta/2) plus one correction term built from the prefix
     state; the prefix contributes its own triangle areas.  For r = 0 the
     value is the polygon area only at the closure point alpha = beta/2.
+    Summed as ``_area_terms`` describes.
     """
     if p.beta_derived is None:
         raise ValueError("derive the parameters before evaluating the area")
@@ -242,41 +259,63 @@ def reduced_area(p: ReducedParams) -> float:
 
 
 def area_deficit(p: ReducedParams) -> float:
-    """pi/4 - area - 5 pi^3 / 48 n^2, accumulated in double-double.
+    """pi/4 - area - 5 pi^3 / 48 n^2 as one ``fsum`` of O(1/n) terms.
 
-    The plain double area is accurate to about 1e-16, which is exactly the
-    scale of the deficit's own 1/n^3 term at n ~ 50000; compensated
-    accumulation of the same closed form keeps the deficit meaningful there.
+    The area lies within 1e-9 of pi/4 at large n, so subtracting it from
+    pi/4 would leave rounding noise at the scale of the deficit's own 1/n^3
+    term; ``_area_terms`` sums the deficit without forming either.
     """
     if p.beta_derived is None:
         raise ValueError("derive the parameters before evaluating the deficit")
-    _, acc = _area_terms(p)
-    n = p.n
-    pi3 = dd.PI * dd.PI * dd.PI
-    corr = pi3 * dd.DD(5.0) / dd.DD(float(48 * n * n))
-    return (dd.QUARTER_PI - acc - corr).to_float()
+    return _area_terms(p)[1]
+
+
+def _g(beta: float) -> float:
+    """g(beta) = sin(beta) - tan(beta/2) - beta/2 without cancellation.
+
+    The Taylor series ``_G_TAYLOR`` below |beta| = 0.02 (truncated after
+    the b^11 term, 2e-23 relative at 0.02), and tan(beta/2) cos(beta)
+    - beta/2 from there on.
+    """
+    if abs(beta) < 0.02:
+        b2 = beta * beta
+        acc = 0.0
+        for coeff in _G_TAYLOR:
+            acc = acc * b2 + coeff
+        return acc * b2 * beta
+    return math.tan(beta / 2) * math.cos(beta) - beta / 2
 
 
 @functools.lru_cache(maxsize=1)
-def _area_terms(p: ReducedParams) -> tuple[float, dd.DD]:
-    """Area both as a plain double and as a compensated accumulation.
+def _area_terms(p: ReducedParams) -> tuple[float, float]:
+    """Area and deficit, each one ``math.fsum`` of O(1/n) terms.
 
-    The prefix contributes the triangle sum of its rp + 1 angles, the tail
-    (n/2 - rp - 1) copies of sin(beta) - tan(beta/2), and one correction term
-    in phi = S_rp and vertex rp joins them, all three from one ``_walk``; for
-    r = 0 the prefix is theta_0 = alpha alone.  Keyed like ``derive``'s memo
-    and, like it, kept for the last point, so the ``area_deficit`` after a
-    solve's closing ``objective`` reuses its terms.
+    The prefix contributes the triangle sum ``tri`` of its rp + 1 angles,
+    the tail tc = n/2 - rp - 1 copies of sin(beta) - tan(beta/2), and one
+    ``correction`` in phi = S_rp and vertex rp joins them, all three from
+    one ``_walk``; for r = 0 the prefix is theta_0 = alpha alone.  Since
+    tc beta = pi/2 - phi for the exact tail angle, the tail is pi/4 - phi/2
+    + tc g(beta) (``_g``), with phi/2 = alpha/2 + sum(betas) (+ beta for
+    odd r) taken from the free parameters term by term.  So the deficit is
+    phi/2 - tc g(beta) - tri + correction - 5 pi^3/48n^2, with no O(1) term
+    to cancel, and the area pi/4 - phi/2 + tc g(beta) + tri - correction.
+    Keyed like ``derive``'s memo and, like it, kept for the last point, so
+    the ``area_deficit`` after a solve's closing ``objective`` reuses it.
     """
-    beta_dd = _beta_dd(p)
-    beta = beta_dd.to_float()
+    beta = p.beta_derived
     th = _prefix_angles(p, beta, p.gamma_last_derived)
     S, x, y, tri = _walk(th)
     phi, X, Y = S[-1], x[-2], y[-2]  # S_rp and vertex rp
     correction = (X * math.sin(phi) + Y * math.cos(phi) + 0.5) * math.tan(beta / 2)
-    tail = dd.sin_minus_half_tan(beta_dd) * dd.DD(float(p.n // 2 - len(th)))
-    acc = tail + dd.DD(tri) + dd.DD(-correction)
-    return acc.to_float(), acc
+    half_phi = [p.alpha / 2, *p.betas] + ([beta] if p.r % 2 else [])
+    tail = (p.n // 2 - len(th)) * _g(beta)
+    area = math.fsum(
+        [math.pi / 4, _PI_LO / 4, *(-h for h in half_phi), tail, tri, -correction]
+    )
+    deficit = math.fsum(
+        [*half_phi, -tail, -tri, correction, -5 * math.pi**3 / (48 * p.n * p.n)]
+    )
+    return area, deficit
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +330,27 @@ def parameter_bounds(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def params_from_vector(n: int, r: int, vec) -> ReducedParams:
+    """The point with free parameters ``vec``, validated and stored once.
+
+    Checks what ``ReducedParams`` checks and stores the angles as it does,
+    without a second pass through its constructor.
+    """
+    _check_size(n, r)
     nb, ng = free_shape(r)
-    vec = [float(v) for v in vec]
-    if len(vec) != 1 + nb + ng:
-        raise ValueError(f"expected {1 + nb + ng} free parameters, got {len(vec)}")
-    return ReducedParams(
+    vals = [v + 0.0 for v in np.asarray(vec, dtype=float).tolist()]
+    if len(vals) != 1 + nb + ng:
+        raise ValueError(f"expected {1 + nb + ng} free parameters, got {len(vals)}")
+    p = object.__new__(ReducedParams)
+    p.__dict__.update(
         n=n,
         r=r,
-        alpha=vec[0],
-        betas=tuple(vec[1 : 1 + nb]),
-        gammas_free=tuple(vec[1 + nb :]),
+        alpha=vals[0],
+        betas=tuple(vals[1 : 1 + nb]),
+        gammas_free=tuple(vals[1 + nb :]),
+        beta_derived=None,
+        gamma_last_derived=None,
     )
+    return p
 
 
 def params_to_vector(p: ReducedParams) -> np.ndarray:
@@ -324,6 +373,29 @@ def objective(n: int, r: int, vec) -> float:
     return reduced_area(p)
 
 
+@functools.lru_cache(maxsize=MAX_TABULATED_R + 1)
+def _sum_skeleton(r: int) -> np.ndarray:
+    """The rows of ``_sum_map`` that do not depend on n; read-only, one per r.
+
+    The beta row is left zero, and so, for odd r, are the last pair's two
+    rows, whose angles are the tail angle beta plus and minus gamma_last.
+    """
+    nb, ng = free_shape(r)
+    k = 1 + nb + ng
+    rp = 2 * (ng + 1)
+    A = np.zeros((rp + 2, k + 1))
+    eye = np.eye(k + 1)
+    A[0, 0] = 1.0
+    gs = [eye[1 + nb + i] for i in range(ng)] + [eye[k]]
+    for i in range(nb):
+        A[2 * i + 1] = eye[1 + i] + gs[i]
+        A[2 * i + 2] = eye[1 + i] - gs[i]
+    fixed = rp + 1 - 2 * (r % 2)
+    A[:fixed] = np.cumsum(A[:fixed], axis=0)
+    A.flags.writeable = False
+    return A
+
+
 @functools.lru_cache(maxsize=1)
 def _sum_map(n: int, r: int) -> np.ndarray:
     """The affine map A = dz/du of ``derivatives``, read-only; fixed per (n, r).
@@ -332,23 +404,23 @@ def _sum_map(n: int, r: int) -> np.ndarray:
     tail angle beta.  Columns: the free parameters, then gamma_last.  beta
     comes from the angle sum (it fills the tail and, for odd r, the last
     pair), the prefix angles are alpha and (b + g, b - g), and the partial
-    sums accumulate the prefix rows.
+    sums accumulate the prefix rows.  A copy of ``_sum_skeleton(r)`` with
+    the rows that n changes filled in, by the additions ``np.cumsum`` makes.
     """
     nb, ng = free_shape(r)
     k = 1 + nb + ng
     rp = 2 * (ng + 1)
     tail = n // 2 - rp - 1 + 2 * (r % 2)
-    A = np.zeros((rp + 2, k + 1))
-    eye = np.eye(k + 1)
-    A[rp + 1, 0] = -1.0 / tail
-    A[rp + 1, 1 : 1 + nb] = -2.0 / tail
-    A[0, 0] = 1.0
-    bs = [eye[1 + i] for i in range(nb)] + [A[rp + 1]] * (r % 2)
-    gs = [eye[1 + nb + i] for i in range(ng)] + [eye[k]]
-    for i, (b, g) in enumerate(zip(bs, gs)):
-        A[2 * i + 1] = b + g
-        A[2 * i + 2] = b - g
-    A[: rp + 1] = np.cumsum(A[: rp + 1], axis=0)
+    A = _sum_skeleton(r).copy()
+    b = A[rp + 1]
+    b[0] = -1.0 / tail
+    b[1 : 1 + nb] = -2.0 / tail
+    if r % 2:
+        plus, minus = b.copy(), b.copy()
+        plus[k] += 1.0
+        minus[k] -= 1.0
+        A[rp - 1] = A[rp - 2] + plus
+        A[rp] = A[rp - 1] + minus
     A.flags.writeable = False
     return A
 

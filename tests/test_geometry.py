@@ -183,6 +183,15 @@ class TestAreas:
         for k in range(4):
             assert shoelace(np.roll(square, k, axis=0) + 5.0) == 1.0
 
+    def test_shoelace_is_the_rolled_sum(self):
+        # the closed ring's slices give the np.roll formula's sum bit for bit
+        for n, r in ((6, 1), (24, 4), (120, 16), (1000, 16)):
+            p, _, _ = construct_Q(n, r)
+            ring = np.asarray(p.vertices)[list(p.boundary)]
+            x, y = (ring - ring.mean(axis=0)).T
+            rolled = 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+            assert shoelace(ring) == rolled
+
     def test_shoelace_exact_at_n_100000(self, large_polygons):
         # the exact shoelace sum of the float vertices, in 50 digits
         mpmath = pytest.importorskip("mpmath")

@@ -7,16 +7,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from smallpoly import asymptotics, dd, reduced
+from smallpoly import asymptotics, reduced
 from smallpoly.geometry import area_dissection, chain_coordinates, validate, vertices_from_angles
 from smallpoly.reduced import (
     CLOSURE_RESIDUAL_TOL,
     ReducedParams,
-    _beta_dd,
     _closure,
+    _g,
     _prefix_angles,
     _prefix_gradient,
     _sum_map,
+    _sum_skeleton,
     _walk,
     area_deficit,
     construct_Q,
@@ -62,6 +63,20 @@ class TestParams:
             ReducedParams(n=12, r=2, alpha=0.2)  # missing the free beta
         with pytest.raises(ValueError):
             ReducedParams(n=7, r=1, alpha=0.2)
+
+    def test_from_vector_is_the_constructed_point(self):
+        # built without the constructor, stored as the constructor stores it
+        x = start_vector(40, 5)
+        x[3] = -0.0
+        p = params_from_vector(40, 5, x)
+        q = ReducedParams(n=40, r=5, alpha=x[0], betas=tuple(x[1:3]), gammas_free=tuple(x[3:]))
+        assert type(p) is ReducedParams and type(p.alpha) is float
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+        for n, r in ((8, 3), (7, 1), (12, -1)):
+            with pytest.raises(ValueError) as built:
+                ReducedParams(n=n, r=r, alpha=0.2)
+            with pytest.raises(ValueError, match=re.escape(str(built.value))):
+                params_from_vector(n, r, [0.2])
 
 
 class TestSolveBeta:
@@ -396,8 +411,8 @@ class TestDerivatives:
     """Analytic gradient and Hessian of the reduced objective.
 
     The gradient is checked against fourth-order central differences (step
-    1e-2 pi/n) of the area in compensated arithmetic (``-area_deficit``,
-    the same closed form as ``objective``): at n = 50000 the plain-double
+    1e-2 pi/n) of the area as ``-area_deficit`` (the same closed form as
+    ``objective``, summed without its O(1) terms): at n = 50000 the
     objective changes by less than its rounding over any step short enough
     to keep the truncation error small.  The gradient there is about 1e-9,
     summed from terms of order 1, so its tolerance is 1e-3 relative against
@@ -458,12 +473,11 @@ class TestDerivatives:
 )
 def test_tail_angle_is_double_double(n, r):
     # the tail angle (pi/2 - alpha - 2 sum(betas)) / tail against the same
-    # quotient in exact rationals, pi/2 taken as its double-double; the
-    # error is measured against the quarter turn the tail shares out, since
-    # a small tail angle is the difference of two nearly equal sums
+    # quotient in exact rationals, pi/2 taken as its double-double (high and
+    # low parts): at most half an ulp off, i.e. the quotient correctly rounded
     m = n // 2
     tail = m - 1 if r == 0 else m - r - 1 if r % 2 == 0 else m - r
-    quarter = Fraction(dd.HALF_PI.hi) + Fraction(dd.HALF_PI.lo)
+    quarter = Fraction(math.pi / 2) + Fraction(reduced._PI_LO / 2)
     lo, hi = parameter_bounds(n, r)
     # r = 0 samples on both sides of its one point, alpha = pi/(2n - 2),
     # which is the bottom of its box
@@ -473,8 +487,93 @@ def test_tail_angle_is_double_double(n, r):
         x = start + 0.02 * (hi - lo) * rng.uniform(-1, 1, len(lo))
         p = params_from_vector(n, r, np.clip(x, lo, hi) if r else x)
         exact = (quarter - Fraction(p.alpha) - 2 * sum(map(Fraction, p.betas))) / tail
-        got = _beta_dd(p)
-        assert abs(Fraction(got.hi) + Fraction(got.lo) - exact) * tail <= quarter * 2**-104
+        beta = solve_beta(p)
+        assert abs(Fraction(beta) - exact) <= Fraction(math.ulp(beta)) / 2
+
+
+def whole_sum_map(n, r):
+    """``_sum_map`` built whole, row by row, without the per-r skeleton."""
+    nb, ng = free_shape(r)
+    k = 1 + nb + ng
+    rp = 2 * (ng + 1)
+    tail = n // 2 - rp - 1 + 2 * (r % 2)
+    A = np.zeros((rp + 2, k + 1))
+    eye = np.eye(k + 1)
+    A[rp + 1, 0] = -1.0 / tail
+    A[rp + 1, 1 : 1 + nb] = -2.0 / tail
+    A[0, 0] = 1.0
+    bs = [eye[1 + i] for i in range(nb)] + [A[rp + 1]] * (r % 2)
+    gs = [eye[1 + nb + i] for i in range(ng)] + [eye[k]]
+    for i, (b, g) in enumerate(zip(bs, gs)):
+        A[2 * i + 1] = b + g
+        A[2 * i + 2] = b - g
+    A[: rp + 1] = np.cumsum(A[: rp + 1], axis=0)
+    return A
+
+
+@pytest.mark.parametrize("r", range(1, 17))
+def test_sum_map_from_the_skeleton_is_bit_identical(r):
+    for n in (2 * r + 4, 2 * r + 6, 40, 120, 1000, 12346, 50000):
+        assert _sum_map(n, r).tobytes() == whole_sum_map(n, r).tobytes()
+    # the skeleton is shared, read-only and left as it was
+    skeleton = _sum_skeleton(r)
+    assert skeleton is _sum_skeleton(r) and not skeleton.flags.writeable
+    assert not skeleton[-1].any()
+
+
+class TestPlainFloatOracles:
+    """The plain-float family against 50-digit mpmath."""
+
+    @staticmethod
+    def exact_deficit(p, mp):
+        """pi/4 - area - 5 pi^3/48n^2 of the closed form at p's free
+        parameters and gamma_last, with the tail angle recomputed exactly."""
+        m = p.n // 2
+        tail = m - p.r - 1 if p.r % 2 == 0 else m - p.r
+        beta = (mp.pi / 2 - mp.mpf(p.alpha) - 2 * mp.fsum(map(mp.mpf, p.betas))) / tail
+        gamma = mp.mpf(p.gamma_last_derived or 0.0)
+        bs = [mp.mpf(b) for b in p.betas] + ([beta] if p.r % 2 else [])
+        gs = [mp.mpf(g) for g in p.gammas_free] + [gamma]
+        th = [mp.mpf(p.alpha)]
+        for b, g in zip(bs, gs):
+            th += [b + g, b - g]
+        s = mp.mpf(0)
+        x, y = [mp.mpf(0)], [mp.mpf(0)]
+        for j, t in enumerate(th):
+            s += t
+            sign = -1 if j % 2 else 1
+            x.append(x[-1] + sign * mp.sin(s))
+            y.append(y[-1] + sign * mp.cos(s))
+        tri = x[1] + mp.fsum(
+            x[k + 1] * y[k - 1] - y[k + 1] * x[k - 1] for k in range(2, len(th))
+        )
+        half = mp.tan(beta / 2)
+        correction = (x[-2] * mp.sin(s) + y[-2] * mp.cos(s) + mp.mpf(1) / 2) * half
+        area = (m - len(th)) * (mp.sin(beta) - half) + tri - correction
+        return mp.pi / 4 - area - 5 * mp.pi**3 / (48 * p.n**2)
+
+    @pytest.mark.parametrize(
+        "n, bound",
+        [(40, 1e-11), (120, 1e-10), (300, 1e-9), (1000, 1e-8), (5000, 1e-7),
+         (20000, 1e-6), (50000, 1e-5)],
+    )
+    def test_deficit(self, n, bound):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for r in (0, 1, 4, 16):
+                p = reduced.best_params(n, r)
+                exact = self.exact_deficit(p, mpmath)
+                rel = abs((area_deficit(p) - exact) / exact)
+                assert rel <= bound, (r, float(rel))
+
+    def test_g(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for beta in np.geomspace(1e-9, 1.0, 15).tolist():
+                b = mpmath.mpf(beta)
+                exact = mpmath.sin(b) - mpmath.tan(b / 2) - b / 2
+                rel = abs((_g(beta) - exact) / exact)
+                assert rel <= (4e-16 if beta < 0.02 else 1e-12), (beta, float(rel))
 
 
 class TestDeriveCopy:
