@@ -298,92 +298,65 @@ def _parse_int_list(text: str) -> list[int]:
         raise ValueError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
-def table2_rows(r_list):
-    """Computed vs embedded deficit coefficients for the r of ``asymptotics.CUBICS``."""
-    rows = []
-    for r in r_list:
-        if r not in asymptotics.CUBICS:
-            raise ValueError(f"table2 reproduces r in {sorted(asymptotics.CUBICS)}")
-        q, _ = asymptotics.minimize_cubic(r)
-        ref = reference.coeff_row(r).q
-        rows.append((r, q, ref, q - ref))
-    return rows
+def _table2_cells(r):
+    q, _ = asymptotics.minimize_cubic(r)
+    return [(f"{r:>3}", q, reference.coeff_row(r).q)]
 
 
-def table3_rows(n_list):
-    """Computed vs embedded optimal small-n constructions.
-
-    Each family cell runs the box maximizer from its one deterministic start.
-    """
-    rows = []
-    for n in n_list:
-        if n not in reference.OPTIMAL_SMALL_N:
-            raise ValueError(f"table3 covers n in {sorted(reference.OPTIMAL_SMALL_N)}")
-        ref = reference.OPTIMAL_SMALL_N[n]
-        _, report, params = reduced.construct_Q(n, n // 2 - 2)
-        rows.append((n, report.area, ref.area, report.area - ref.area, params))
-    return rows
+def _table3_cells(n):
+    _, report, _ = reduced.construct_Q(n, n // 2 - 2)
+    return [(f"{n:>4}", report.area, reference.OPTIMAL_SMALL_N[n].area)]
 
 
-def _table5_row(n):
+def _table5_cells(n):
     ref = reference.AREA_COMPARISON[n]
-    cells = [("regular", geometry.regular_area(n), ref.regular)]
+    label = f"n={n:<4} {{:<12}}".format
+    yield label("regular"), geometry.regular_area(n), ref.regular
     for r, ref_area in enumerate(ref.q):
-        if ref_area is None:
-            continue
-        _, report, _ = reduced.construct_Q(n, r)
-        cells.append((f"family r={r}", report.area, ref_area))
+        if ref_area is not None:
+            _, report, _ = reduced.construct_Q(n, r)
+            yield label(f"family r={r}"), report.area, ref_area
     _, area, _ = solver.solve_full_nlp(n)
-    cells.append(("optimal", area, ref.optimal))
-    cells.append(("bound", geometry.upper_bound(n), ref.upper))
-    return n, cells
+    yield label("optimal"), area, ref.optimal
+    yield label("bound"), geometry.upper_bound(n), ref.upper
 
 
-def table5_rows(n_list):
-    """Full area comparison, one row per n.
-
-    Each family cell runs the box maximizer from its one deterministic start.
-    """
-    for n in n_list:
-        if n not in reference.AREA_COMPARISON:
-            raise ValueError(f"table5 covers n in {sorted(reference.AREA_COMPARISON)}")
-    return [_table5_row(n) for n in n_list]
+# which -> (the flag naming its keys, the keys it covers in default order,
+# default per-cell tolerance, header, width.precision of a value, the cells
+# of one key as (label, computed, reference)); each family cell runs the
+# box maximizer from its one deterministic start
+TABLES = {
+    "table2": ("r", tuple(asymptotics.CUBICS), 1e-12,
+               f"{'r':>3} {'computed':>22} {'reference':>22} {'delta':>12}\n", "22.16",
+               _table2_cells),
+    "table3": ("n", tuple(sorted(reference.OPTIMAL_SMALL_N)), 1e-9,
+               f"{'n':>4} {'computed':>22} {'reference':>22} {'delta':>12}\n", "22.16",
+               _table3_cells),
+    "table5": ("n", tuple(sorted(reference.AREA_COMPARISON)), 1e-8, "", "16.10",
+               _table5_cells),
+}
 
 
 def cmd_table(args) -> int:
+    """Print one reference table, every key checked before any cell is computed."""
     _check_tol(args.tol)
-    if args.which == "table2" and args.n is not None:
-        raise ValueError("--n does not apply to table2, which takes --r")
-    if args.which != "table2" and args.r is not None:
-        raise ValueError(f"--r does not apply to {args.which}, which takes --n")
+    flag, covered, tol, header, width, cells = TABLES[args.which]
+    other = "n" if flag == "r" else "r"
+    if getattr(args, other) is not None:
+        raise ValueError(f"--{other} does not apply to {args.which}, which takes --{flag}")
+    text = getattr(args, flag)
+    keys = covered if text is None else _parse_int_list(text)
+    if not keys or not set(keys) <= set(covered):
+        raise ValueError(f"{args.which} covers {flag} in {sorted(covered)}, got {text!r}")
+    tol = args.tol if args.tol is not None else tol
+    sys.stdout.write(header)
     failed = False
-    if args.which == "table2":
-        r_list = _parse_int_list(args.r) if args.r else list(asymptotics.CUBICS)
-        tol = args.tol if args.tol is not None else 1e-12
-        sys.stdout.write(f"{'r':>3} {'computed':>22} {'reference':>22} {'delta':>12}\n")
-        for r, q, ref, delta in table2_rows(r_list):
+    for key in keys:
+        for label, value, ref in cells(key):
+            delta = value - ref
             mark = "" if abs(delta) <= tol else "  FAIL"
             failed = failed or bool(mark)
-            sys.stdout.write(f"{r:>3} {q:>22.16f} {ref:>22.16f} {delta:>12.2e}{mark}\n")
-    elif args.which == "table3":
-        n_list = _parse_int_list(args.n) if args.n else [6, 8, 10, 12]
-        tol = args.tol if args.tol is not None else 1e-9
-        sys.stdout.write(f"{'n':>4} {'computed':>22} {'reference':>22} {'delta':>12}\n")
-        for n, area, ref, delta, _ in table3_rows(n_list):
-            mark = "" if abs(delta) <= tol else "  FAIL"
-            failed = failed or bool(mark)
-            sys.stdout.write(f"{n:>4} {area:>22.16f} {ref:>22.16f} {delta:>12.2e}{mark}\n")
-    else:
-        n_list = _parse_int_list(args.n) if args.n else sorted(reference.AREA_COMPARISON)
-        tol = args.tol if args.tol is not None else 1e-8
-        for n, cells in table5_rows(n_list):
-            for label, value, ref in cells:
-                delta = value - ref
-                mark = "" if abs(delta) <= tol else "  FAIL"
-                failed = failed or bool(mark)
-                sys.stdout.write(
-                    f"n={n:<4} {label:<12} {value:>16.10f} {ref:>16.10f} {delta:>12.2e}{mark}\n"
-                )
+            sys.stdout.write(f"{label} {value:>{width}f} {ref:>{width}f} {delta:>12.2e}{mark}\n")
     sys.stdout.write("FAIL\n" if failed else "PASS\n")
     return VALIDATION_ERROR if failed else 0
 

@@ -18,7 +18,10 @@ ANGLE_SUM_TOL = 1e-9
 CLOSURE_TOL = 1e-9
 MIRROR_TOL = 1e-12
 SMALL_TOL = 1e-9
-_BOUND_SLACK = 1e-9
+# the turning angles' box: theta_0 in [0, pi/6], every other turn in
+# [0, THETA_MAX] (``angle_box``), checked with this slack (``AngleVector``)
+THETA_MAX = math.pi / 3
+_BOUND_SLACK = 1e-12
 _EPS = float(np.finfo(float).eps)
 # Shewchuk's ccwerrboundA: (3 + 16u) u with u = eps / 2
 _CROSS_BOUND = (3 + 8 * _EPS) * _EPS / 2
@@ -45,15 +48,13 @@ class AngleVector:
     theta: tuple[float, ...]
 
     def __post_init__(self):
-        if self.n % 2 != 0 or self.n < 6:
-            raise ValueError(f"n must be even and >= 6, got {self.n}")
+        require_even(self.n, minimum=6)
         th = np.array(self.theta, dtype=float)
         if th.shape != (self.n // 2,):
             raise ValueError(f"expected {self.n // 2} angles, got {len(self.theta)}")
         object.__setattr__(self, "theta", tuple(th.tolist()))
-        hi = np.full(len(th), math.pi / 3)
-        hi[0] = math.pi / 6
-        outside = np.flatnonzero(~((th >= -_BOUND_SLACK) & (th <= hi + _BOUND_SLACK)))
+        lo, hi = angle_box(len(th))
+        outside = np.flatnonzero(~((th >= lo - _BOUND_SLACK) & (th <= hi + _BOUND_SLACK)))
         if len(outside):
             k = int(outside[0])
             raise ValueError(
@@ -109,15 +110,30 @@ class AreaReport:
         return self.is_convex and self.is_symmetric and self.is_small
 
 
+def angle_box(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds of m turning angles: [0, pi/6], then [0, pi/3]."""
+    hi = np.full(m, THETA_MAX)
+    hi[0] = math.pi / 6
+    return np.zeros(m), hi
+
+
+def require_even(n: int, minimum: int) -> None:
+    """The one check of a side count: an even integer at least ``minimum``."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if n % 2 != 0 or n < minimum:
+        raise ValueError(f"n must be even and >= {minimum}, got {n}")
+
+
 def upper_bound(n: int) -> float:
     """Area bound no unit-diameter n-gon (n even) can reach."""
-    _require_even(n, minimum=6)
+    require_even(n, minimum=6)
     return n / 2 * math.sin(math.pi / n) - (n - 1) / 2 * math.tan(math.pi / (2 * n - 2))
 
 
 def regular_area(n: int) -> float:
     """Area of the regular unit-diameter n-gon, n even."""
-    _require_even(n, minimum=4)
+    require_even(n, minimum=4)
     return n / 8 * math.sin(2 * math.pi / n)
 
 
@@ -162,7 +178,7 @@ def boundary_order(vertices) -> tuple[int, ...]:
 
 def polygon_from_vertices(n: int, vertices) -> SmallPolygon:
     """Assemble a SmallPolygon from raw vertices (standard skeleton indexing)."""
-    _require_even(n, minimum=6)
+    require_even(n, minimum=6)
     pts = np.array(vertices, dtype=float)
     if pts.shape != (n, 2):
         raise ValueError(f"expected {n} (x, y) vertices, got an array of shape {pts.shape}")
@@ -445,9 +461,3 @@ def validate(p: SmallPolygon) -> AreaReport:
         is_small=diameter <= 1.0 + SMALL_TOL,
     )
 
-
-def _require_even(n: int, minimum: int) -> None:
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n % 2 != 0 or n < minimum:
-        raise ValueError(f"n must be even and >= {minimum}, got {n}")

@@ -21,25 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    THETA_MAX,
     AngleVector,
     AreaReport,
     SmallPolygon,
+    require_even,
     validate,
     vertices_from_angles,
 )
 from .reference import MAX_TABULATED_R, coeff_row
-from .solver import (
-    BoxProblem,
-    BracketError,
-    InfeasibleError,
-    _area_hessian_s,
-    brentq,
-    maximize_box,
-)
+from .solver import BoxProblem, BracketError, _area_hessian_s, brentq, maximize_box
 
 CLOSURE_RESIDUAL_TOL = 1e-14
-_THETA_MAX = math.pi / 3
-_PENALTY = -1.0
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi, rounded
 _SPLITTER = 134217729.0  # 2**27 + 1: Dekker's split into two 26-bit halves
 # g(b) = sin b - tan(b/2) - b/2 = -5 b^3/24 + b^5/240 - 5 b^7/8064
@@ -84,8 +77,8 @@ class ReducedParams:
 
 
 def _check_size(n: int, r: int) -> None:
-    if n % 2 != 0 or n < 6:
-        raise ValueError(f"n must be even and >= 6, got {n}")
+    """The family's size check: n even and >= 6, r >= 0 and n >= 2r + 4."""
+    require_even(n, minimum=6)
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     if n < 2 * r + 4:
@@ -122,7 +115,7 @@ def solve_beta(p: ReducedParams) -> float:
     th, tl = _split(tail)
     terms += (-qh * th, -qh * tl, -ql * th, -ql * tl)
     beta = q + math.fsum(terms) / tail
-    if not 0.0 < beta < _THETA_MAX:
+    if not 0.0 < beta < THETA_MAX:
         raise ValueError(f"derived tail angle {beta:.6f} outside (0, pi/3)")
     return beta
 
@@ -224,7 +217,7 @@ def _derive(p: ReducedParams) -> ReducedParams:
 
 
 def expand_angles(p: ReducedParams) -> AngleVector:
-    """The full n/2 turning angles of the construction."""
+    """The full n/2 turning angles of the construction (``AngleVector`` checks their box)."""
     if p.beta_derived is None:
         raise ValueError("derive the parameters before expanding")
     if p.r > 0 and p.gamma_last_derived is None:
@@ -233,14 +226,6 @@ def expand_angles(p: ReducedParams) -> AngleVector:
     prefix = _prefix_angles(p, beta, p.gamma_last_derived)
     th = np.full(p.n // 2, beta)
     th[: len(prefix)] = prefix
-    hi = np.full(len(th), _THETA_MAX)
-    hi[0] = math.pi / 6
-    outside = np.flatnonzero(~((th >= -1e-12) & (th <= hi + 1e-12)))
-    if len(outside):
-        k = int(outside[0])
-        raise ValueError(
-            f"expanded angle theta_{k} = {th[k]:.6f} outside [0, {hi[k]:.6f}]"
-        )
     return AngleVector(p.n, th)
 
 
@@ -364,13 +349,8 @@ def start_vector(n: int, r: int) -> np.ndarray:
 
 
 def objective(n: int, r: int, vec) -> float:
-    """Area of the candidate, or a graded penalty when derivation fails."""
-    try:
-        p = params_from_vector(n, r, vec)
-        p = derive(p)
-    except ValueError:
-        return _PENALTY - float(np.sum(np.abs(vec)))
-    return reduced_area(p)
+    """Area of the candidate; a ValueError where ``derive`` finds none."""
+    return reduced_area(derive(params_from_vector(n, r, vec)))
 
 
 @functools.lru_cache(maxsize=MAX_TABULATED_R + 1)
@@ -461,14 +441,14 @@ def derivatives(n: int, r: int, vec):
     """Gradient and Hessian of ``objective`` in the free parameters, r >= 1.
 
     Returns ``(gradient, hessian)`` with ``hessian`` a zero-argument
-    callable (the ``BoxProblem`` contract), or None where ``objective`` is a
-    penalty.  The gradient and mu are computed here, from the vertices of
-    one ``_walk`` of the prefix, their steps and area gradient
-    (``_prefix_gradient``) and one product with A; the prefix triangles'
-    dense Hessian and the B^T H B assembly wait for ``hessian()``, which the
-    Newton kernel calls only at the points it steps from.  The turn phi is
-    taken as ``math.fsum`` of the prefix angles, not the walk's S_rp.
-    With u = (free parameters p, gamma_last), the area F and the
+    callable (the ``BoxProblem`` contract), or None where ``derive`` raises
+    (``objective`` is undefined).  The gradient and mu are computed here,
+    from the vertices of one ``_walk`` of the prefix, their steps and area
+    gradient (``_prefix_gradient``) and one product with A; the prefix
+    triangles' dense Hessian and the B^T H B assembly wait for
+    ``hessian()``, which the Newton kernel calls only at the points it steps
+    from.  The turn phi is the walk's S_rp, as in ``_area_terms``.  With
+    u = (free parameters p, gamma_last), the area F and the
     closure residual C are closed forms in z = (S_0, ..., S_rp, beta), the
     partial sums of the rp + 1 prefix angles and the tail angle, and z = A u
     is linear with A fixed per (n, r) (``_sum_map``).  In z the prefix
@@ -495,12 +475,12 @@ def derivatives(n: int, r: int, vec):
 
     # prefix terms in z: triangles T, vertex rp = (X, Y), phi = S_rp; the
     # entries of gX and gY after rp - 1 are zero and left out
-    _, x, y, _ = _walk(th)
+    S, x, y, _ = _walk(th)
     steps_p, steps_q, gT = _prefix_gradient(x, y)
     gX = steps_q[:rp]  # q_j
     gY = [-v for v in steps_p[:rp]]  # -p_j
 
-    phi, X, Y = math.fsum(th), x[rp], y[rp]
+    phi, X, Y = S[rp], x[rp], y[rp]
     sp, cp = math.sin(phi), math.cos(phi)
     t = math.tan(beta / 2)
     t1 = (1.0 + t * t) / 2.0
@@ -549,12 +529,16 @@ def derivatives(n: int, r: int, vec):
 def best_params(n: int, r: int) -> ReducedParams:
     """Derived parameters of the family's best polygon for the given n.
 
-    r = 0 has no free parameter: alpha = pi/(2n - 2), half the tail angle.
-    Otherwise one Newton solve of the box maximizer from ``start_vector``;
-    raises InfeasibleError if that solve ends on a penalty point.
+    The one check of n and r: ``_check_size``, then, for r >= 1, the
+    tabulated r of ``start_vector``.  r = 0 has no free parameter: alpha =
+    pi/(2n - 2), half the tail angle.  Otherwise one Newton solve of the box
+    maximizer from ``start_vector``; an undefined start raises the
+    ValueError of ``derive`` when the solve evaluates ``objective`` there.
     """
+    _check_size(n, r)
     if r == 0:
         return derive(ReducedParams(n=n, r=0, alpha=math.pi / (2 * n - 2)))
+    start = start_vector(n, r)
     lo, hi = parameter_bounds(n, r)
     problem = BoxProblem(
         lower=tuple(lo),
@@ -562,23 +546,12 @@ def best_params(n: int, r: int) -> ReducedParams:
         objective=lambda v: objective(n, r, v),
         derivatives=lambda v: derivatives(n, r, v),
     )
-    best, value, diag = maximize_box(problem, start_vector(n, r))
-    if value <= _PENALTY:
-        raise InfeasibleError(
-            f"no feasible point found for n = {n}, r = {r}; best value {value:.3e}",
-            diag,
-        )
+    best, _, _ = maximize_box(problem, start)
     return derive(params_from_vector(n, r, best))
 
 
 def construct_Q(n: int, r: int) -> tuple[SmallPolygon, AreaReport, ReducedParams]:
     """Best polygon of the r-parameter family for the given n (``best_params``)."""
-    if n % 2 != 0 or n < 6:
-        raise ValueError(f"n must be even and >= 6, got {n}")
-    if not 0 <= r <= MAX_TABULATED_R or n < 2 * r + 4:
-        raise ValueError(
-            f"need 0 <= r <= {MAX_TABULATED_R} and n >= 2r + 4, got n = {n}, r = {r}"
-        )
     params = best_params(n, r)
     polygon = vertices_from_angles(expand_angles(params))
     return polygon, validate(polygon), params
@@ -592,6 +565,6 @@ def theorem_r(n: int) -> int:
 def construct_Q_theorem(n: int) -> tuple[SmallPolygon, AreaReport, ReducedParams]:
     """The headline polygon: r = n/2 - 2 up to n = 34, r = 16 beyond.
 
-    ``construct_Q`` checks n first, so an odd n or n < 6 raises its error.
+    ``best_params`` checks n first, so an odd n or n < 6 raises its error.
     """
     return construct_Q(n, theorem_r(n))

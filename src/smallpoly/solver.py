@@ -34,7 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AngleVector, area_dissection, chain_coordinates, half_sign
+from .geometry import (
+    AngleVector,
+    angle_box,
+    area_dissection,
+    chain_coordinates,
+    half_sign,
+    require_even,
+)
 
 _EPS = 2.220446049250313e-16
 # a box maximizer solve is reported converged when the gradient over its
@@ -260,13 +267,12 @@ def _newton(evaluate, x0, lo, hi, ncon: int):
 class BoxProblem:
     """Maximize ``objective`` over the box [lower, upper].
 
-    ``objective`` must return a finite float everywhere in the box; callers
-    encode infeasible regions as strongly negative values.
     ``derivatives(x)`` returns ``(gradient, hessian)``: the gradient of
     ``objective`` at x and a zero-argument callable that returns its Hessian
-    there, or None where the objective is such a penalty; the Newton kernel
-    calls ``hessian`` only at the points it steps from and never accepts a
-    step to a penalty point.
+    there, or None where the objective is undefined; the Newton kernel calls
+    ``hessian`` only at the points it steps from and never accepts a step to
+    an undefined point.  ``objective`` is evaluated once, at the returned
+    point, which is defined unless the start is (``STOP_UNDEFINED``).
     """
 
     lower: tuple[float, ...]
@@ -476,12 +482,11 @@ def solve_full_nlp(n: int, start=None, *, tol: float = 1e-10):
     Returns ``(AngleVector, area, Diagnostics)``.  Raises InfeasibleError if
     the solve does not reach both tolerances.
     """
-    if n % 2 != 0 or not 6 <= n <= 512:
-        raise ValueError(f"n must be even with 6 <= n <= 512, got {n}")
+    require_even(n, minimum=6)
+    if n > 512:
+        raise ValueError(f"n must be at most 512, got {n}")
     m = n // 2
-    lower = np.zeros(m)
-    upper = np.full(m, math.pi / 3)
-    upper[0] = math.pi / 6
+    lower, upper = angle_box(m)
     if start is None:
         from .reduced import construct_Q_theorem, expand_angles
 

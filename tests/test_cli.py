@@ -383,6 +383,18 @@ class TestTable:
 
     @pytest.mark.parametrize(
         "which, flag, value",
+        [("table5", "--n", ","), ("table3", "--n", "7"), ("table3", "--n", "6,7"),
+         ("table2", "--r", ""), ("table2", "--r", "4")],
+    )
+    def test_empty_or_unknown_keys_print_nothing(self, capsys, which, flag, value):
+        # every key is checked before the header or any cell is printed
+        code, out, err = run(capsys, "table", "--which", which, flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {which} covers {flag[2:]} in [")
+
+    @pytest.mark.parametrize(
+        "which, flag, value",
         [("table2", "--n", "999"), ("table3", "--r", "5"), ("table5", "--r", "2")],
     )
     def test_flag_of_another_table_is_usage_error(self, capsys, which, flag, value):

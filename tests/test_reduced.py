@@ -20,6 +20,7 @@ from smallpoly.reduced import (
     _sum_skeleton,
     _walk,
     area_deficit,
+    best_params,
     construct_Q,
     construct_Q_theorem,
     derivatives,
@@ -33,8 +34,14 @@ from smallpoly.reduced import (
     start_vector,
     theorem_r,
 )
-from smallpoly.reference import OPTIMAL_SMALL_N
-from smallpoly.solver import BracketError, _area_gradient_s, brentq
+from smallpoly.reference import MAX_TABULATED_R, OPTIMAL_SMALL_N
+from smallpoly.solver import (
+    STOP_CONVERGED,
+    BracketError,
+    _area_gradient_s,
+    brentq,
+    maximize_box,
+)
 
 
 def q61_params():
@@ -268,14 +275,17 @@ class TestExpand:
     @pytest.mark.parametrize(
         "change, named",
         [
-            ({"alpha": 1.0}, "theta_0 = 1.000000 outside [0, 0.523599]"),
-            ({"beta_derived": 1.2}, "theta_1 = 1.200000 outside [0, 1.047198]"),
-            ({"alpha": 1.0, "beta_derived": 1.2}, "theta_0 = 1.000000"),
+            ({"alpha": 1.0}, "theta_0 = 1.0 outside [0, pi/6]"),
+            ({"beta_derived": 1.2}, "theta_1 = 1.2 outside [0, pi/3]"),
+            ({"beta_derived": -0.1}, "theta_1 = -0.1 outside [0, pi/3]"),
+            ({"alpha": 1.0, "beta_derived": 1.2}, "theta_0 = 1.0 outside [0, pi/6]"),
         ],
     )
     def test_bounds_name_first_offender(self, change, named):
+        # ``AngleVector`` checks the expanded angles' box and names the first
+        # angle outside it
         p = replace(derive(ReducedParams(n=12, r=0, alpha=math.pi / 22)), **change)
-        with pytest.raises(ValueError, match=re.escape(f"expanded angle {named}")):
+        with pytest.raises(ValueError, match=re.escape(named)):
             expand_angles(p)
 
     def test_hexagon(self):
@@ -462,9 +472,12 @@ class TestDerivatives:
         assert np.max(np.abs(H - H.T)) <= 1e-14 * np.max(np.abs(H))
 
     def test_none_outside_the_domain(self):
-        # alpha at the top of its box with large betas leaves no tail angle
+        # alpha at the top of its box with large betas leaves no tail angle;
+        # the objective there raises derive's error
         lo, hi = parameter_bounds(12, 4)
         assert derivatives(12, 4, hi) is None
+        with pytest.raises(ValueError, match="derived tail angle"):
+            reduced.objective(12, 4, hi)
 
 
 @pytest.mark.parametrize(
@@ -473,8 +486,8 @@ class TestDerivatives:
 )
 def test_tail_angle_is_double_double(n, r):
     # the tail angle (pi/2 - alpha - 2 sum(betas)) / tail against the same
-    # quotient in exact rationals, pi/2 taken as its double-double (high and
-    # low parts): at most half an ulp off, i.e. the quotient correctly rounded
+    # quotient in exact rationals, pi/2 taken as its high and low parts: at
+    # most half an ulp off, i.e. the quotient correctly rounded
     m = n // 2
     tail = m - 1 if r == 0 else m - r - 1 if r % 2 == 0 else m - r
     quarter = Fraction(math.pi / 2) + Fraction(reduced._PI_LO / 2)
@@ -489,6 +502,29 @@ def test_tail_angle_is_double_double(n, r):
         exact = (quarter - Fraction(p.alpha) - 2 * sum(map(Fraction, p.betas))) / tail
         beta = solve_beta(p)
         assert abs(Fraction(beta) - exact) <= Fraction(math.ulp(beta)) / 2
+
+
+def test_every_tabulated_start_is_defined_and_converges(monkeypatch):
+    # the sizes a family solve meets: every r, every even n from 2r + 4 to
+    # 120 and three large n; no start is undefined and every box solve
+    # stops on a small residual
+    reasons = []
+
+    def recording(problem, start):
+        assert problem.derivatives(start) is not None
+        x, value, diag = maximize_box(problem, start)
+        reasons.append(diag.stop_reason)
+        return x, value, diag
+
+    monkeypatch.setattr(reduced, "maximize_box", recording)
+    sizes = [
+        (n, r)
+        for r in range(1, MAX_TABULATED_R + 1)
+        for n in [*range(2 * r + 4, 121, 2), 1000, 50000, 10**6]
+    ]
+    for n, r in sizes:
+        best_params(n, r)
+    assert reasons == [STOP_CONVERGED] * len(sizes)
 
 
 def whole_sum_map(n, r):

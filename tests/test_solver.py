@@ -149,7 +149,7 @@ class TestMaximizeBox:
             BoxProblem(lower=(0.0,), upper=(1.0,), objective=lambda v: 0.0, derivatives=None)
 
     def test_reports_unconverged_solve(self):
-        # the objective is a penalty everywhere, so the kernel takes no step
+        # the objective is undefined everywhere, so the kernel takes no step
         problem = BoxProblem(
             lower=(0.0,),
             upper=(1.0,),
