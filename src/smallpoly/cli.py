@@ -101,12 +101,12 @@ class PolygonRecord:
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"record {key!r} is malformed: {exc}") from None
 
-        n = entry("n", int)
+        n = entry("n", _json_int)
         points = entry("vertices", _vertex_array)
         valid = entry("valid", dict, {})
         return cls(
             n=n,
-            r=entry("r", lambda r: None if r is None else int(r), None),
+            r=entry("r", lambda r: None if r is None else _json_int(r), None),
             method=entry("method", str),
             area=entry("area", float),
             upper_bound=entry("upper_bound", float),
@@ -130,6 +130,13 @@ class PolygonRecord:
         except json.JSONDecodeError as exc:
             raise ValueError(f"record is not JSON: {exc}") from None
         return cls.from_dict(data)
+
+
+def _json_int(value) -> int:
+    """A JSON integer as it is; a float, string or boolean is a ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"expected a JSON integer, got {json.dumps(value)}")
+    return value
 
 
 def _vertex_array(vertices) -> np.ndarray:

@@ -8,6 +8,7 @@ shape is determined by the n/2 turning angles of the star chain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -156,6 +157,99 @@ def chain_coordinates(theta) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def walk_chain(theta) -> tuple[list, list, list, float]:
+    """Partial sums S_j, chain vertices 0..m and triangle sum of m angles.
+
+    The chain of ``chain_coordinates`` in plain floats, its operations in
+    their order, and the dissection area added in sequence: the one walk
+    behind every derivative of the area and of the closure.  At the full
+    program's m <= 256 angles and the family's prefix of at most 17, numpy's
+    fixed cost per call outweighs the arithmetic.
+    """
+    if isinstance(theta, np.ndarray):
+        theta = theta.tolist()
+    m = len(theta)
+    S = [0.0] * m
+    x = [0.0] * (m + 1)
+    y = [0.0] * (m + 1)
+    s = 0.0
+    for j, t in enumerate(theta):
+        s += t
+        S[j] = s
+        if j % 2:
+            x[j + 1] = x[j] - math.sin(s)
+            y[j + 1] = y[j] - math.cos(s)
+        else:
+            x[j + 1] = x[j] + math.sin(s)
+            y[j + 1] = y[j] + math.cos(s)
+    tri = 0.0
+    for k in range(2, m):
+        tri += x[k + 1] * y[k - 1] - y[k + 1] * x[k - 1]
+    return S, x, y, x[1] + tri
+
+
+def area_gradient_s(x, y) -> tuple[list, list, list]:
+    """Chain steps and the gradient of the triangle sum in the partial sums.
+
+    Takes the vertices 0..m of ``walk_chain``; returns the steps (p_j, q_j)
+    = vertex j+1 - vertex j and the gradient in S_0, ..., S_{m-1}.  Step j
+    depends on S_j alone and has derivative (q_j, -p_j) in it; each triangle
+    term touches vertices k-1 and k+1, and vertex k collects steps 0..k-1,
+    so step j inherits the adjoints of the vertices after it.
+    """
+    m = len(x) - 1
+    p = [x[j + 1] - x[j] for j in range(m)]
+    q = [y[j + 1] - y[j] for j in range(m)]
+    # the vertex adjoints: triangle k touches vertices k - 1 and k + 1
+    ax = [0.0] * (m + 1)
+    ay = [0.0] * (m + 1)
+    for k in range(3, m + 1):
+        ax[k] += y[k - 2]
+        ay[k] -= x[k - 2]
+    for k in range(1, m - 1):
+        ax[k] -= y[k + 2]
+        ay[k] += x[k + 2]
+    # step j inherits the adjoints of the vertices after it: suffix sums
+    grad = [0.0] * m
+    sx, sy = ax[m], ay[m]
+    for j in range(m - 1, -1, -1):
+        grad[j] = q[j] * sx - p[j] * sy
+        sx += ax[j]
+        sy += ay[j]
+    grad[0] += q[0]  # the apex triangle sin S_0
+    return p, q, grad
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_weights(m: int) -> np.ndarray:
+    """The signed pair counts w - w.T of ``area_hessian_s``, read-only; fixed per m.
+
+    32 sizes hold the reduced family's nine prefix lengths and the 20 sizes
+    of a table5 sweep's full programs.
+    """
+    idx = np.arange(m)
+    sign = np.where(idx % 2 == 0, 1.0, -1.0)
+    w = np.maximum(0, m - np.maximum(np.maximum.outer(idx, idx + 2), 2)) * np.outer(sign, sign)
+    weights = w - w.T
+    weights.flags.writeable = False
+    return weights
+
+
+def area_hessian_s(S) -> np.ndarray:
+    """Hessian of the triangle sum in the partial sums S of ``walk_chain``.
+
+    With steps (p_j, q_j) = s_j (sin S_j, cos S_j), s_j = (-1)^j, the area is
+    sin S_0 + sum_ab w_ab s_a s_b sin(S_a - S_b), where w_ab = max(0, m -
+    max(a, b + 2, 2)) counts the triangles whose cross product pairs step a
+    with step b.
+    """
+    s = np.asarray(S, dtype=float)
+    pair = _pair_weights(len(s)) * np.sin(s[:, None] - s[None, :])
+    hess = pair - np.diag(pair.sum(axis=1))
+    hess[0, 0] -= math.sin(s[0])
+    return hess
+
+
 def skeleton_edge_list(n: int) -> tuple[tuple[int, int], ...]:
     """The (n-1)-cycle v_0 v_1 ... v_{n-2} plus the pendant edge v_0 v_{n-1}."""
     edges = [(k, k + 1) for k in range(n - 2)]
@@ -215,17 +309,14 @@ def vertices_from_angles(a: AngleVector) -> SmallPolygon:
 
 
 def area_dissection(a) -> float:
-    """Polygon area as twice the sum of the star's triangle areas.
+    """Polygon area as twice the sum of the star's triangle areas (``walk_chain``).
 
     The first triangle (apex, origin, first chain vertex) contributes
     sin(theta_0)/2; triangle k >= 2 spans the origin and chain vertices
-    k-1, k+1, giving the cross-product form below.  Accepts an AngleVector
-    or a raw sequence of angles (the sum is then over its chain alone).
+    k-1, k+1.  Accepts an AngleVector or a raw sequence of angles (the sum
+    is then over its chain alone).
     """
-    theta = a.theta if isinstance(a, AngleVector) else a
-    x, y = chain_coordinates(theta)
-    k = np.arange(2, len(x) - 1)
-    return math.sin(theta[0]) + float(np.sum(x[k + 1] * y[k - 1] - y[k + 1] * x[k - 1]))
+    return walk_chain(a.theta if isinstance(a, AngleVector) else a)[3]
 
 
 def area_shoelace(p: SmallPolygon) -> float:

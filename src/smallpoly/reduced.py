@@ -25,12 +25,15 @@ from .geometry import (
     AngleVector,
     AreaReport,
     SmallPolygon,
+    area_gradient_s,
+    area_hessian_s,
     require_even,
     validate,
     vertices_from_angles,
+    walk_chain,
 )
 from .reference import MAX_TABULATED_R, coeff_row
-from .solver import BoxProblem, BracketError, _area_hessian_s, brentq, maximize_box
+from .solver import BoxProblem, BracketError, brentq, maximize_box
 
 CLOSURE_RESIDUAL_TOL = 1e-14
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi, rounded
@@ -130,45 +133,17 @@ def _prefix_angles(p: ReducedParams, beta: float, gamma_last: float) -> list[flo
     return th
 
 
-def _walk(th) -> tuple[list, list, list, float]:
-    """Partial sums S_j, chain vertices 0..m and triangle sum of the m angles ``th``.
-
-    The one chain walk of this module, in plain floats with the operations
-    of ``chain_coordinates`` in their order (a prefix has at most 17 angles,
-    where numpy's fixed cost per call outweighs the arithmetic).  The
-    triangle sum is ``area_dissection(th)`` added in sequence.
-    """
-    m = len(th)
-    S = [0.0] * m
-    x = [0.0] * (m + 1)
-    y = [0.0] * (m + 1)
-    s = 0.0
-    for j, t in enumerate(th):
-        s += t
-        S[j] = s
-        if j % 2:
-            x[j + 1] = x[j] - math.sin(s)
-            y[j + 1] = y[j] - math.cos(s)
-        else:
-            x[j + 1] = x[j] + math.sin(s)
-            y[j + 1] = y[j] + math.cos(s)
-    tri = 0.0
-    for k in range(2, m):
-        tri += x[k + 1] * y[k - 1] - y[k + 1] * x[k - 1]
-    return S, x, y, x[1] + tri
-
-
 def _closure(p: ReducedParams, beta: float):
     """The closure residual as a function of gamma_last alone.
 
     Summing the constant-angle tail in closed form reduces x_{n/2-1} = +-1/2
     to: x_rp + sin(phi - beta/2) / (2 cos(beta/2)) = 0, phi = S_rp.  The
-    prefix before the last pair does not depend on gamma_last, so ``_walk``
-    runs once here; each evaluation adds only the last pair (b + g, b - g),
-    whose first angle is an odd step of the chain, as ``_walk`` would.
+    prefix before the last pair does not depend on gamma_last, so it is
+    walked once here (``walk_chain``); each evaluation adds only the last
+    pair (b + g, b - g), whose first angle is an odd step of the chain.
     """
     th = _prefix_angles(p, beta, 0.0)[:-2]
-    S, x, _, _ = _walk(th)
+    S, x, _, _ = walk_chain(th)
     s0, x0 = S[-1], x[-1]
     b = beta if p.r % 2 else p.betas[-1]
     half = beta / 2
@@ -278,7 +253,7 @@ def _area_terms(p: ReducedParams) -> tuple[float, float]:
     The prefix contributes the triangle sum ``tri`` of its rp + 1 angles,
     the tail tc = n/2 - rp - 1 copies of sin(beta) - tan(beta/2), and one
     ``correction`` in phi = S_rp and vertex rp joins them, all three from
-    one ``_walk``; for r = 0 the prefix is theta_0 = alpha alone.  Since
+    one ``walk_chain``; for r = 0 the prefix is theta_0 = alpha alone.  Since
     tc beta = pi/2 - phi for the exact tail angle, the tail is pi/4 - phi/2
     + tc g(beta) (``_g``), with phi/2 = alpha/2 + sum(betas) (+ beta for
     odd r) taken from the free parameters term by term.  So the deficit is
@@ -289,7 +264,7 @@ def _area_terms(p: ReducedParams) -> tuple[float, float]:
     """
     beta = p.beta_derived
     th = _prefix_angles(p, beta, p.gamma_last_derived)
-    S, x, y, tri = _walk(th)
+    S, x, y, tri = walk_chain(th)
     phi, X, Y = S[-1], x[-2], y[-2]  # S_rp and vertex rp
     correction = (X * math.sin(phi) + Y * math.cos(phi) + 0.5) * math.tan(beta / 2)
     half_phi = [p.alpha / 2, *p.betas] + ([beta] if p.r % 2 else [])
@@ -405,46 +380,14 @@ def _sum_map(n: int, r: int) -> np.ndarray:
     return A
 
 
-def _prefix_gradient(x, y) -> tuple[list, list, list]:
-    """The prefix's chain steps and area gradient in the partial sums, in floats.
-
-    Takes the vertices 0..m of ``_walk``; returns the steps (``p``, ``q``),
-    each the difference of two vertices, and the gradient of the prefix
-    triangle sum in S_0, ..., S_{m-1}.  The operations are those of
-    ``np.diff`` and ``solver._area_gradient_s``, in their order.
-    """
-    m = len(x) - 1
-    p = [x[j + 1] - x[j] for j in range(m)]
-    q = [y[j + 1] - y[j] for j in range(m)]
-    # the vertex adjoints: triangle k touches vertices k - 1 and k + 1
-    ax = [0.0] * (m + 1)
-    ay = [0.0] * (m + 1)
-    for k in range(3, m + 1):
-        ax[k] += y[k - 2]
-    for k in range(1, m - 1):
-        ax[k] -= y[k + 2]
-        ay[k] += x[k + 2]
-    for k in range(3, m + 1):
-        ay[k] -= x[k - 2]
-    # step j inherits the adjoints of the vertices after it: suffix sums
-    grad = [0.0] * m
-    sx, sy = ax[m], ay[m]
-    for j in range(m - 1, -1, -1):
-        grad[j] = q[j] * sx - p[j] * sy
-        sx += ax[j]
-        sy += ay[j]
-    grad[0] += q[0]  # the apex triangle sin S_0
-    return p, q, grad
-
-
 def derivatives(n: int, r: int, vec):
     """Gradient and Hessian of ``objective`` in the free parameters, r >= 1.
 
     Returns ``(gradient, hessian)`` with ``hessian`` a zero-argument
     callable (the ``BoxProblem`` contract), or None where ``derive`` raises
     (``objective`` is undefined).  The gradient and mu are computed here,
-    from the vertices of one ``_walk`` of the prefix, their steps and area
-    gradient (``_prefix_gradient``) and one product with A; the prefix
+    from the vertices of one ``walk_chain`` of the prefix, their steps and
+    area gradient (``area_gradient_s``) and one product with A; the prefix
     triangles' dense Hessian and the B^T H B assembly wait for
     ``hessian()``, which the Newton kernel calls only at the points it steps
     from.  The turn phi is the walk's S_rp, as in ``_area_terms``.  With
@@ -452,7 +395,7 @@ def derivatives(n: int, r: int, vec):
     closure residual C are closed forms in z = (S_0, ..., S_rp, beta), the
     partial sums of the rp + 1 prefix angles and the tail angle, and z = A u
     is linear with A fixed per (n, r) (``_sum_map``).  In z the prefix
-    triangle sum T has the full program's gradient and Hessian in partial
+    triangle sum T has ``area_gradient_s`` and ``area_hessian_s`` in partial
     sums; the prefix vertex (X, Y) = vertex rp has gradient (q_j, -p_j) and
     diagonal Hessians -p_j and -q_j in S_j, j < rp, where (p_j, q_j) are the
     chain steps; the turn phi = S_rp is a coordinate.  Every term other than
@@ -475,8 +418,8 @@ def derivatives(n: int, r: int, vec):
 
     # prefix terms in z: triangles T, vertex rp = (X, Y), phi = S_rp; the
     # entries of gX and gY after rp - 1 are zero and left out
-    S, x, y, _ = _walk(th)
-    steps_p, steps_q, gT = _prefix_gradient(x, y)
+    S, x, y, _ = walk_chain(th)
+    steps_p, steps_q, gT = area_gradient_s(x, y)
     gX = steps_q[:rp]  # q_j
     gY = [-v for v in steps_p[:rp]]  # -p_j
 
@@ -507,7 +450,7 @@ def derivatives(n: int, r: int, vec):
         gYa[:rp] = gY
         gWa[: rp + 1] = gW
         H = np.zeros((rp + 2, rp + 2))
-        H[: rp + 1, : rp + 1] = _area_hessian_s(th)
+        H[: rp + 1, : rp + 1] = area_hessian_s(S)
         H.flat[:: rp + 3] -= t * (sp * gYa - cp * gXa) + mu * gYa
         v = t * (cp * gXa - sp * gYa)
         H[rp] -= v

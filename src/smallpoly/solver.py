@@ -28,7 +28,6 @@ the objective was undefined at the start (``STOP_UNDEFINED``).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -38,9 +37,11 @@ from .geometry import (
     AngleVector,
     angle_box,
     area_dissection,
-    chain_coordinates,
+    area_gradient_s,
+    area_hessian_s,
     half_sign,
     require_even,
+    walk_chain,
 )
 
 _EPS = 2.220446049250313e-16
@@ -160,12 +161,13 @@ def _newton(evaluate, x0, lo, hi, ncon: int):
     ``evaluate(x, lam)`` returns the gradient of the Lagrangian f + lam @ c,
     the ``ncon`` constraint values c, their Jacobian and a zero-argument
     callable that returns the Hessian of the Lagrangian, or None where f is
-    undefined.  The Hessian is asked for only at a point the solve steps
-    from, so a trial point that is rejected, and the point the solve ends
-    on, never build one.  The multipliers start at their least-squares
-    values.  A variable at a bound whose gradient points out of the box is
-    held there for the step; the others take the step from the KKT system
-    with the exact Hessian.  Where that Hessian has a negative eigenvalue on
+    undefined, as it is where a gradient or constraint value is not finite.
+    The Hessian is asked for only at a point the solve steps from, so a
+    trial point that is rejected, and the point the solve ends on, never
+    build one.  The multipliers start at their least-squares values.  A
+    variable at a bound whose gradient points out of the box is held there
+    for the step; the others take the step from the KKT system with the
+    exact Hessian.  Where that Hessian has a negative eigenvalue on
     the null space of the constraint Jacobian, twice its magnitude is added
     to the diagonal, so a far start heads for a minimum of f, not a saddle;
     an eigenvalue within rounding of zero is lifted to the rounding level, so
@@ -186,14 +188,21 @@ def _newton(evaluate, x0, lo, hi, ncon: int):
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     lam = np.zeros(ncon)
-    ev = evaluate(x, lam)
+
+    def defined(x, lam):
+        """``evaluate(x, lam)``, or None where f is undefined at x."""
+        ev = evaluate(x, lam)
+        finite = ev is not None and np.isfinite(ev[0]).all() and np.isfinite(ev[1]).all()
+        return ev if finite else None
+
+    ev = defined(x, lam)
     nfev = 1
+    if ev is not None and ncon:
+        lam = np.linalg.lstsq(ev[2].T, -ev[0], rcond=None)[0]
+        ev = defined(x, lam)
+        nfev += 1
     if ev is None:
         return x, lam, math.inf, math.inf, 0, nfev, STOP_UNDEFINED
-    if ncon:
-        lam = np.linalg.lstsq(ev[2].T, -ev[0], rcond=None)[0]
-        ev = evaluate(x, lam)
-        nfev += 1
 
     def residuals(x, ev):
         """The held variables at x and the two max-norm residuals there."""
@@ -245,7 +254,7 @@ def _newton(evaluate, x0, lo, hi, ncon: int):
         for t in _HALVINGS:
             xn = np.clip(x + t * dx, lo, hi)
             lamn = lam + t * d[k:]
-            evn = evaluate(xn, lamn)
+            evn = defined(xn, lamn)
             nfev += 1
             if evn is not None:
                 heldn, rn = residuals(xn, evn)
@@ -348,43 +357,24 @@ def nlp_objective(theta) -> float:
     return area_dissection(theta)
 
 
-def _area_gradient_s(x, y) -> np.ndarray:
-    """Gradient of the dissection area in the partial sums S = cumsum(theta).
-
-    Takes the chain vertices 0..m.  Step j, (p_j, q_j) = vertex j+1 - vertex
-    j, depends on S_j alone and has derivative (q_j, -p_j) in it; each
-    triangle term touches vertices k-1 and k+1, and vertex k collects steps
-    0..k-1, so step j inherits the adjoints of the vertices after it.
-    """
-    m = len(x) - 1
-    p, q = np.diff(x), np.diff(y)
-    ax = np.zeros(m + 1)
-    ay = np.zeros(m + 1)
-    ax[3 : m + 1] += y[1 : m - 1]
-    ax[1 : m - 1] -= y[3 : m + 1]
-    ay[1 : m - 1] += x[3 : m + 1]
-    ay[3 : m + 1] -= x[1 : m - 1]
-    grad = q * np.cumsum(ax[::-1])[::-1][1:] - p * np.cumsum(ay[::-1])[::-1][1:]
-    grad[0] += q[0]  # the apex triangle sin S_0
-    return grad
-
-
 def objective_gradient(a) -> np.ndarray:
     """Exact gradient of the area objective.
 
-    The gradient in the partial sums, mapped to the angles by a suffix sum
-    (theta_i enters S_j for every j >= i), so the cost is linear in the
-    number of angles.  Accepts an AngleVector or a raw sequence of angles.
+    The gradient in the partial sums (``area_gradient_s``), mapped to the
+    angles by a suffix sum (theta_i enters S_j for every j >= i), so the
+    cost is linear in the number of angles.  Accepts an AngleVector or a raw
+    sequence of angles.
     """
     theta = a.theta if isinstance(a, AngleVector) else a
-    return np.cumsum(_area_gradient_s(*chain_coordinates(theta))[::-1])[::-1]
+    _, x, y, _ = walk_chain(theta)
+    return np.cumsum(area_gradient_s(x, y)[2][::-1])[::-1]
 
 
 def constraint_values(theta, n: int) -> np.ndarray:
     """(angle sum - pi/2, chain midpoint x - required half)."""
     theta = np.asarray(theta, dtype=float)
-    x, _ = chain_coordinates(theta)
-    return np.array([float(theta.sum()) - math.pi / 2, float(x[len(theta) - 1]) - half_sign(n)])
+    x = walk_chain(theta)[1]
+    return np.array([float(theta.sum()) - math.pi / 2, x[len(theta) - 1] - half_sign(n)])
 
 
 def constraint_jacobian(theta, n: int) -> np.ndarray:
@@ -394,55 +384,22 @@ def constraint_jacobian(theta, n: int) -> np.ndarray:
     its derivative in theta_j is q_j + ... + q_{m-2} = y_{m-1} - y_j.
     """
     m = len(theta)
-    _, y = chain_coordinates(theta)
+    y = np.array(walk_chain(theta)[2])
     return np.vstack([np.ones(m), y[m - 1] - y[:m]])
-
-
-@functools.lru_cache(maxsize=32)
-def _pair_weights(m: int) -> np.ndarray:
-    """The signed pair counts w - w.T of ``_area_hessian_s``, read-only; fixed per m.
-
-    32 sizes hold the reduced family's nine prefix lengths and the 20 sizes
-    of a table5 sweep's full programs.
-    """
-    idx = np.arange(m)
-    sign = np.where(idx % 2 == 0, 1.0, -1.0)
-    w = np.maximum(0, m - np.maximum(np.maximum.outer(idx, idx + 2), 2)) * np.outer(sign, sign)
-    weights = w - w.T
-    weights.flags.writeable = False
-    return weights
-
-
-def _area_hessian_s(theta) -> np.ndarray:
-    """Hessian of the dissection area in the partial sums S = cumsum(theta).
-
-    With steps (p_j, q_j) = s_j (sin S_j, cos S_j), s_j = (-1)^j, the area is
-    sin S_0 + sum_ab w_ab s_a s_b sin(S_a - S_b), where w_ab = max(0, m -
-    max(a, b + 2, 2)) counts the triangles whose cross product pairs step a
-    with step b.
-    """
-    theta = np.asarray(theta, dtype=float)
-    m = len(theta)
-    s = np.cumsum(theta)
-    pair = _pair_weights(m) * np.sin(s[:, None] - s[None, :])
-    hess = pair - np.diag(pair.sum(axis=1))
-    hess[0, 0] -= math.sin(s[0])
-    return hess
 
 
 def lagrangian_hessian(theta, lam) -> np.ndarray:
     """Exact Hessian of ``-area + lam @ constraint_values`` in the angles.
 
     Formed in the partial sums S = cumsum(theta): the area's Hessian there is
-    the dense ``_area_hessian_s``, the angle sum is linear, and the midpoint
+    the dense ``area_hessian_s``, the angle sum is linear, and the midpoint
     x_{m-1} = p_0 + ... + p_{m-2} has the diagonal Hessian -p_j.  Since
     S = L theta with L lower-triangular ones, the map to theta is a suffix
     sum over rows and columns.
     """
-    theta = np.asarray(theta, dtype=float)
-    x, _ = chain_coordinates(theta)
-    hess = -_area_hessian_s(theta)
-    idx = np.arange(len(theta) - 1)
+    S, x, _, _ = walk_chain(theta)
+    hess = -area_hessian_s(S)
+    idx = np.arange(len(S) - 1)
     hess[idx, idx] -= lam[1] * np.diff(x)[:-1]
     return np.cumsum(np.cumsum(hess[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
 

@@ -58,3 +58,39 @@ def brute_force_diameter(points, block=256) -> float:
         diff = pts[start : start + block, None, :] - pts[None, :, :]
         best.append(np.sqrt((diff ** 2).sum(axis=2)).max())
     return float(np.max(best))
+
+
+def mp_walk_oracle(S, mp, components=None):
+    """The triangle sum of ``walk_chain`` and its gradient in S, in mpmath.
+
+    The caller sets the precision (``mp.workdps(50)``).  The chain takes the
+    steps (-1)^j (sin S_j, cos S_j) at the partial sums S, as given; the
+    gradient entries j in ``components`` (all by default) are central
+    differences in S_j with step 1e-20, whose truncation (about 1e-40) and
+    rounding (about 1e-30) errors are far below a double's.
+    """
+    m = len(S)
+    exact = [mp.mpf(s) for s in S]
+
+    def step(j, s):
+        sign = -1 if j % 2 else 1
+        return sign * mp.sin(s), sign * mp.cos(s)
+
+    def triangle_sum(steps):
+        x, y = [mp.mpf(0)], [mp.mpf(0)]
+        for p, q in steps:
+            x.append(x[-1] + p)
+            y.append(y[-1] + q)
+        return x[1] + mp.fsum(x[k + 1] * y[k - 1] - y[k + 1] * x[k - 1] for k in range(2, m))
+
+    steps = [step(j, s) for j, s in enumerate(exact)]
+    h = mp.mpf("1e-20")
+
+    def moved(j, d):
+        return triangle_sum(steps[:j] + [step(j, exact[j] + d)] + steps[j + 1 :])
+
+    grad = [
+        (moved(j, h) - moved(j, -h)) / (2 * h)
+        for j in (range(m) if components is None else components)
+    ]
+    return triangle_sum(steps), grad

@@ -302,9 +302,17 @@ class TestVerifyRender:
             ),
             (lambda d: {k: v for k, v in d.items() if k != "area"}, "record has no 'area'"),
             (lambda d: [d], "record is a JSON list, not an object"),
+            # n and r are JSON integers, never truncated or parsed
+            (lambda d: {**d, "n": d["n"] + 0.9}, "record 'n' is malformed"),
+            (lambda d: {**d, "n": float(d["n"])}, "record 'n' is malformed"),
+            (lambda d: {**d, "n": str(d["n"])}, "record 'n' is malformed"),
+            (lambda d: {**d, "n": True}, "record 'n' is malformed"),
+            (lambda d: {**d, "r": d["r"] + 0.5}, "record 'r' is malformed"),
+            (lambda d: {**d, "r": str(d["r"])}, "record 'r' is malformed"),
         ],
         ids=["missing_key", "vertices_int", "vertices_dict", "ragged_vertex",
-             "infinite_vertex", "missing_area", "not_an_object"],
+             "infinite_vertex", "missing_area", "not_an_object", "n_fraction",
+             "n_integral_float", "n_string", "n_bool", "r_fraction", "r_string"],
     )
     def test_malformed_record_is_usage_error(self, capsys, tmp_path, command, tamper, message):
         path = self._record_file(capsys, tmp_path)

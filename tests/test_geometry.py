@@ -10,6 +10,7 @@ from smallpoly.geometry import (
     AngleVector,
     SkeletonError,
     area_dissection,
+    area_gradient_s,
     area_shoelace,
     boundary_order,
     chain_coordinates,
@@ -20,9 +21,10 @@ from smallpoly.geometry import (
     upper_bound,
     validate,
     vertices_from_angles,
+    walk_chain,
 )
 from smallpoly.reduced import construct_Q
-from tests.conftest import brute_force_diameter
+from tests.conftest import brute_force_diameter, mp_walk_oracle
 
 LARGE_N = (20000, 100000)
 
@@ -209,6 +211,24 @@ class TestAreas:
             _, angles = feasible_sampler()
             poly = vertices_from_angles(angles)
             assert abs(area_dissection(angles) - area_shoelace(poly)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [3, 30, 256])
+    def test_walk_against_mpmath(self, m):
+        # whole chains up to the full program's 256 angles: the triangle sum
+        # is the dissection area, and 16 entries of its gradient in the
+        # partial sums (all at m = 3) match 50-digit central differences,
+        # to the bounds of the prefix test (measured worst 2.5 and 13.7 eps)
+        mpmath = pytest.importorskip("mpmath")
+        theta = np.random.default_rng(m).uniform(0.0, math.pi / (m - 0.5), m)
+        S, x, y, tri = walk_chain(theta)
+        assert tri == area_dissection(theta)
+        components = sorted(set(np.linspace(0, m - 1, 16).astype(int).tolist()))
+        grad = area_gradient_s(x, y)[2]
+        with mpmath.workdps(50):
+            exact_tri, exact_grad = mp_walk_oracle(S, mpmath, components)
+            assert abs(tri - exact_tri) <= 8 * np.spacing(1.0)
+            for j, exact in zip(components, exact_grad):
+                assert abs(grad[j] - exact) <= 32 * np.spacing(1.0), j
 
     def test_triangle_terms_sine_difference_form(self, feasible_sampler):
         # each cross-product triangle term equals its telescoped sine sum;

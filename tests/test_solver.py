@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from smallpoly import solver
-from smallpoly.geometry import AngleVector
+from smallpoly import geometry, solver
+from smallpoly.geometry import AngleVector, area_hessian_s
 from smallpoly.solver import (
     STOP_CONVERGED,
     STOP_MAX_STEPS,
@@ -249,13 +249,38 @@ class TestStopReason:
         assert reason == STOP_SINGULAR
         assert x[0] == 0.2 and steps == 0 and cres == 1.0
 
-    def test_undefined_at_the_start(self):
-        problem = BoxProblem(
-            lower=(0.0,), upper=(1.0,), objective=lambda v: -1.0, derivatives=lambda v: None
+    def test_undefined_at_the_start(self, capfd):
+        # no derivatives, or a gradient that is not finite: undefined, not a
+        # small residual (max(0.0, nan) is 0.0)
+        for derivatives in (
+            lambda v: None,
+            lambda v: (np.array([math.nan]), lambda: np.eye(1)),
+        ):
+            problem = BoxProblem(
+                lower=(0.0,), upper=(1.0,), objective=lambda v: -1.0, derivatives=derivatives
+            )
+            _, _, diag = maximize_box(problem, (0.5,))
+            assert diag.stop_reason == STOP_UNDEFINED and diag.iterations == 0
+            assert STOP_UNDEFINED in diag.message
+        # NaN angles: the full program stops before its least-squares
+        # multipliers, so LAPACK neither raises nor writes to stderr
+        with pytest.raises(InfeasibleError, match=STOP_UNDEFINED) as err:
+            solve_full_nlp(6, start=[math.nan] * 3)
+        assert err.value.diagnostics.stop_reason == STOP_UNDEFINED
+        assert capfd.readouterr().err == ""
+
+    def test_non_finite_trial_point_is_rejected(self):
+        # c = x - 0.9 is NaN from x = 0.75 on: the full step to 0.9 is
+        # rejected, as is every halving that lands there
+        def evaluate(x, lam):
+            c = x[0] - 0.9 if x[0] < 0.75 else math.nan
+            return lam.copy(), np.array([c]), np.ones((1, 1)), lambda: np.zeros((1, 1))
+
+        x, _, _, cres, steps, _, reason = _newton(
+            evaluate, np.array([0.5]), np.zeros(1), np.ones(1), 1
         )
-        _, _, diag = maximize_box(problem, (0.5,))
-        assert diag.stop_reason == STOP_UNDEFINED
-        assert STOP_UNDEFINED in diag.message
+        assert 0.5 < x[0] < 0.75 and math.isfinite(cres) and steps >= 1
+        assert reason == STOP_NO_DESCENT
 
     def test_full_program_reports_its_reason(self, monkeypatch):
         _, _, diag = solve_full_nlp(6)
@@ -360,7 +385,7 @@ class TestLagrangianHessian:
 
 
 class TestAreaHessianWeights:
-    """``_area_hessian_s`` with its pair weights built once per size."""
+    """``geometry.area_hessian_s`` with its pair weights built once per size."""
 
     @staticmethod
     def uncached(theta):
@@ -378,14 +403,14 @@ class TestAreaHessianWeights:
     def test_matches_the_uncached_formula(self, m):
         theta = np.random.default_rng(m).uniform(0.0, math.pi / (2 * m), m)
         for _ in range(2):  # a miss, then a hit
-            assert np.array_equal(solver._area_hessian_s(theta), self.uncached(theta))
+            assert np.array_equal(area_hessian_s(np.cumsum(theta)), self.uncached(theta))
 
     def test_weights_are_read_only(self):
-        weights = solver._pair_weights(17)
+        weights = geometry._pair_weights(17)
         assert not weights.flags.writeable
         with pytest.raises(ValueError):
             weights[0, 1] = 0.0
-        assert solver._pair_weights(17) is weights
+        assert geometry._pair_weights(17) is weights
 
 
 class TestSolveFullNlp:
