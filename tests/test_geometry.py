@@ -221,7 +221,6 @@ class TestAreas:
         mpmath = pytest.importorskip("mpmath")
         theta = np.random.default_rng(m).uniform(0.0, math.pi / (m - 0.5), m)
         S, x, y, tri = walk_chain(theta)
-        assert tri == area_dissection(theta)
         components = sorted(set(np.linspace(0, m - 1, 16).astype(int).tolist()))
         grad = area_gradient_s(x, y)[2]
         with mpmath.workdps(50):
