@@ -473,6 +473,13 @@ def _antipodal_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.concatenate((ends, nxt)), np.concatenate((far, far))
 
 
+def _ring_diameter(x: np.ndarray, y: np.ndarray) -> float:
+    """Diameter of a strictly convex counter-clockwise ring: its longest antipodal pair."""
+    i, j = _antipodal_pairs(x, y)
+    dx, dy = x[i] - x[j], y[i] - y[j]
+    return float(np.sqrt(dx * dx + dy * dy).max())
+
+
 def max_pairwise_distance(points) -> float:
     """Diameter of a point set: the largest distance between two of its points.
 
@@ -490,7 +497,8 @@ def max_pairwise_distance(points) -> float:
     so the result is the all-pairs value bit for bit unless a pair that is
     not antipodal comes within rounding (an ulp or so) of the diameter.
     O(n log n) time, also on inputs that defeat the pruning, and O(n)
-    memory.
+    memory.  ``validate`` calls it only for a polygon whose boundary ring
+    is not proven strictly convex; a proven ring is already the hull.
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
@@ -501,32 +509,62 @@ def max_pairwise_distance(points) -> float:
     distinct = np.concatenate(([True], np.any(by_xy[1:] != by_xy[:-1], axis=1)))
     x, y = by_xy[distinct].T
     hull = _convex_hull(x, y)
-    x, y = x[hull], y[hull]
-    i, j = _antipodal_pairs(x, y)
-    dx, dy = x[i] - x[j], y[i] - y[j]
-    return float(np.sqrt(dx * dx + dy * dy).max())
+    return _ring_diameter(x[hull], y[hull])
+
+
+def _is_permutation(ring: np.ndarray, n: int) -> bool:
+    """Whether the index array ``ring`` holds each of 0..n-1 exactly once."""
+    if ring.shape != (n,) or ring.min() < 0 or ring.max() >= n:
+        return False
+    seen = np.zeros(n, dtype=bool)
+    seen[ring] = True  # n indices that reach all n slots repeat none
+    return bool(seen.all())
+
+
+def _winds_once(y: np.ndarray) -> bool:
+    """Whether a ring whose turns all have one sign goes round once.
+
+    Takes the y-coordinates of the ring followed by its first again.  The
+    edge direction of such a ring sweeps 2 pi k, k the winding number, so
+    its edges switch between going up and going down 2k times, flat and
+    zero-length edges left out; the comparisons are exact.  Counted along
+    the ring, not round it, 2 switches read as 1 or 2 and 4 as 3 or 4.
+    """
+    rise, fall = y[1:] > y[:-1], y[1:] < y[:-1]
+    up = rise[rise | fall]
+    return int(np.count_nonzero(up[1:] != up[:-1])) <= 2
 
 
 def validate(p: SmallPolygon) -> AreaReport:
     """Check diameter, convexity, mirror symmetry and skeleton edge lengths.
 
     Failures set flags; ``edge_error`` is the largest |length - 1| over the
-    skeleton edges, reported for the caller to judge.  Every step works on
-    the polygon's one array ``p.points`` in whole-array numpy passes, the
-    diameter included (``max_pairwise_distance``), and is O(n) in memory
-    and at most O(n log n) in time.
+    skeleton edges, reported for the caller to judge.  The polygon is convex
+    when its ring ``p.boundary`` is proven to be its boundary: a permutation
+    of all n vertices whose turns, by exact sign, all have one sign (zero
+    allowed) and which winds once.  A proven ring whose turns are all
+    strictly left is its own convex hull, and the diameter is one rotating
+    calipers pass over it; any other polygon takes the general
+    ``max_pairwise_distance``, and both give the same value bit for bit.
+    Every step works on the polygon's one array ``p.points`` in whole-array
+    numpy passes and is O(n) in memory and at most O(n log n) in time.
     """
     pts = p.points
     n = p.n
-    diameter = max_pairwise_distance(pts)
-
-    # convex when no turn of the boundary ring has the other sign; the signs
-    # are exact (``_cross_sign``), as in the hull and the calipers
-    ordered = pts[list(p.boundary)]
+    ring = np.asarray(p.boundary)
+    ordered = pts[ring]
     x, y = np.concatenate((ordered, ordered[:2])).T  # the ring, then its first two again
     x0, y0, x1, y1, x2, y2 = x[:-2], y[:-2], x[1:-1], y[1:-1], x[2:], y[2:]
     turn = _cross_sign(x0, y0, x1, y1, x1, y1, x2, y2)
-    is_convex = bool(np.all(turn >= 0) or np.all(turn <= 0))
+    is_convex = (
+        _is_permutation(ring, n)
+        and bool(np.all(turn >= 0) or np.all(turn <= 0))
+        and _winds_once(y[: n + 1])
+    )
+    if is_convex and bool(np.all(turn > 0)):
+        diameter = _ring_diameter(x[:n], y[:n])
+    else:
+        diameter = max_pairwise_distance(pts)
 
     mirror = np.concatenate((
         np.abs(pts[n - 2:0:-1, 0] + pts[1:n - 1, 0]),

@@ -367,13 +367,22 @@ def objective_gradient(a) -> np.ndarray:
     """
     theta = a.theta if isinstance(a, AngleVector) else a
     _, x, y, _ = walk_chain(theta)
+    return _gradient(x, y)
+
+
+def _gradient(x, y) -> np.ndarray:
+    """``objective_gradient`` from the vertices of the angles' chain walk."""
     return np.cumsum(area_gradient_s(x, y)[2][::-1])[::-1]
 
 
 def constraint_values(theta, n: int) -> np.ndarray:
     """(angle sum - pi/2, chain midpoint x - required half)."""
     theta = np.asarray(theta, dtype=float)
-    x = walk_chain(theta)[1]
+    return _constraints(theta, walk_chain(theta)[1], n)
+
+
+def _constraints(theta: np.ndarray, x, n: int) -> np.ndarray:
+    """``constraint_values`` from the chain walk's x-coordinates."""
     return np.array([float(theta.sum()) - math.pi / 2, x[len(theta) - 1] - half_sign(n)])
 
 
@@ -383,8 +392,13 @@ def constraint_jacobian(theta, n: int) -> np.ndarray:
     The midpoint x_{m-1} = p_0 + ... + p_{m-2} has derivative q_j in S_j, so
     its derivative in theta_j is q_j + ... + q_{m-2} = y_{m-1} - y_j.
     """
-    m = len(theta)
-    y = np.array(walk_chain(theta)[2])
+    return _jacobian(walk_chain(theta)[2])
+
+
+def _jacobian(y) -> np.ndarray:
+    """``constraint_jacobian`` from the chain walk's m + 1 y-coordinates."""
+    y = np.array(y)
+    m = len(y) - 1
     return np.vstack([np.ones(m), y[m - 1] - y[:m]])
 
 
@@ -398,6 +412,11 @@ def lagrangian_hessian(theta, lam) -> np.ndarray:
     sum over rows and columns.
     """
     S, x, _, _ = walk_chain(theta)
+    return _hessian(S, x, lam)
+
+
+def _hessian(S, x, lam) -> np.ndarray:
+    """``lagrangian_hessian`` from the chain walk's partial sums and x-coordinates."""
     hess = -area_hessian_s(S)
     idx = np.arange(len(S) - 1)
     hess[idx, idx] -= lam[1] * np.diff(x)[:-1]
@@ -405,15 +424,20 @@ def lagrangian_hessian(theta, lam) -> np.ndarray:
 
 
 def _nlp_evaluate(n):
-    """The full program's KKT callback for the Newton kernel (f = -area)."""
+    """The full program's KKT callback for the Newton kernel (f = -area).
+
+    One chain walk per point gives the gradient, the constraints, their
+    Jacobian and, if the kernel asks for it, the Hessian.
+    """
 
     def evaluate(theta, lam):
-        J = constraint_jacobian(theta, n)
+        S, x, y, _ = walk_chain(theta)
+        J = _jacobian(y)
         return (
-            -objective_gradient(theta) + J.T @ lam,
-            constraint_values(theta, n),
+            -_gradient(x, y) + J.T @ lam,
+            _constraints(theta, x, n),
             J,
-            lambda: lagrangian_hessian(theta, lam),
+            lambda: _hessian(S, x, lam),
         )
 
     return evaluate

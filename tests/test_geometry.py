@@ -5,10 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from smallpoly import geometry
+from smallpoly import geometry, reference
 from smallpoly.geometry import (
     AngleVector,
     SkeletonError,
+    SmallPolygon,
     area_dissection,
     area_gradient_s,
     area_shoelace,
@@ -23,7 +24,8 @@ from smallpoly.geometry import (
     vertices_from_angles,
     walk_chain,
 )
-from smallpoly.reduced import construct_Q
+from smallpoly.reduced import construct_Q, construct_Q_theorem
+from smallpoly.solver import solve_full_nlp
 from tests.conftest import brute_force_diameter, mp_walk_oracle
 
 LARGE_N = (20000, 100000)
@@ -506,6 +508,124 @@ class TestValidate:
             assert report.is_symmetric
             assert report.is_convex
             assert report.is_small
+
+
+def with_ring(p, ring):
+    """The polygon p with its boundary ring replaced by ``ring``."""
+    return SmallPolygon(n=p.n, points=p.points, boundary=tuple(ring))
+
+
+@pytest.fixture
+def diameter_calls(monkeypatch):
+    """Count the calls of the general diameter ``max_pairwise_distance``."""
+    calls = []
+    general = geometry.max_pairwise_distance
+
+    def spy(points):
+        calls.append(len(points))
+        return general(points)
+
+    monkeypatch.setattr(geometry, "max_pairwise_distance", spy)
+    return calls
+
+
+class TestMalformedRing:
+    """A ring that is not a once-winding permutation of the vertices is not convex."""
+
+    @pytest.fixture(scope="class")
+    def decagon(self):
+        p = construct_Q(10, 3)[0]
+        report = validate(p)
+        assert report.is_valid
+        assert report.area == pytest.approx(0.7491373458778302, abs=1e-15)
+        return p
+
+    def test_star_ring(self, decagon):
+        # every turn of the {10/3} star is left, but it winds three times
+        ring = decagon.boundary
+        report = validate(with_ring(decagon, (ring[3 * i % 10] for i in range(10))))
+        assert report.area > math.pi / 4  # no unit-diameter polygon is this large
+        assert not report.is_convex and not report.is_valid
+
+    def test_repeated_index(self, decagon):
+        ring = decagon.boundary
+        report = validate(with_ring(decagon, ring[:-1] + ring[-2:-1]))
+        assert report.area == pytest.approx(0.7107, abs=1e-4)
+        assert not report.is_convex and not report.is_valid
+
+    def test_missing_index(self, decagon):
+        report = validate(with_ring(decagon, decagon.boundary[:-1]))
+        assert report.area == pytest.approx(0.7107, abs=1e-4)
+        assert not report.is_convex and not report.is_valid
+
+
+def ring_path_corpus(large_polygons):
+    """The 138 polygons whose diameter ``validate`` takes from the ring.
+
+    The 94 family cells of table5, the 20 headline polygons that warm-start
+    its full programs, the 20 full-program optima, and r = 16 at n = 1000,
+    2000, 5000 and 100000.
+    """
+    polygons = []
+    for n, row in sorted(reference.AREA_COMPARISON.items()):
+        polygons += [construct_Q(n, r)[0] for r, ref in enumerate(row.q) if ref is not None]
+        polygons.append(construct_Q_theorem(n)[0])
+        polygons.append(vertices_from_angles(solve_full_nlp(n)[0]))
+    polygons += [construct_Q(n, 16)[0] for n in (1000, 2000, 5000)]
+    polygons.append(large_polygons[100000])
+    return polygons
+
+
+class TestRingDiameter:
+    def test_corpus_takes_the_ring_path_bit_for_bit(self, large_polygons, monkeypatch):
+        polygons = ring_path_corpus(large_polygons)
+        assert len(polygons) == 138
+        general = geometry.max_pairwise_distance
+        monkeypatch.setattr(geometry, "max_pairwise_distance", None)
+        reports = [validate(p) for p in polygons]
+        monkeypatch.undo()
+        for p, report in zip(polygons, reports):
+            assert report.is_valid
+            assert report.diameter == general(p.points)
+
+    def test_ring_start_does_not_matter(self, diameter_calls):
+        p = construct_Q(40, 16)[0]
+        ring = p.boundary
+        expected = brute_force_diameter(p.points)
+        for k in range(p.n):
+            assert validate(with_ring(p, ring[k:] + ring[:k])).diameter == expected
+        assert diameter_calls == []
+
+    @pytest.mark.parametrize("case", [
+        "collinear", "duplicate", "reflex", "moved inside", "clockwise", "star",
+    ])
+    def test_other_rings_take_the_general_path(self, case, diameter_calls):
+        hexagon = [(0.0, 0.0), (0.5, -0.25), (1.0, 0.0), (1.0, 1.0), (0.5, 1.5), (0.0, 1.0)]
+        if case == "collinear":  # vertex 1 on the bottom edge
+            p = polygon_from_vertices(6, hexagon[:1] + [(0.5, 0.0)] + hexagon[2:])
+        elif case == "duplicate":  # a convex hexagon with two of its vertices twice
+            p = polygon_from_vertices(8, [
+                (0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.6, 1.6),
+                (0.3, 1.5), (0.3, 1.5), (0.0, 1.0), (0.0, 1.0),
+            ])
+        elif case == "reflex":  # vertex 1 pushed in past the bottom edge
+            p = polygon_from_vertices(6, hexagon[:1] + [(0.5, 0.25)] + hexagon[2:])
+        elif case == "moved inside":
+            p = construct_Q(40, 4)[0]
+            pts = np.array(p.points)
+            pts[7] = 0.5 * pts[7] + 0.5 * pts.mean(axis=0)
+            p = polygon_from_vertices(40, pts)
+        elif case == "clockwise":
+            p = construct_Q(40, 4)[0]
+            p = with_ring(p, p.boundary[::-1])
+        else:
+            p = construct_Q(10, 3)[0]
+            p = with_ring(p, (p.boundary[3 * i % 10] for i in range(10)))
+        diameter_calls.clear()  # building p may validate other polygons
+        report = validate(p)
+        assert diameter_calls == [p.n]
+        assert report.diameter == brute_force_diameter(p.points)
+        assert report.is_convex == (case in ("collinear", "duplicate", "clockwise"))
 
 
 def sorted_boundary(vertices):
