@@ -28,8 +28,6 @@ _EPS = float(np.finfo(float).eps)
 _CROSS_BOUND = (3 + 8 * _EPS) * _EPS / 2
 # absolute rounding of products that underflow
 _TINY = float(np.finfo(float).tiny)
-# whole-array pruning passes of a hull chain before the sequential stack
-_PRUNE_PASSES = 8
 
 
 class SkeletonError(ValueError):
@@ -386,44 +384,19 @@ def _sequential_chain(xs: list, ys: list) -> list:
 def _convex_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Indices of the vertices of the convex hull, counter-clockwise.
 
-    Andrew's monotone chain over distinct points sorted by (x, y): the
-    lower chain runs through them in order and the upper chain back, each
-    keeping only strict left turns, so collinear points are left out.  The
-    line from the first point to the last splits the candidates of the two
-    chains, which are then closed into one ring at those two points and
-    pruned a whole pass at a time: every point but the two ends that does
-    not make a strict left turn with its current neighbours goes at once.
-    Such a point is no vertex of the hull of the points left, so dropping
-    any number of them keeps the hull.  The points must be distinct, or
-    two copies of a vertex witness each other and both go.  A chain can
-    lose as few as one point per pass (a convex arc closed by one far
-    point), so after ``_PRUNE_PASSES`` the survivors go through the
-    sequential stack, which keeps the worst case O(n log n).  Turn signs
-    are exact (``_cross_sign``).
+    Andrew's monotone chain over points sorted by (x, y): the stack
+    (``_sequential_chain``) runs through them in order for the lower chain
+    and back for the upper one, and the two chains join at the first and
+    last points.  Only strict left turns stay, by exact sign, so collinear
+    points and every copy of a repeated point but one are left out.
     """
     m = len(x)
     if m < 3:
         return np.arange(m)
-    # only points right of the line from the first point to the last can be
-    # vertices of the lower chain, only points left of it of the upper one
-    side = _cross_sign(x[0], y[0], x[-1], y[-1], x[0], y[0], x[1:-1], y[1:-1])
-    lower, upper = np.flatnonzero(side < 0) + 1, np.flatnonzero(side > 0) + 1
-    ring = np.concatenate(([0], lower, [m - 1], upper[::-1]))
-    for _ in range(_PRUNE_PASSES):
-        keep = (ring == 0) | (ring == m - 1)
-        inner = ~keep
-        around = np.concatenate((ring[-1:], ring, ring[:1]))
-        o, a, b = around[:-2][inner], ring[inner], around[2:][inner]
-        left = _cross_sign(x[o], y[o], x[a], y[a], x[o], y[o], x[b], y[b]) > 0
-        if left.all():
-            return ring
-        keep[inner] = left
-        ring = ring[keep]
-    top = int(np.flatnonzero(ring == m - 1)[0])
-    lower, upper = ring[: top + 1], np.append(ring[top:], 0)
-    lower = lower[_sequential_chain(x[lower].tolist(), y[lower].tolist())]
-    upper = upper[_sequential_chain(x[upper].tolist(), y[upper].tolist())]
-    return np.concatenate((lower[:-1], upper[:-1]))
+    xs, ys = x.tolist(), y.tolist()
+    lower = _sequential_chain(xs, ys)
+    upper = [m - 1 - k for k in _sequential_chain(xs[::-1], ys[::-1])]
+    return np.array(lower[:-1] + upper[:-1])
 
 
 def _antipodal_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -438,9 +411,11 @@ def _antipodal_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     is met from that end's edge.  The edge directions increase around the
     ring, so each pointer is placed by a binary search on the unwrapped
     directions and then checked exactly, e_i x e_{j-1} > 0 and
-    e_i x e_j <= 0; the few that fail step by one until both hold.  The
-    pointers are those of the sequential sweep, which advances one pointer
-    while e_i x e_j > 0.
+    e_i x e_j <= 0; the few that fail step by one until both hold, which on
+    such a ring takes fewer than h rounds.  The pointers are those of the
+    sequential sweep, which advances one pointer while e_i x e_j > 0.
+    Raises ValueError when h rounds leave a pointer unplaced: the ring is
+    not strictly convex and counter-clockwise.
     """
     h = len(x)
     ends = np.arange(h)
@@ -461,7 +436,7 @@ def _antipodal_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # the previous edge
     far = np.minimum(np.maximum(far, ends + 2), ends + h - 1) % h
     todo = ends
-    while len(todo):
+    for _ in range(h):
         edge = x[todo], y[todo], xn[todo], yn[todo]
         j = far[todo]
         # e_i x e_j > 0: the ring still moves away from edge i at vertex j
@@ -470,7 +445,9 @@ def _antipodal_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
         behind = _cross_sign(*edge, x[j], y[j], xn[j], yn[j]) <= 0
         far[todo] = (far[todo] + ahead - behind) % h
         todo = todo[ahead | behind]
-    return np.concatenate((ends, nxt)), np.concatenate((far, far))
+        if not len(todo):
+            return np.concatenate((ends, nxt)), np.concatenate((far, far))
+    raise ValueError("the calipers need a strictly convex counter-clockwise ring")
 
 
 def _ring_diameter(x: np.ndarray, y: np.ndarray) -> float:
@@ -483,31 +460,25 @@ def _ring_diameter(x: np.ndarray, y: np.ndarray) -> float:
 def max_pairwise_distance(points) -> float:
     """Diameter of a point set: the largest distance between two of its points.
 
-    Any non-empty set of finite points, in any order, duplicates and
-    collinear points included.  The diameter is attained at a pair of antipodal vertices of
-    the convex hull, points with parallel supporting lines through them, so
-    only those pairs are measured: the hull by Andrew's monotone chain, the
-    pairs by rotating calipers, both with exact orientation signs and both
-    in whole-array numpy passes.  The hull drops duplicate points, then
-    every reflex turn at once, pass after pass, and hands what is left after
-    ``_PRUNE_PASSES`` to the sequential stack (``_convex_hull``); the
-    calipers place every far pointer by binary search and step the few
-    misplaced ones (``_antipodal_pairs``).  Each pair's distance is
-    ``sqrt(dx**2 + dy**2)``, the expression an all-pairs search evaluates,
-    so the result is the all-pairs value bit for bit unless a pair that is
-    not antipodal comes within rounding (an ulp or so) of the diameter.
-    O(n log n) time, also on inputs that defeat the pruning, and O(n)
-    memory.  ``validate`` calls it only for a polygon whose boundary ring
-    is not proven strictly convex; a proven ring is already the hull.
+    Any non-empty (k, 2) array of finite points, in any order, duplicates
+    and collinear points included.  The diameter is attained at a pair of
+    antipodal vertices of the convex hull, points with parallel supporting
+    lines through them, so only those pairs are measured: the hull by
+    Andrew's monotone chain (``_convex_hull``), the pairs by rotating
+    calipers (``_antipodal_pairs``), both with exact orientation signs.
+    Each pair's distance is ``sqrt(dx**2 + dy**2)``, the expression an
+    all-pairs search evaluates, so the result is the all-pairs value bit
+    for bit unless a pair that is not antipodal comes within rounding (an
+    ulp or so) of the diameter.  O(n log n) time and O(n) memory.
+    ``validate`` calls it only for a polygon whose boundary ring is not
+    proven strictly convex; a proven ring is already the hull.
     """
     pts = np.asarray(points, dtype=float)
-    if len(pts) == 0:
-        raise ValueError("the diameter of an empty point set is undefined")
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
+        raise ValueError(f"the diameter needs a non-empty (k, 2) array, got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise ValueError("the diameter needs finite coordinates")
-    by_xy = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    distinct = np.concatenate(([True], np.any(by_xy[1:] != by_xy[:-1], axis=1)))
-    x, y = by_xy[distinct].T
+    x, y = pts[np.lexsort((pts[:, 1], pts[:, 0]))].T
     hull = _convex_hull(x, y)
     return _ring_diameter(x[hull], y[hull])
 
@@ -546,8 +517,8 @@ def validate(p: SmallPolygon) -> AreaReport:
     strictly left is its own convex hull, and the diameter is one rotating
     calipers pass over it; any other polygon takes the general
     ``max_pairwise_distance``, and both give the same value bit for bit.
-    Every step works on the polygon's one array ``p.points`` in whole-array
-    numpy passes and is O(n) in memory and at most O(n log n) in time.
+    Every step works on ``p.points`` in whole-array numpy passes, but for
+    the general hull's stack, and is O(n) in memory, O(n log n) in time.
     """
     pts = p.points
     n = p.n

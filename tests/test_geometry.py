@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -261,11 +264,14 @@ class TestDiameter:
         assert max_pairwise_distance(sliver) == brute_force_diameter(sliver)
         with pytest.raises(ValueError):
             max_pairwise_distance(np.zeros((0, 2)))
+        for bad in ([1.0, 2.0, 3.0], [[0.0], [1.0]], [[0, 0, 0], [1, 1, 1]]):
+            with pytest.raises(ValueError, match=r"\(k, 2\) array"):
+                max_pairwise_distance(bad)
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 max_pairwise_distance([(0.0, 0.0), (1.0, 0.0), (bad, 1.0), (0.0, 1.0)])
 
-    @pytest.mark.parametrize("n", [6, 8, 14, 40, 120, 500, 2000])
+    @pytest.mark.parametrize("n", [6, 8, 14, 40, 120, 500, 2000, 5000])
     def test_constructed_polygons_bit_for_bit(self, n):
         for r in sorted({0, 1, 3, 16} & set(range(n // 2 - 1))):
             verts = construct_Q(n, r)[0].vertices
@@ -287,8 +293,10 @@ def far_low_closed_arc(k=2048):
     """A convex arc closed by one far point below the arc's last tangent.
 
     The lower hull follows the arc up to the tangent from the far point;
-    the arc's last points, past that tangent, drop out one per pruning pass.
-    The coordinates are dyadic, so every turn is exact in floats.
+    the stack pops the arc's last points, past that tangent, one after the
+    other when the far point comes.  A hull that prunes every reflex turn
+    of a ring at once would lose only one of them per pass.  The
+    coordinates are dyadic, so every turn is exact in floats.
     """
     t = np.arange(k + 1) / k
     return np.r_[np.c_[t, t * t - 5 * t], [(10.0, -35.0)]]
@@ -300,12 +308,31 @@ def sorted_distinct(points):
     return pts[:, 0], pts[:, 1]
 
 
-def sequential_hull(x, y):
-    """The hull of sorted distinct points by the stack alone, one chain at a time."""
-    lower = geometry._sequential_chain(x.tolist(), y.tolist())
-    upper = geometry._sequential_chain(x[::-1].tolist(), y[::-1].tolist())
-    upper = [len(x) - 1 - k for k in upper]
-    return lower[:-1] + upper[:-1] or lower
+def gift_wrapping_hull(x, y):
+    """Hull vertices of sorted distinct points by Jarvis's march, in Fractions.
+
+    From each vertex the next is the point that no other lies right of,
+    the farthest one on a tie, so collinear points are left out.  The walk
+    starts at the first point, a vertex, and goes counter-clockwise.
+    """
+    px, py = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    hull = [0]
+    while True:
+        o = hull[-1]
+        best = None
+        for k in range(len(px)):
+            if k == o:
+                continue
+            if best is not None:
+                bx, by = px[best] - px[o], py[best] - py[o]
+                kx, ky = px[k] - px[o], py[k] - py[o]
+                turn = bx * ky - by * kx
+                if turn > 0 or (turn == 0 and kx * kx + ky * ky <= bx * bx + by * by):
+                    continue
+            best = k
+        if best in (None, 0):
+            return hull
+        hull.append(best)
 
 
 def sequential_far(x, y):
@@ -320,6 +347,12 @@ def sequential_far(x, y):
             j += 1
         far.append(j % h)
     return far
+
+
+def regular_ring(k):
+    """The regular k-gon on the unit circle, counter-clockwise."""
+    t = 2 * np.pi * np.arange(k) / k
+    return np.c_[np.cos(t), np.sin(t)]
 
 
 def dyadic_ring(k, rng):
@@ -348,37 +381,19 @@ def rectangle_with_side_points(rng):
 
 
 class TestHullAndCalipers:
-    def test_one_point_per_pass_falls_back(self, monkeypatch):
-        calls = []
-        sequential = geometry._sequential_chain
-
-        def spy(xs, ys):
-            calls.append(len(xs))
-            return sequential(xs, ys)
-
-        monkeypatch.setattr(geometry, "_sequential_chain", spy)
+    def test_far_low_closed_arc(self):
         pts = far_low_closed_arc()
         assert max_pairwise_distance(pts) == brute_force_diameter(pts)
-        # the pruning passes stopped at their cap with hundreds of points left
-        assert calls and max(calls) > 100
-        x, y = sorted_distinct(pts)
-        assert geometry._convex_hull(x, y).tolist() == sequential_hull(x, y)
-
-    @pytest.mark.parametrize("n", [6, 40, 5000])
-    def test_constructed_polygons_take_no_fallback(self, monkeypatch, n):
-        # the pruning passes alone find the hull of a constructed polygon
-        monkeypatch.setattr(geometry, "_sequential_chain", None)
-        verts = construct_Q(n, min(16, n // 2 - 2))[0].vertices
-        assert max_pairwise_distance(verts) == brute_force_diameter(verts)
 
     def test_hull_matches_sequential_stack(self):
+        # the stack's hull is the exact gift-wrapping hull, vertex for vertex
         rng = np.random.default_rng(5)
         sets = [far_low_closed_arc(256), rng.uniform(-1, 1, (500, 2))]
         sets += [rng.integers(-4, 5, (int(rng.integers(1, 60)), 2)) / 4 for _ in range(200)]
         sets += [rectangle_with_side_points(rng) for _ in range(50)]
         for pts in sets:
             x, y = sorted_distinct(pts)
-            assert geometry._convex_hull(x, y).tolist() == sequential_hull(x, y)
+            assert geometry._convex_hull(x, y).tolist() == gift_wrapping_hull(x, y)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 17, 64])
     def test_parallel_opposite_edges(self, k):
@@ -409,6 +424,28 @@ class TestHullAndCalipers:
             hull = geometry._convex_hull(x, y)
             far = geometry._antipodal_pairs(x[hull], y[hull])[1][: len(hull)]
             assert far.tolist() == sequential_far(x[hull], y[hull])
+
+    @pytest.mark.parametrize("case", ["first point repeated", "clockwise"])
+    def test_calipers_refuse_a_ring_that_is_not_strictly_convex(self, case):
+        # calipers that step forever on such a ring must fail the test, not
+        # hang the suite: the ring runs in a child process with a timeout
+        if case == "clockwise":
+            ring = regular_ring(8)[::-1]
+        else:
+            ring = np.r_[regular_ring(9), regular_ring(9)[:1]]
+        code = (
+            "import sys\nimport numpy as np\nfrom smallpoly import geometry\n"
+            f"x, y = np.array({ring.tolist()!r}).T\n"
+            "try:\n    geometry._antipodal_pairs(x, y)\n"
+            "except ValueError as e:\n    sys.exit(str(e))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(geometry.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+        )
+        assert proc.returncode == 1
+        assert "strictly convex counter-clockwise" in proc.stderr
 
     @pytest.mark.parametrize("count", [1, 2, 3, 50])
     def test_all_duplicates(self, count):
