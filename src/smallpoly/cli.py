@@ -310,9 +310,14 @@ def _table2_cells(r):
     return [(f"{r:>3}", q, reference.coeff_row(r).q)]
 
 
+def _checked_area(report) -> float:
+    """A report's area, or nan, which fails every tolerance, if its polygon is invalid."""
+    return report.area if report.is_valid else math.nan
+
+
 def _table3_cells(n):
     _, report, _ = reduced.construct_Q(n, n // 2 - 2)
-    return [(f"{n:>4}", report.area, reference.OPTIMAL_SMALL_N[n].area)]
+    return [(f"{n:>4}", _checked_area(report), reference.OPTIMAL_SMALL_N[n].area)]
 
 
 def _table5_cells(n):
@@ -322,7 +327,7 @@ def _table5_cells(n):
     for r, ref_area in enumerate(ref.q):
         if ref_area is not None:
             _, report, _ = reduced.construct_Q(n, r)
-            yield label(f"family r={r}"), report.area, ref_area
+            yield label(f"family r={r}"), _checked_area(report), ref_area
     _, area, _ = solver.solve_full_nlp(n)
     yield label("optimal"), area, ref.optimal
     yield label("bound"), geometry.upper_bound(n), ref.upper

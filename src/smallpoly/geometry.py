@@ -64,12 +64,6 @@ class AngleVector:
     def angle_sum_residual(self) -> float:
         return math.fsum(self.theta) - math.pi / 2
 
-    @property
-    def closure_residual(self) -> float:
-        m = self.n // 2
-        x, _ = chain_coordinates(self.theta)
-        return x[m - 1] - half_sign(self.n)
-
 
 @dataclass(frozen=True, eq=False)
 class SmallPolygon:
@@ -77,12 +71,16 @@ class SmallPolygon:
 
     ``points`` holds the vertices as one read-only (n, 2) float array, the
     form every check works on; ``vertices`` is the same coordinates as a
-    tuple of pairs.  The skeleton depends on n alone (``skeleton_edge_list``).
+    tuple of pairs.  The skeleton depends on n alone (``skeleton_edge_list``),
+    the boundary ring on the points alone (``boundary_order``).
     """
 
     n: int
     points: np.ndarray = field(repr=False)
-    boundary: tuple[int, ...]
+
+    @property
+    def boundary(self) -> tuple[int, ...]:
+        return boundary_order(self.points)
 
     @property
     def vertices(self) -> tuple[tuple[float, float], ...]:
@@ -275,7 +273,7 @@ def polygon_from_vertices(n: int, vertices) -> SmallPolygon:
     if pts.shape != (n, 2):
         raise ValueError(f"expected {n} (x, y) vertices, got an array of shape {pts.shape}")
     pts.flags.writeable = False
-    return SmallPolygon(n=n, points=pts, boundary=boundary_order(pts))
+    return SmallPolygon(n=n, points=pts)
 
 
 def vertices_from_angles(a: AngleVector) -> SmallPolygon:
@@ -483,15 +481,6 @@ def max_pairwise_distance(points) -> float:
     return _ring_diameter(x[hull], y[hull])
 
 
-def _is_permutation(ring: np.ndarray, n: int) -> bool:
-    """Whether the index array ``ring`` holds each of 0..n-1 exactly once."""
-    if ring.shape != (n,) or ring.min() < 0 or ring.max() >= n:
-        return False
-    seen = np.zeros(n, dtype=bool)
-    seen[ring] = True  # n indices that reach all n slots repeat none
-    return bool(seen.all())
-
-
 def _winds_once(y: np.ndarray) -> bool:
     """Whether a ring whose turns all have one sign goes round once.
 
@@ -511,27 +500,22 @@ def validate(p: SmallPolygon) -> AreaReport:
 
     Failures set flags; ``edge_error`` is the largest |length - 1| over the
     skeleton edges, reported for the caller to judge.  The polygon is convex
-    when its ring ``p.boundary`` is proven to be its boundary: a permutation
-    of all n vertices whose turns, by exact sign, all have one sign (zero
-    allowed) and which winds once.  A proven ring whose turns are all
-    strictly left is its own convex hull, and the diameter is one rotating
-    calipers pass over it; any other polygon takes the general
+    when its ring ``p.boundary``, all n vertices in polar order about their
+    centroid, is proven to be its boundary: its turns, by exact sign, all
+    have one sign (zero allowed) and it winds once.  A proven ring whose
+    turns are all strictly left is its own convex hull, and the diameter is
+    one rotating calipers pass over it; any other polygon takes the general
     ``max_pairwise_distance``, and both give the same value bit for bit.
     Every step works on ``p.points`` in whole-array numpy passes, but for
     the general hull's stack, and is O(n) in memory, O(n log n) in time.
     """
     pts = p.points
     n = p.n
-    ring = np.asarray(p.boundary)
-    ordered = pts[ring]
+    ordered = pts[list(p.boundary)]
     x, y = np.concatenate((ordered, ordered[:2])).T  # the ring, then its first two again
     x0, y0, x1, y1, x2, y2 = x[:-2], y[:-2], x[1:-1], y[1:-1], x[2:], y[2:]
     turn = _cross_sign(x0, y0, x1, y1, x1, y1, x2, y2)
-    is_convex = (
-        _is_permutation(ring, n)
-        and bool(np.all(turn >= 0) or np.all(turn <= 0))
-        and _winds_once(y[: n + 1])
-    )
+    is_convex = bool(np.all(turn >= 0) or np.all(turn <= 0)) and _winds_once(y[: n + 1])
     if is_convex and bool(np.all(turn > 0)):
         diameter = _ring_diameter(x[:n], y[:n])
     else:

@@ -375,19 +375,8 @@ def _gradient(x, y) -> np.ndarray:
     return np.cumsum(area_gradient_s(x, y)[2][::-1])[::-1]
 
 
-def constraint_values(theta, n: int) -> np.ndarray:
-    """(angle sum - pi/2, chain midpoint x - required half)."""
-    theta = np.asarray(theta, dtype=float)
-    return _constraints(theta, walk_chain(theta)[1], n)
-
-
-def _constraints(theta: np.ndarray, x, n: int) -> np.ndarray:
-    """``constraint_values`` from the chain walk's x-coordinates."""
-    return np.array([float(theta.sum()) - math.pi / 2, x[len(theta) - 1] - half_sign(n)])
-
-
 def constraint_jacobian(theta, n: int) -> np.ndarray:
-    """Jacobian of ``constraint_values`` in the angles.
+    """Jacobian of the full program's two constraints (``_nlp_evaluate``) in the angles.
 
     The midpoint x_{m-1} = p_0 + ... + p_{m-2} has derivative q_j in S_j, so
     its derivative in theta_j is q_j + ... + q_{m-2} = y_{m-1} - y_j.
@@ -402,42 +391,34 @@ def _jacobian(y) -> np.ndarray:
     return np.vstack([np.ones(m), y[m - 1] - y[:m]])
 
 
-def lagrangian_hessian(theta, lam) -> np.ndarray:
-    """Exact Hessian of ``-area + lam @ constraint_values`` in the angles.
-
-    Formed in the partial sums S = cumsum(theta): the area's Hessian there is
-    the dense ``area_hessian_s``, the angle sum is linear, and the midpoint
-    x_{m-1} = p_0 + ... + p_{m-2} has the diagonal Hessian -p_j.  Since
-    S = L theta with L lower-triangular ones, the map to theta is a suffix
-    sum over rows and columns.
-    """
-    S, x, _, _ = walk_chain(theta)
-    return _hessian(S, x, lam)
-
-
-def _hessian(S, x, lam) -> np.ndarray:
-    """``lagrangian_hessian`` from the chain walk's partial sums and x-coordinates."""
-    hess = -area_hessian_s(S)
-    idx = np.arange(len(S) - 1)
-    hess[idx, idx] -= lam[1] * np.diff(x)[:-1]
-    return np.cumsum(np.cumsum(hess[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
-
-
 def _nlp_evaluate(n):
     """The full program's KKT callback for the Newton kernel (f = -area).
 
-    One chain walk per point gives the gradient, the constraints, their
-    Jacobian and, if the kernel asks for it, the Hessian.
+    One chain walk per point gives the gradient, the constraints (angle sum
+    - pi/2, chain midpoint x - required half), their Jacobian and, if the
+    kernel asks for it, the exact Hessian of -area + lam @ constraints.
     """
 
     def evaluate(theta, lam):
         S, x, y, _ = walk_chain(theta)
         J = _jacobian(y)
+
+        def hessian():
+            # formed in the partial sums S = cumsum(theta): the area's
+            # Hessian there is the dense ``area_hessian_s``, the angle sum is
+            # linear, and the midpoint x_{m-1} = p_0 + ... + p_{m-2} has the
+            # diagonal Hessian -p_j.  Since S = L theta with L lower-triangular
+            # ones, the map to theta is a suffix sum over rows and columns
+            hess = -area_hessian_s(S)
+            idx = np.arange(len(S) - 1)
+            hess[idx, idx] -= lam[1] * np.diff(x)[:-1]
+            return np.cumsum(np.cumsum(hess[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
+
         return (
             -_gradient(x, y) + J.T @ lam,
-            _constraints(theta, x, n),
+            np.array([float(theta.sum()) - math.pi / 2, x[len(theta) - 1] - half_sign(n)]),
             J,
-            lambda: _hessian(S, x, lam),
+            hessian,
         )
 
     return evaluate

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import sys
 
 import pytest
 
+from smallpoly import reduced
 from smallpoly.cli import PolygonRecord, build_parser, main, record_to_csv, record_to_svg
 from smallpoly.geometry import max_pairwise_distance
 
@@ -417,6 +419,30 @@ class TestTable:
         code, out, _ = run(capsys, "table", "--which", "table5", "--n", "6", "--seed", "3")
         assert code == 0
         assert out.strip().endswith("PASS")
+
+    def test_cell_outside_tol_fails(self, capsys):
+        # n = 8 is 1.11e-16 off its reference, n = 6 exactly on it
+        code, out, _ = run(capsys, "table", "--which", "table3", "--n", "6,8", "--tol", "1e-17")
+        assert code == 4
+        lines = out.splitlines()
+        assert not lines[1].endswith("FAIL")
+        assert lines[2].startswith("   8 ") and lines[2].endswith("  FAIL")
+        assert lines[-1] == "FAIL"
+
+    @pytest.mark.parametrize("which", ["table3", "table5"])
+    def test_cell_of_an_invalid_polygon_fails(self, capsys, monkeypatch, which):
+        # each family cell's polygon is validated; one that is not valid
+        # reads nan, which no tolerance accepts
+        checked = reduced.validate
+        monkeypatch.setattr(
+            reduced, "validate", lambda p: dataclasses.replace(checked(p), is_small=False)
+        )
+        code, out, _ = run(capsys, "table", "--which", which, "--n", "6")
+        assert code == 4
+        cells = [line for line in out.splitlines()[:-1] if "nan" in line]
+        assert len(cells) == (1 if which == "table3" else 2)  # r = 1; r = 0 and 1
+        assert all(line.endswith("nan  FAIL") for line in cells)
+        assert out.splitlines()[-1] == "FAIL"
 
     @pytest.mark.parametrize(
         "which, tol",

@@ -18,6 +18,7 @@ from smallpoly.geometry import (
     area_shoelace,
     boundary_order,
     chain_coordinates,
+    half_sign,
     max_pairwise_distance,
     polygon_from_vertices,
     regular_area,
@@ -108,7 +109,8 @@ class TestAngleVector:
 
     def test_feasible_residuals(self):
         assert abs(PENTAGON_STAR.angle_sum_residual) < 1e-15
-        assert abs(PENTAGON_STAR.closure_residual) < 1e-15
+        x, _ = chain_coordinates(PENTAGON_STAR.theta)
+        assert abs(x[2] - half_sign(6)) < 1e-15
 
 
 class TestVertices:
@@ -547,11 +549,6 @@ class TestValidate:
             assert report.is_small
 
 
-def with_ring(p, ring):
-    """The polygon p with its boundary ring replaced by ``ring``."""
-    return SmallPolygon(n=p.n, points=p.points, boundary=tuple(ring))
-
-
 @pytest.fixture
 def diameter_calls(monkeypatch):
     """Count the calls of the general diameter ``max_pairwise_distance``."""
@@ -566,37 +563,29 @@ def diameter_calls(monkeypatch):
     return calls
 
 
-class TestMalformedRing:
-    """A ring that is not a once-winding permutation of the vertices is not convex."""
+class TestRing:
+    def test_constructor_takes_no_ring(self):
+        # the ring comes from the points alone, so no caller can pass another
+        p = vertices_from_angles(PENTAGON_STAR)
+        with pytest.raises(TypeError):
+            SmallPolygon(n=p.n, points=p.points, boundary=p.boundary)
 
-    @pytest.fixture(scope="class")
-    def decagon(self):
+    def test_star_ring_winds_three_times(self):
+        # every turn of the {10/3} star ring of the decagon is left, as on
+        # its boundary ring; only the winding count tells the two apart
         p = construct_Q(10, 3)[0]
-        report = validate(p)
-        assert report.is_valid
-        assert report.area == pytest.approx(0.7491373458778302, abs=1e-15)
-        return p
-
-    def test_star_ring(self, decagon):
-        # every turn of the {10/3} star is left, but it winds three times
-        ring = decagon.boundary
-        report = validate(with_ring(decagon, (ring[3 * i % 10] for i in range(10))))
-        assert report.area > math.pi / 4  # no unit-diameter polygon is this large
-        assert not report.is_convex and not report.is_valid
-
-    def test_repeated_index(self, decagon):
-        ring = decagon.boundary
-        report = validate(with_ring(decagon, ring[:-1] + ring[-2:-1]))
-        assert report.area == pytest.approx(0.7107, abs=1e-4)
-        assert not report.is_convex and not report.is_valid
-
-    def test_missing_index(self, decagon):
-        report = validate(with_ring(decagon, decagon.boundary[:-1]))
-        assert report.area == pytest.approx(0.7107, abs=1e-4)
-        assert not report.is_convex and not report.is_valid
+        ring = p.boundary
+        for order, once in ((ring, True), ([ring[3 * i % 10] for i in range(10)], False)):
+            x, y = p.points[list(order) + list(order[:2])].T
+            turn = geometry._cross_sign(
+                x[:-2], y[:-2], x[1:-1], y[1:-1], x[1:-1], y[1:-1], x[2:], y[2:]
+            )
+            assert np.all(turn > 0)
+            assert geometry._winds_once(y[:-1]) == once
 
 
-def ring_path_corpus(large_polygons):
+@pytest.fixture(scope="module")
+def ring_corpus(large_polygons):
     """The 138 polygons whose diameter ``validate`` takes from the ring.
 
     The 94 family cells of table5, the 20 headline polygons that warm-start
@@ -614,28 +603,21 @@ def ring_path_corpus(large_polygons):
 
 
 class TestRingDiameter:
-    def test_corpus_takes_the_ring_path_bit_for_bit(self, large_polygons, monkeypatch):
-        polygons = ring_path_corpus(large_polygons)
-        assert len(polygons) == 138
+    def test_corpus_takes_the_ring_path_bit_for_bit(self, ring_corpus, monkeypatch):
+        assert len(ring_corpus) == 138
         general = geometry.max_pairwise_distance
         monkeypatch.setattr(geometry, "max_pairwise_distance", None)
-        reports = [validate(p) for p in polygons]
+        reports = [validate(p) for p in ring_corpus]
         monkeypatch.undo()
-        for p, report in zip(polygons, reports):
+        for p, report in zip(ring_corpus, reports):
             assert report.is_valid
             assert report.diameter == general(p.points)
 
-    def test_ring_start_does_not_matter(self, diameter_calls):
-        p = construct_Q(40, 16)[0]
-        ring = p.boundary
-        expected = brute_force_diameter(p.points)
-        for k in range(p.n):
-            assert validate(with_ring(p, ring[k:] + ring[:k])).diameter == expected
-        assert diameter_calls == []
+    def test_corpus_rings_are_the_points_polar_order(self, ring_corpus):
+        for p in ring_corpus:
+            assert p.boundary == boundary_order(p.points)
 
-    @pytest.mark.parametrize("case", [
-        "collinear", "duplicate", "reflex", "moved inside", "clockwise", "star",
-    ])
+    @pytest.mark.parametrize("case", ["collinear", "duplicate", "reflex", "moved inside"])
     def test_other_rings_take_the_general_path(self, case, diameter_calls):
         hexagon = [(0.0, 0.0), (0.5, -0.25), (1.0, 0.0), (1.0, 1.0), (0.5, 1.5), (0.0, 1.0)]
         if case == "collinear":  # vertex 1 on the bottom edge
@@ -647,22 +629,16 @@ class TestRingDiameter:
             ])
         elif case == "reflex":  # vertex 1 pushed in past the bottom edge
             p = polygon_from_vertices(6, hexagon[:1] + [(0.5, 0.25)] + hexagon[2:])
-        elif case == "moved inside":
+        else:  # moved inside
             p = construct_Q(40, 4)[0]
             pts = np.array(p.points)
             pts[7] = 0.5 * pts[7] + 0.5 * pts.mean(axis=0)
             p = polygon_from_vertices(40, pts)
-        elif case == "clockwise":
-            p = construct_Q(40, 4)[0]
-            p = with_ring(p, p.boundary[::-1])
-        else:
-            p = construct_Q(10, 3)[0]
-            p = with_ring(p, (p.boundary[3 * i % 10] for i in range(10)))
         diameter_calls.clear()  # building p may validate other polygons
         report = validate(p)
         assert diameter_calls == [p.n]
         assert report.diameter == brute_force_diameter(p.points)
-        assert report.is_convex == (case in ("collinear", "duplicate", "clockwise"))
+        assert report.is_convex == (case in ("collinear", "duplicate"))
 
 
 def sorted_boundary(vertices):

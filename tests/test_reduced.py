@@ -12,6 +12,7 @@ from smallpoly.geometry import (
     area_dissection,
     area_gradient_s,
     chain_coordinates,
+    half_sign,
     validate,
     vertices_from_angles,
     walk_chain,
@@ -298,7 +299,8 @@ class TestExpand:
         for _ in range(50):
             params, angles = feasible_sampler()
             assert abs(angles.angle_sum_residual) <= 1e-10
-            assert abs(angles.closure_residual) <= 1e-10
+            x, _ = chain_coordinates(angles.theta)
+            assert abs(x[angles.n // 2 - 1] - half_sign(angles.n)) <= 1e-10
 
     def test_phi_state_consistency(self, feasible_sampler):
         for _ in range(20):

@@ -15,10 +15,9 @@ from smallpoly.solver import (
     BracketError,
     InfeasibleError,
     _newton,
+    _nlp_evaluate,
     brentq,
     constraint_jacobian,
-    constraint_values,
-    lagrangian_hessian,
     maximize_box,
     nlp_objective,
     objective_gradient,
@@ -332,26 +331,28 @@ class TestObjectiveGradient:
         assert np.linalg.norm(proj) <= 1e-7
 
 
+def _kkt(theta, lam, n):
+    """The full program's Lagrangian gradient, constraints, Jacobian and Hessian callback."""
+    return _nlp_evaluate(n)(np.asarray(theta, dtype=float), np.asarray(lam, dtype=float))
+
+
 class TestConstraints:
     def test_feasible_point_residuals(self, feasible_sampler):
         _, angles = feasible_sampler()
-        c = constraint_values(angles.theta, angles.n)
+        c = _kkt(angles.theta, np.zeros(2), angles.n)[1]
         assert np.max(np.abs(c)) < 1e-10
 
     def test_jacobian_matches_fd(self):
         theta = np.array([0.26, 0.45, 0.40, 0.46])
-        J = constraint_jacobian(theta, 8)
+        J = _kkt(theta, np.zeros(2), 8)[2]
+        assert np.array_equal(J, constraint_jacobian(theta, 8))
         h = 1e-7
         for i in range(4):
             tp, tm = theta.copy(), theta.copy()
             tp[i] += h
             tm[i] -= h
-            col = (constraint_values(tp, 8) - constraint_values(tm, 8)) / (2 * h)
+            col = (_kkt(tp, np.zeros(2), 8)[1] - _kkt(tm, np.zeros(2), 8)[1]) / (2 * h)
             assert np.allclose(J[:, i], col, atol=1e-7)
-
-
-def _lagrangian_gradient(theta, lam, n):
-    return -objective_gradient(theta) + constraint_jacobian(theta, n).T @ lam
 
 
 class TestLagrangianHessian:
@@ -360,15 +361,16 @@ class TestLagrangianHessian:
         rng = np.random.default_rng(n)
         theta = rng.uniform(0.01, 0.5, n // 2)
         lam = rng.standard_normal(2)
-        H = lagrangian_hessian(theta, lam)
+        grad, _, _, hessian = _kkt(theta, lam, n)
+        assert np.array_equal(grad, -objective_gradient(theta) + constraint_jacobian(theta, n).T @ lam)
+        H = hessian()
         fd = np.zeros_like(H)
         h = 1e-6
         for i in range(len(theta)):
             tp, tm = theta.copy(), theta.copy()
             tp[i] += h
             tm[i] -= h
-            fd[:, i] = _lagrangian_gradient(tp, lam, n) - _lagrangian_gradient(tm, lam, n)
-            fd[:, i] /= 2 * h
+            fd[:, i] = (_kkt(tp, lam, n)[0] - _kkt(tm, lam, n)[0]) / (2 * h)
         assert np.max(np.abs(H - fd)) <= 1e-8 * max(1.0, np.max(np.abs(H)))
         assert np.max(np.abs(H - H.T)) <= 1e-12 * np.max(np.abs(H))
 
@@ -380,7 +382,7 @@ class TestLagrangianHessian:
         theta = np.array(angles.theta)
         _, _, vt = np.linalg.svd(constraint_jacobian(theta, n))
         Z = vt[2:].T
-        reduced = Z.T @ lagrangian_hessian(theta, np.array(diag.multipliers)) @ Z
+        reduced = Z.T @ _kkt(theta, diag.multipliers, n)[3]() @ Z
         assert np.min(np.linalg.eigvalsh(reduced)) > 0.0
 
 
