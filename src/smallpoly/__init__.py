@@ -6,7 +6,6 @@ from .geometry import (
     SkeletonError,
     SmallPolygon,
     area_dissection,
-    area_shoelace,
     max_pairwise_distance,
     regular_area,
     upper_bound,
@@ -53,7 +52,6 @@ __all__ = [
     "SkeletonError",
     "SmallPolygon",
     "area_dissection",
-    "area_shoelace",
     "construct_Q",
     "construct_Q_theorem",
     "derive",

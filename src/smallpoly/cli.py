@@ -46,8 +46,8 @@ def _format_float(x: float) -> str:
 class PolygonRecord:
     """Everything needed to reconstruct, verify, and render one polygon.
 
-    ``points`` holds the vertices as one read-only float array of (x, y)
-    rows; ``vertices`` is the same coordinates as a tuple of pairs.
+    ``polygon`` holds the vertices, checked once by
+    ``geometry.polygon_from_vertices``, as its read-only ``points`` array.
     """
 
     n: int
@@ -58,15 +58,11 @@ class PolygonRecord:
     gap: float
     diameter: float
     angles: tuple[float, ...]
-    points: np.ndarray = field(repr=False)
+    polygon: geometry.SmallPolygon = field(repr=False)
     is_convex: bool
     is_symmetric: bool
     is_small: bool
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def vertices(self) -> tuple[tuple[float, float], ...]:
-        return tuple(map(tuple, self.points.tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -78,7 +74,7 @@ class PolygonRecord:
             "gap": self.gap,
             "diameter": self.diameter,
             "angles": list(self.angles),
-            "vertices": self.points.tolist(),
+            "vertices": self.polygon.points.tolist(),
             "valid": {
                 "is_convex": self.is_convex,
                 "is_symmetric": self.is_symmetric,
@@ -98,11 +94,11 @@ class PolygonRecord:
                 return convert(data.get(key, *default) if default else data[key])
             except KeyError:
                 raise ValueError(f"record has no {key!r}") from None
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"record {key!r} is malformed: {exc}") from None
 
-        n = entry("n", _json_int)
-        points = entry("vertices", _vertex_array)
+        n = entry("n", lambda v: geometry.require_even(_json_int(v), minimum=6))
+        polygon = entry("vertices", lambda v: geometry.polygon_from_vertices(n, v))
         valid = entry("valid", dict, {})
         return cls(
             n=n,
@@ -113,7 +109,7 @@ class PolygonRecord:
             gap=entry("gap", float),
             diameter=entry("diameter", float),
             angles=entry("angles", lambda a: tuple(float(t) for t in a)),
-            points=points,
+            polygon=polygon,
             is_convex=bool(valid.get("is_convex")),
             is_symmetric=bool(valid.get("is_symmetric")),
             is_small=bool(valid.get("is_small")),
@@ -139,18 +135,6 @@ def _json_int(value) -> int:
     return value
 
 
-def _vertex_array(vertices) -> np.ndarray:
-    """A record's vertices as a read-only (k, 2) float array."""
-    try:
-        pts = np.array(vertices, dtype=float)
-    except (TypeError, ValueError):
-        pts = None
-    if pts is None or pts.ndim != 2 or pts.shape[1] != 2 or not np.isfinite(pts).all():
-        raise ValueError("expected a list of [x, y] pairs of finite numbers")
-    pts.flags.writeable = False
-    return pts
-
-
 def make_record(n, r, method, polygon, report, angles, diagnostics) -> PolygonRecord:
     return PolygonRecord(
         n=n,
@@ -161,7 +145,7 @@ def make_record(n, r, method, polygon, report, angles, diagnostics) -> PolygonRe
         gap=report.gap,
         diameter=report.diameter,
         angles=tuple(angles),
-        points=polygon.points,
+        polygon=polygon,
         is_convex=report.is_convex,
         is_symmetric=report.is_symmetric,
         is_small=report.is_small,
@@ -171,7 +155,7 @@ def make_record(n, r, method, polygon, report, angles, diagnostics) -> PolygonRe
 
 def record_to_csv(record: PolygonRecord) -> str:
     lines = ["index,x,y"]
-    for i, (x, y) in enumerate(record.points.tolist()):
+    for i, (x, y) in enumerate(record.polygon.points.tolist()):
         lines.append(f"{i},{_format_float(x)},{_format_float(y)}")
     return "\n".join(lines) + "\n"
 
@@ -205,9 +189,9 @@ def record_to_svg(record: PolygonRecord) -> str:
     def pt(v):
         return f"{v[0]:.6f},{-v[1]:.6f}"
 
-    polygon = geometry.polygon_from_vertices(record.n, record.points)
-    verts = record.points.tolist()
-    path = "M " + " L ".join(pt(verts[i]) for i in polygon.boundary) + " Z"
+    polygon = record.polygon
+    path = "M " + " L ".join(map(pt, polygon.points[polygon.boundary].tolist())) + " Z"
+    verts = polygon.points.tolist()
     lines = []
     for i, j in polygon.skeleton_edges:
         (x1, y1), (x2, y2) = verts[i], verts[j]
@@ -328,8 +312,9 @@ def _table5_cells(n):
         if ref_area is not None:
             _, report, _ = reduced.construct_Q(n, r)
             yield label(f"family r={r}"), _checked_area(report), ref_area
-    _, area, _ = solver.solve_full_nlp(n)
-    yield label("optimal"), area, ref.optimal
+    angles, _, _ = solver.solve_full_nlp(n)
+    report = geometry.validate(geometry.vertices_from_angles(angles))
+    yield label("optimal"), _checked_area(report), ref.optimal
     yield label("bound"), geometry.upper_bound(n), ref.upper
 
 
@@ -379,7 +364,7 @@ def _angles_error(record: PolygonRecord) -> float:
     if len(record.angles) != m:
         return math.inf
     x, y = geometry.chain_coordinates(record.angles)
-    chain = record.points[: m + 1]
+    chain = record.polygon.points[: m + 1]
     return float(np.max(np.hypot(x - chain[:, 0], y - chain[:, 1])))
 
 
@@ -393,8 +378,7 @@ def cmd_verify(args) -> int:
     """
     with open(args.file, encoding="utf-8") as fh:
         record = PolygonRecord.from_json(fh.read())
-    polygon = geometry.polygon_from_vertices(record.n, record.points)
-    report = geometry.validate(polygon)
+    report = geometry.validate(record.polygon)
     errors = {
         "area error": abs(record.area - report.area),
         "diameter error": abs(record.diameter - report.diameter),

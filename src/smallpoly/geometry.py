@@ -69,22 +69,18 @@ class AngleVector:
 class SmallPolygon:
     """An n-gon with its unit-distance skeleton and convex boundary order.
 
-    ``points`` holds the vertices as one read-only (n, 2) float array, the
-    form every check works on; ``vertices`` is the same coordinates as a
-    tuple of pairs.  The skeleton depends on n alone (``skeleton_edge_list``),
-    the boundary ring on the points alone (``boundary_order``).
+    ``points`` holds the vertices as one read-only, finite (n, 2) float
+    array, the form every check works on (``polygon_from_vertices``).  The
+    skeleton depends on n alone (``skeleton_edge_list``), the boundary ring
+    on the points alone (``boundary_order``).
     """
 
     n: int
     points: np.ndarray = field(repr=False)
 
     @property
-    def boundary(self) -> tuple[int, ...]:
+    def boundary(self) -> np.ndarray:
         return boundary_order(self.points)
-
-    @property
-    def vertices(self) -> tuple[tuple[float, float], ...]:
-        return tuple(map(tuple, self.points.tolist()))
 
     @property
     def skeleton_edges(self) -> tuple[tuple[int, int], ...]:
@@ -114,12 +110,13 @@ def angle_box(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(m), hi
 
 
-def require_even(n: int, minimum: int) -> None:
+def require_even(n: int, minimum: int) -> int:
     """The one check of a side count: an even integer at least ``minimum``."""
     if not isinstance(n, (int, np.integer)):
         raise ValueError(f"n must be an integer, got {n!r}")
     if n % 2 != 0 or n < minimum:
         raise ValueError(f"n must be even and >= {minimum}, got {n}")
+    return n
 
 
 def upper_bound(n: int) -> float:
@@ -254,24 +251,29 @@ def skeleton_edge_list(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-def boundary_order(vertices) -> tuple[int, ...]:
+def boundary_order(vertices) -> np.ndarray:
     """Convex boundary order by polar angle about the vertex centroid.
 
-    Ties in angle keep index order; the order starts at vertex 0.
+    Ties in angle keep index order; the order starts at vertex 0.  The ring
+    is a read-only integer index array, ready to index the vertices with.
     """
     pts = np.asarray(vertices, dtype=float)
     cx, cy = pts.mean(axis=0)
     order = np.argsort(np.arctan2(pts[:, 1] - cy, pts[:, 0] - cx), kind="stable")
     k = int(np.flatnonzero(order == 0)[0])
-    return tuple(np.concatenate((order[k:], order[:k])).tolist())
+    ring = np.concatenate((order[k:], order[:k]))
+    ring.flags.writeable = False
+    return ring
 
 
 def polygon_from_vertices(n: int, vertices) -> SmallPolygon:
-    """Assemble a SmallPolygon from raw vertices (standard skeleton indexing)."""
+    """The one check of a vertex array: n finite (x, y) rows, in skeleton indexing."""
     require_even(n, minimum=6)
     pts = np.array(vertices, dtype=float)
     if pts.shape != (n, 2):
         raise ValueError(f"expected {n} (x, y) vertices, got an array of shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("vertices must have finite coordinates")
     pts.flags.writeable = False
     return SmallPolygon(n=n, points=pts)
 
@@ -313,11 +315,6 @@ def area_dissection(a) -> float:
     is then over its chain alone).
     """
     return walk_chain(a.theta if isinstance(a, AngleVector) else a)[3]
-
-
-def area_shoelace(p: SmallPolygon) -> float:
-    """Standard signed-area sum over the convex boundary, as an absolute value."""
-    return shoelace(p.points[list(p.boundary)])
 
 
 def shoelace(points) -> float:
@@ -511,7 +508,7 @@ def validate(p: SmallPolygon) -> AreaReport:
     """
     pts = p.points
     n = p.n
-    ordered = pts[list(p.boundary)]
+    ordered = pts[p.boundary]
     x, y = np.concatenate((ordered, ordered[:2])).T  # the ring, then its first two again
     x0, y0, x1, y1, x2, y2 = x[:-2], y[:-2], x[1:-1], y[1:-1], x[2:], y[2:]
     turn = _cross_sign(x0, y0, x1, y1, x1, y1, x2, y2)

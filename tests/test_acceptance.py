@@ -168,7 +168,7 @@ def test_criterion_7_oracles(sweep):
     for _ in range(1000):
         _, angles = sampler()
         poly = vertices_from_angles(angles)
-        assert abs(sp.area_dissection(angles) - sp.area_shoelace(poly)) <= 1e-12
+        assert abs(sp.area_dissection(angles) - validate(poly).area) <= 1e-12
 
     for _ in range(100):
         _, angles = sampler()
@@ -189,7 +189,7 @@ def test_criterion_7_oracles(sweep):
         report = validate(poly)
         assert report.diameter <= 1.0 + 1e-9
         assert report.is_convex and report.is_symmetric and report.is_small
-        verts = np.asarray(poly.vertices)
+        verts = poly.points
         for i, j in poly.skeleton_edges:
             assert abs(np.hypot(*(verts[i] - verts[j])) - 1.0) <= 1e-12
     elapsed = time.perf_counter() - start

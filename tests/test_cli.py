@@ -7,9 +7,14 @@ import sys
 
 import pytest
 
-from smallpoly import reduced
+from smallpoly import geometry, reduced, reference, solver
 from smallpoly.cli import PolygonRecord, build_parser, main, record_to_csv, record_to_svg
 from smallpoly.geometry import max_pairwise_distance
+
+
+def with_vertex(data, k, vertex):
+    """The record ``data`` with vertex k replaced."""
+    return {**data, "vertices": data["vertices"][:k] + [vertex] + data["vertices"][k + 1 :]}
 
 
 def run(capsys, *argv):
@@ -192,7 +197,7 @@ class TestRecordSerialization:
         again = PolygonRecord.from_json(record.to_json())
         assert again.to_dict() == record.to_dict()
         assert again.area == record.area
-        assert again.vertices == record.vertices
+        assert again.polygon.points.tolist() == record.polygon.points.tolist()
 
     def test_rejects_nan(self, capsys):
         record = self._record(capsys)
@@ -302,6 +307,14 @@ class TestVerifyRender:
                 lambda d: {**d, "vertices": [[math.inf, 0.0]] + d["vertices"][1:]},
                 "record 'vertices' is malformed",
             ),
+            # polygon_from_vertices checks for exactly n finite vertices, n is
+            # checked before them, and a number no float holds is malformed
+            (lambda d: {**d, "vertices": d["vertices"][:-1]}, "record 'vertices' is malformed"),
+            (lambda d: with_vertex(d, 2, [math.nan, 0.5]), "record 'vertices' is malformed"),
+            (lambda d: with_vertex(d, 2, [10**400, 0.5]), "record 'vertices' is malformed"),
+            (lambda d: {**d, "area": 10**400}, "record 'area' is malformed"),
+            (lambda d: {**d, "n": d["n"] + 1}, "record 'n' is malformed"),
+            (lambda d: {**d, "n": 4, "vertices": d["vertices"][:4]}, "record 'n' is malformed"),
             (lambda d: {k: v for k, v in d.items() if k != "area"}, "record has no 'area'"),
             (lambda d: [d], "record is a JSON list, not an object"),
             # n and r are JSON integers, never truncated or parsed
@@ -313,7 +326,9 @@ class TestVerifyRender:
             (lambda d: {**d, "r": str(d["r"])}, "record 'r' is malformed"),
         ],
         ids=["missing_key", "vertices_int", "vertices_dict", "ragged_vertex",
-             "infinite_vertex", "missing_area", "not_an_object", "n_fraction",
+             "infinite_vertex", "missing_vertex", "nan_vertex",
+             "overflowing_vertex", "overflowing_area", "n_odd", "n_below_six",
+             "missing_area", "not_an_object", "n_fraction",
              "n_integral_float", "n_string", "n_bool", "r_fraction", "r_string"],
     )
     def test_malformed_record_is_usage_error(self, capsys, tmp_path, command, tamper, message):
@@ -444,6 +459,20 @@ class TestTable:
         assert all(line.endswith("nan  FAIL") for line in cells)
         assert out.splitlines()[-1] == "FAIL"
 
+    def test_optimal_cell_of_an_invalid_polygon_fails(self, capsys, monkeypatch):
+        # the optimal cell is validated as the family cells are: a full-program
+        # result whose polygon is not valid reads nan, whatever area it claims
+        flat = geometry.AngleVector(6, (math.pi / 6, math.pi / 3, 0.0))
+        assert not geometry.validate(geometry.vertices_from_angles(flat)).is_valid
+        claimed = reference.AREA_COMPARISON[6].optimal
+        monkeypatch.setattr(solver, "solve_full_nlp", lambda n: (flat, claimed, None))
+        code, out, _ = run(capsys, "table", "--which", "table5", "--n", "6")
+        assert code == 4
+        cells = [line for line in out.splitlines()[:-1] if "nan" in line]
+        assert len(cells) == 1 and cells[0].startswith("n=6    optimal ")
+        assert cells[0].endswith("nan  FAIL")
+        assert out.splitlines()[-1] == "FAIL"
+
     @pytest.mark.parametrize(
         "which, tol",
         [("table5", "-1"), ("table5", "nan"), ("table3", "0"), ("table2", "inf")],
@@ -465,4 +494,4 @@ class TestCsv:
         record = PolygonRecord.from_json(out)
         csv_text = record_to_csv(record)
         assert csv_text.splitlines()[0] == "index,x,y"
-        assert csv_vertices(csv_text) == list(record.vertices)
+        assert csv_vertices(csv_text) == list(map(tuple, record.polygon.points.tolist()))

@@ -312,7 +312,7 @@ class TestExpand:
             S, x, y, _ = walk_chain(th)
             phi = S[rp]
             assert phi == pytest.approx(sum(angles.theta[: rp + 1]), abs=1e-14)
-            chain = vertices_from_angles(angles).vertices[rp]
+            chain = tuple(vertices_from_angles(angles).points[rp].tolist())
             assert (x[rp], y[rp]) == pytest.approx(chain, abs=1e-14)
             # the closure the root solve met, through the same walk
             closure = _closure(params, params.beta_derived)
