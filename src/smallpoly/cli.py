@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -98,17 +99,17 @@ class PolygonRecord:
                 raise ValueError(f"record {key!r} is malformed: {exc}") from None
 
         n = entry("n", lambda v: geometry.require_even(_json_int(v), minimum=6))
-        polygon = entry("vertices", lambda v: geometry.polygon_from_vertices(n, v))
+        polygon = entry("vertices", lambda v: geometry.polygon_from_vertices(n, _json_rows(v)))
         valid = entry("valid", dict, {})
         return cls(
             n=n,
             r=entry("r", lambda r: None if r is None else _json_int(r), None),
             method=entry("method", str),
-            area=entry("area", float),
-            upper_bound=entry("upper_bound", float),
-            gap=entry("gap", float),
-            diameter=entry("diameter", float),
-            angles=entry("angles", lambda a: tuple(float(t) for t in a)),
+            area=entry("area", _json_float),
+            upper_bound=entry("upper_bound", _json_float),
+            gap=entry("gap", _json_float),
+            diameter=entry("diameter", _json_float),
+            angles=entry("angles", lambda a: tuple(map(float, _json_numbers(a)))),
             polygon=polygon,
             is_convex=bool(valid.get("is_convex")),
             is_symmetric=bool(valid.get("is_symmetric")),
@@ -133,6 +134,30 @@ def _json_int(value) -> int:
     if type(value) is not int:
         raise ValueError(f"expected a JSON integer, got {json.dumps(value)}")
     return value
+
+
+def _json_float(value) -> float:
+    """A JSON number as a float; a string, boolean or null is a ValueError."""
+    return float(_json_numbers([value])[0])
+
+
+def _json_numbers(values) -> list:
+    """``values`` as a list of JSON numbers; a string, boolean or null is a ValueError.
+
+    The types are gathered in one set, so the 2n coordinates of a large
+    record are checked without a Python call per value.
+    """
+    values = list(values)
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(v for v in values if type(v) is not int and type(v) is not float)
+        raise ValueError(f"expected a JSON number, got {json.dumps(bad)}")
+    return values
+
+
+def _json_rows(rows) -> list:
+    """``rows`` as it is, once every entry of every row is a JSON number."""
+    _json_numbers(itertools.chain.from_iterable(rows))
+    return rows
 
 
 def make_record(n, r, method, polygon, report, angles, diagnostics) -> PolygonRecord:

@@ -32,7 +32,7 @@ from .geometry import (
     vertices_from_angles,
     walk_chain,
 )
-from .reference import MAX_TABULATED_R, coeff_row
+from .reference import MAX_TABULATED_R, START_DRIFT, coeff_row
 from .solver import BoxProblem, BracketError, brentq, maximize_box
 
 CLOSURE_RESIDUAL_TOL = 1e-14
@@ -318,9 +318,16 @@ def params_to_vector(p: ReducedParams) -> np.ndarray:
 
 
 def start_vector(n: int, r: int) -> np.ndarray:
-    """The tabulated scaled limits of ``coeff_row(r)`` times pi/n, r >= 1."""
+    """pi/n (u* + x_1/n), O(1/n^2) in scaled units from the optimum, r >= 1.
+
+    u* are the tabulated scaled limits of ``coeff_row(r)`` and x_1 their
+    fitted first-order drift ``START_DRIFT[r]``.  At large n the solve
+    takes no step from a start whose gradient is already under 1e-13, so
+    there the result is this start and its accuracy is the start's.
+    """
     row = coeff_row(r)
-    return math.pi / n * np.array([row.a, *row.b, *row.c])
+    limits = np.array([row.a, *row.b, *row.c])
+    return math.pi / n * (limits + np.array(START_DRIFT[r]) / n)
 
 
 def objective(n: int, r: int, vec) -> float:
@@ -477,6 +484,8 @@ def best_params(n: int, r: int) -> ReducedParams:
     pi/(2n - 2), half the tail angle.  Otherwise one Newton solve of the box
     maximizer from ``start_vector``; an undefined start raises the
     ValueError of ``derive`` when the solve evaluates ``objective`` there.
+    A start whose gradient is already under 1e-13, as at large n, is
+    returned as it is, so the parameters are then as accurate as the start.
     """
     _check_size(n, r)
     if r == 0:

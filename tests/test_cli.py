@@ -324,12 +324,38 @@ class TestVerifyRender:
             (lambda d: {**d, "n": True}, "record 'n' is malformed"),
             (lambda d: {**d, "r": d["r"] + 0.5}, "record 'r' is malformed"),
             (lambda d: {**d, "r": str(d["r"])}, "record 'r' is malformed"),
+            # every other number is a JSON number, never a string or boolean
+            # that float() would accept
+            (lambda d: {**d, "area": str(d["area"])}, "record 'area' is malformed"),
+            (lambda d: {**d, "area": True}, "record 'area' is malformed"),
+            (lambda d: {**d, "upper_bound": str(d["upper_bound"])},
+             "record 'upper_bound' is malformed"),
+            (lambda d: {**d, "gap": str(d["gap"])}, "record 'gap' is malformed"),
+            (lambda d: {**d, "diameter": False}, "record 'diameter' is malformed"),
+            (lambda d: {**d, "angles": [str(t) for t in d["angles"]]},
+             "record 'angles' is malformed"),
+            (lambda d: {**d, "angles": d["angles"][:-1] + [True]}, "record 'angles' is malformed"),
+            (lambda d: with_vertex(d, 2, [str(v) for v in d["vertices"][2]]),
+             "record 'vertices' is malformed"),
+            (lambda d: with_vertex(d, 2, [d["vertices"][2][0], True]),
+             "record 'vertices' is malformed"),
+            (
+                lambda d: {
+                    **d,
+                    "area": str(d["area"]),
+                    "vertices": [[str(v) for v in row] for row in d["vertices"]],
+                },
+                "record 'vertices' is malformed",
+            ),
         ],
         ids=["missing_key", "vertices_int", "vertices_dict", "ragged_vertex",
              "infinite_vertex", "missing_vertex", "nan_vertex",
              "overflowing_vertex", "overflowing_area", "n_odd", "n_below_six",
              "missing_area", "not_an_object", "n_fraction",
-             "n_integral_float", "n_string", "n_bool", "r_fraction", "r_string"],
+             "n_integral_float", "n_string", "n_bool", "r_fraction", "r_string",
+             "area_string", "area_bool", "upper_bound_string", "gap_string",
+             "diameter_bool", "angles_strings", "angle_bool", "vertex_strings",
+             "vertex_bool", "every_vertex_and_area_strings"],
     )
     def test_malformed_record_is_usage_error(self, capsys, tmp_path, command, tamper, message):
         path = self._record_file(capsys, tmp_path)

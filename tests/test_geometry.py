@@ -27,7 +27,7 @@ from smallpoly.geometry import (
     vertices_from_angles,
     walk_chain,
 )
-from smallpoly.reduced import construct_Q, construct_Q_theorem
+from smallpoly.reduced import best_params, construct_Q, construct_Q_theorem, expand_angles
 from smallpoly.solver import solve_full_nlp
 from tests.conftest import brute_force_diameter, mp_walk_oracle
 
@@ -159,6 +159,27 @@ class TestVertices:
             p = vertices_from_angles(angles)
             assert p.points[m - 1, 0] == pytest.approx(half_sign(angles.n), abs=1e-9)
             assert p.points[m, 0] == pytest.approx(-half_sign(angles.n), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1000, 100000, 200000])
+    def test_chain_partial_sums_are_fsum_prefixes(self, n):
+        # every partial sum of chain_coordinates is the prefix's exact sum
+        # correctly rounded, as math.fsum gives it: the chain it walks is bit
+        # for bit the chain of those sums, and its closing edge, vertex m - 1
+        # to m, is horizontal within an ulp
+        theta = np.array(expand_angles(best_params(n, 16)).theta)
+        exact, total = [], 0
+        for t in theta.tolist():
+            num, den = t.as_integer_ratio()  # den is a power of 2 up to 2**1074
+            total += num * ((1 << 1074) // den)
+            exact.append(total / (1 << 1074))  # int division rounds correctly
+        for j in np.linspace(0, len(theta) - 1, 40).astype(int).tolist():
+            assert exact[j] == math.fsum(theta[: j + 1])
+        sign = np.where(np.arange(len(theta)) % 2 == 0, 1.0, -1.0)
+        x, y = chain_coordinates(theta)
+        assert np.array_equal(x[1:], np.cumsum(sign * np.sin(exact)))
+        assert np.array_equal(y[1:], np.cumsum(sign * np.cos(exact)))
+        m = n // 2
+        assert abs(y[m] - y[m - 1]) <= np.spacing(y[m])
 
     def test_closure_violation_raises(self):
         crooked = AngleVector(6, (0.30, 0.70, math.pi / 2 - 1.0))
@@ -471,6 +492,11 @@ class TestValidate:
         verts[2][0] -= 0.1  # push one flank vertex outward
         report = validate(polygon_from_vertices(p.n, verts))
         assert not report.is_small
+
+    def test_n_200000_is_symmetric(self):
+        # the closing edge is horizontal to within the mirror tolerance only
+        # if the chain's partial sums stay on pi/2 along the constant tail
+        assert validate(construct_Q(200000, 16)[0]).is_symmetric
 
     @pytest.mark.parametrize("k", [1, 2, 5, 6, 9, 10])
     def test_broken_mirror_pair(self, k):

@@ -40,8 +40,8 @@ from smallpoly.reduced import (
     start_vector,
     theorem_r,
 )
-from smallpoly.reference import MAX_TABULATED_R, OPTIMAL_SMALL_N
-from smallpoly.solver import STOP_CONVERGED, BracketError, brentq, maximize_box
+from smallpoly.reference import MAX_TABULATED_R, OPTIMAL_SMALL_N, START_DRIFT, coeff_row
+from smallpoly.solver import STOP_CONVERGED, BoxProblem, BracketError, brentq, maximize_box
 from tests.conftest import mp_walk_oracle
 
 
@@ -218,21 +218,35 @@ def test_sum_map_is_the_jacobian_of_the_partial_sums(n, r):
     assert np.max(np.abs(A - fd)) <= 1e-9
 
 
+def plain_chain(theta):
+    """The numpy chain ``walk_chain`` follows: plain ``np.cumsum`` partial sums.
+
+    ``chain_coordinates`` compensates its partial sums, which ``walk_chain``
+    does not, so this uncompensated chain is the one to compare it with.
+    """
+    s = np.cumsum(theta)
+    sign = np.where(np.arange(len(s)) % 2 == 0, 1.0, -1.0)
+    x = np.concatenate(([0.0], np.cumsum(sign * np.sin(s))))
+    y = np.concatenate(([0.0], np.cumsum(sign * np.cos(s))))
+    return x, y
+
+
 @pytest.mark.parametrize("r", range(1, 17))
 def test_prefix_walk_matches_the_numpy_path(r):
     """``walk_chain`` and ``area_gradient_s`` on the family's prefixes.
 
     The partial sums are the additions of ``np.cumsum`` in its order, so
-    they agree bit for bit.  The vertices and steps agree with
-    ``chain_coordinates`` and ``np.diff`` bit for bit where ``np.sin`` and
-    ``np.cos`` round as ``math.sin`` and ``math.cos``; the bound of 4 ulp of
-    the largest entry leaves room for a numpy whose vectorized sine rounds
-    differently.  The triangle sum and its gradient in the partial sums are
-    checked against 50-digit mpmath (``mp_walk_oracle``) within 8 and 32
-    eps: over random chains of m = 3 to 256 angles the worst errors seen
-    were 2.5 and 13.7 eps.  Tabulated starts and points up to 5% of the box
-    off them, at n = 2r + 4 (no tail angle for odd r), 100 and 1000; the
-    mpmath check runs at every third point, the start among them.
+    they agree bit for bit.  The vertices and steps agree with the plain
+    numpy chain (``plain_chain``) and ``np.diff`` bit for bit where
+    ``np.sin`` and ``np.cos`` round as ``math.sin`` and ``math.cos``; the
+    bound of 4 ulp of the largest entry leaves room for a numpy whose
+    vectorized sine rounds differently.  The triangle sum and its gradient
+    in the partial sums are checked against 50-digit mpmath
+    (``mp_walk_oracle``) within 8 and 32 eps: over random chains of m = 3
+    to 256 angles the worst errors seen were 2.5 and 13.7 eps.  The solve's
+    starts and points up to 5% of the box off them, at n = 2r + 4 (no tail
+    angle for odd r), 100 and 1000; the mpmath check runs at every third
+    point, the start among them.
     """
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(300 + r)
@@ -254,7 +268,7 @@ def test_prefix_walk_matches_the_numpy_path(r):
             S, x, y, tri = walk_chain(th)
             assert S == list(np.cumsum(th))
             steps_p, steps_q, grad = area_gradient_s(x, y)
-            nx, ny = chain_coordinates(th)
+            nx, ny = plain_chain(th)
             for got, want in [(x, nx), (y, ny), (steps_p, np.diff(nx)), (steps_q, np.diff(ny))]:
                 assert len(got) == len(want)
                 ulp = np.spacing(np.max(np.abs(want)))
@@ -529,6 +543,67 @@ def test_every_tabulated_start_is_defined_and_converges(monkeypatch):
     for n, r in sizes:
         best_params(n, r)
     assert reasons == [STOP_CONVERGED] * len(sizes)
+
+
+def scaled_limits(r):
+    """The tabulated limits u* of ``coeff_row(r)``, in ``start_vector``'s order."""
+    row = coeff_row(r)
+    return np.array([row.a, *row.b, *row.c])
+
+
+def solve_from(n, r, start):
+    """One box solve of the family from ``start``: (optimum, diagnostics)."""
+    lo, hi = parameter_bounds(n, r)
+    problem = BoxProblem(
+        lower=lo,
+        upper=hi,
+        objective=lambda v: reduced.objective(n, r, v),
+        derivatives=lambda v: derivatives(n, r, v),
+    )
+    x, _, diag = maximize_box(problem, start)
+    return x, diag
+
+
+class TestDriftStart:
+    @pytest.mark.parametrize("r", range(1, MAX_TABULATED_R + 1))
+    def test_drift_table_regenerates(self, r):
+        # the Richardson fit x_1 = (n2 w(n2) - n1 w(n1)) / (n2 - n1), w(n) =
+        # n (u(n) - u*), from optima solved from the plain limits pi/n u*
+        limits = scaled_limits(r)
+        w = {}
+        for n in (2000, 4000):
+            x, diag = solve_from(n, r, math.pi / n * limits)
+            assert diag.stop_reason == STOP_CONVERGED
+            w[n] = n * (x * n / math.pi - limits)
+        fitted = (4000 * w[4000] - 2000 * w[2000]) / 2000
+        assert fitted.shape == (len(START_DRIFT[r]),)
+        assert np.max(np.abs(fitted - np.array(START_DRIFT[r]))) <= 5e-4
+
+    def test_no_more_steps_than_from_the_limits(self, monkeypatch):
+        # every r at its two smallest n, three moderate and two large n:
+        # best_params converges in no more steps than a solve from the plain
+        # limits, to the same area within 2e-15
+        diags = []
+
+        def recording(problem, start):
+            x, value, diag = maximize_box(problem, start)
+            diags.append(diag)
+            return x, value, diag
+
+        monkeypatch.setattr(reduced, "maximize_box", recording)
+        stepped = 0
+        for r in range(1, MAX_TABULATED_R + 1):
+            for n in (2 * r + 4, 2 * r + 6, 40, 120, 1000, 10**5, 10**7):
+                p = best_params(n, r)
+                diag = diags.pop()
+                assert diag.stop_reason == STOP_CONVERGED, (n, r)
+                x, plain = solve_from(n, r, math.pi / n * scaled_limits(r))
+                assert plain.stop_reason == STOP_CONVERGED, (n, r)
+                assert diag.iterations <= plain.iterations, (n, r)
+                stepped += diag.iterations < plain.iterations
+                area = reduced_area(derive(params_from_vector(n, r, x)))
+                assert abs(reduced_area(p) - area) <= 2e-15, (n, r)
+        assert stepped >= 60  # 64 of the 112 cases take fewer steps
 
 
 def whole_sum_map(n, r):
