@@ -170,6 +170,10 @@ def verify_certificates() -> CertificateReport:
     )
 
 
+# the largest grid n of ``estimate_q_numeric``: ``area_deficit``'s resolved range
+MAX_GRID_N = 100_000
+
+
 @dataclass(frozen=True)
 class AsymptoticFit:
     """Least-squares estimate of the deficit coefficients from a grid of n."""
@@ -188,14 +192,22 @@ def estimate_q_numeric(r: int, n_grid, *, seed: int = 0) -> AsymptoticFit:
     ``area_deficit``, one ``fsum`` of O(1/n) terms with no O(1) term to
     cancel; the model pi/4 - 5 pi^3/48n^2 - q pi^3/n^3 - d pi^4/n^4 is then
     fit by ordinary least squares with the known terms fixed.  ``best_params``
-    checks r and each grid n.  Every solve is deterministic; ``seed`` is
-    accepted and unused.
+    checks r and each grid n; a grid n above ``MAX_GRID_N`` is refused,
+    because there the deficit is below the root finder's resolution (see
+    ``area_deficit``).  Every solve is deterministic; ``seed`` is accepted
+    and unused.
     """
     grid = [int(n) for n in n_grid]
     if len(grid) < 2:
         raise ValueError("need at least two grid points")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
+    if grid[-1] > MAX_GRID_N:
+        raise ValueError(
+            f"grid n must be at most {MAX_GRID_N}, got {grid[-1]}: past it the "
+            "closure root's stop tolerance exceeds the deficit, so the deficits "
+            "are rounding noise"
+        )
 
     deficits = [area_deficit(best_params(n, r)) for n in grid]
 

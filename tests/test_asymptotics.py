@@ -214,6 +214,16 @@ class TestEstimateQ:
         with pytest.raises(ValueError):
             estimate_q_numeric(17, (1000, 2000))
 
+    def test_grid_past_1e5_is_refused(self):
+        # past n = 1e5 the deficit is below brentq's resolution: unrefused,
+        # r = 4 on this grid fits q = -0.193 against the tabulated 0.11507
+        with pytest.raises(ValueError, match="stop tolerance exceeds the deficit"):
+            estimate_q_numeric(4, (200000, 400000, 800000, 1600000))
+        with pytest.raises(ValueError, match="at most 100000, got 100002"):
+            estimate_q_numeric(4, (50000, 100002))
+        fit = estimate_q_numeric(4, (1000, 2000, 5000, 10000, 20000, 50000))
+        assert fit.q_estimate == pytest.approx(coeff_row(4).q, abs=1e-5)
+
     def test_scaled_parameters_converge(self):
         # the optimal alpha approaches its scaled limit like a/n
         from smallpoly.reduced import construct_Q

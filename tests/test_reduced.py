@@ -35,6 +35,7 @@ from smallpoly.reduced import (
     free_shape,
     parameter_bounds,
     params_from_vector,
+    params_to_vector,
     reduced_area,
     solve_beta,
     start_vector,
@@ -450,8 +451,10 @@ class TestDerivatives:
     and beta enters only through the last pair) take both steps ten times
     shorter: at these n the truncation errors of the longer steps reach
     2e-5 and 1.1e-5 relative, falling as the fourth and second powers of
-    the step.  The points are the tabulated starts moved by up to 2% of the
-    box.
+    the step.  The points are the plain limits pi/n u* moved by up to 2% of
+    the box, not ``start_vector``: around the second-order start the
+    five-point difference at (12, 4) misses the gradient by 1.26e-6
+    relative, its truncation error, not the gradient's.
     """
 
     @pytest.mark.parametrize(
@@ -470,7 +473,7 @@ class TestDerivatives:
     def test_match_central_differences(self, n, r, gtol):
         lo, hi = parameter_bounds(n, r)
         rng = np.random.default_rng(n)
-        x = np.clip(start_vector(n, r) + 0.02 * (hi - lo) * rng.uniform(-1, 1, len(lo)), lo, hi)
+        x = np.clip(math.pi / n * scaled_limits(r) + 0.02 * (hi - lo) * rng.uniform(-1, 1, len(lo)), lo, hi)
         g, hessian = derivatives(n, r, x)
         H = hessian()
         area = lambda v: -area_deficit(derive(params_from_vector(n, r, v)))
@@ -564,33 +567,48 @@ def solve_from(n, r, start):
     return x, diag
 
 
+def record_box_solves(monkeypatch):
+    """Route ``reduced``'s box solves through a recorder; returns its list of
+    diagnostics, one appended per solve."""
+    diags = []
+
+    def recording(problem, start):
+        x, value, diag = maximize_box(problem, start)
+        diags.append(diag)
+        return x, value, diag
+
+    monkeypatch.setattr(reduced, "maximize_box", recording)
+    return diags
+
+
 class TestDriftStart:
     @pytest.mark.parametrize("r", range(1, MAX_TABULATED_R + 1))
     def test_drift_table_regenerates(self, r):
-        # the Richardson fit x_1 = (n2 w(n2) - n1 w(n1)) / (n2 - n1), w(n) =
-        # n (u(n) - u*), from optima solved from the plain limits pi/n u*
+        # the least-squares fit of x_1 + x_2/n to w(n) = n (u(n) - u*) at n =
+        # 700, 1400, 2800, each optimum the solve from the plain limits pi/n
+        # u* plus one Newton step.  The same fit at (1000, 2000, 4000)
+        # differs by up to 4.0e-6 in x_1 and 5.0e-3 in x_2, which sets the
+        # tolerances
         limits = scaled_limits(r)
-        w = {}
-        for n in (2000, 4000):
+        w = []
+        for n in (700, 1400, 2800):
             x, diag = solve_from(n, r, math.pi / n * limits)
             assert diag.stop_reason == STOP_CONVERGED
-            w[n] = n * (x * n / math.pi - limits)
-        fitted = (4000 * w[4000] - 2000 * w[2000]) / 2000
-        assert fitted.shape == (len(START_DRIFT[r]),)
-        assert np.max(np.abs(fitted - np.array(START_DRIFT[r]))) <= 5e-4
+            g, hessian = derivatives(n, r, x)
+            x = x - np.linalg.solve(hessian(), g)
+            w.append(n * (x * n / math.pi - limits))
+        x1 = (2 * w[2] + w[1] - w[0]) / 2
+        x2 = 200 * (5 * w[0] - w[1] - 4 * w[2])
+        table_x1, table_x2 = map(np.array, START_DRIFT[r])
+        assert table_x1.shape == table_x2.shape == limits.shape
+        assert np.max(np.abs(x1 - table_x1)) <= 1e-5
+        assert np.max(np.abs(x2 - table_x2)) <= 1e-2
 
     def test_no_more_steps_than_from_the_limits(self, monkeypatch):
         # every r at its two smallest n, three moderate and two large n:
         # best_params converges in no more steps than a solve from the plain
         # limits, to the same area within 2e-15
-        diags = []
-
-        def recording(problem, start):
-            x, value, diag = maximize_box(problem, start)
-            diags.append(diag)
-            return x, value, diag
-
-        monkeypatch.setattr(reduced, "maximize_box", recording)
+        diags = record_box_solves(monkeypatch)
         stepped = 0
         for r in range(1, MAX_TABULATED_R + 1):
             for n in (2 * r + 4, 2 * r + 6, 40, 120, 1000, 10**5, 10**7):
@@ -603,7 +621,18 @@ class TestDriftStart:
                 stepped += diag.iterations < plain.iterations
                 area = reduced_area(derive(params_from_vector(n, r, x)))
                 assert abs(reduced_area(p) - area) <= 2e-15, (n, r)
-        assert stepped >= 60  # 64 of the 112 cases take fewer steps
+        assert stepped >= 75  # 78 of the 112 cases take fewer steps (64 from x_1 alone)
+
+    def test_no_step_on_the_acceptance_grid_from_2000(self, monkeypatch):
+        # the start is within the 1e-13 stop at every grid n >= 2000, so
+        # estimate_q_numeric solves nothing there
+        diags = record_box_solves(monkeypatch)
+        for r in range(1, MAX_TABULATED_R + 1):
+            for n in (2000, 5000, 10000, 20000, 50000):
+                best_params(n, r)
+                diag = diags.pop()
+                assert diag.stop_reason == STOP_CONVERGED, (n, r)
+                assert diag.iterations == 0, (n, r)
 
 
 def whole_sum_map(n, r):
@@ -680,6 +709,23 @@ class TestPlainFloatOracles:
                 exact = self.exact_deficit(p, mpmath)
                 rel = abs((area_deficit(p) - exact) / exact)
                 assert rel <= bound, (r, float(rel))
+
+    def test_deficit_near_the_optimum(self):
+        # 30 points within a relative 1e-9 of the r = 16 optimum at n =
+        # 20000: with the triangles formed from small differences the worst
+        # relative rounding is 1.9e-7, with plain cross products 2.7e-6
+        mpmath = pytest.importorskip("mpmath")
+        n, r = 20000, 16
+        x0 = params_to_vector(reduced.best_params(n, r))
+        rng = np.random.default_rng(1)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for _ in range(30):
+                x = x0 * (1 + 1e-9 * rng.uniform(-1, 1, len(x0)))
+                p = derive(params_from_vector(n, r, x))
+                exact = self.exact_deficit(p, mpmath)
+                worst = max(worst, float(abs((area_deficit(p) - exact) / exact)))
+        assert worst <= 5e-7
 
     def test_g(self):
         mpmath = pytest.importorskip("mpmath")
