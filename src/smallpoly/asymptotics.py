@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .geometry import require_even
 from .reduced import area_deficit, best_params
 # bound for the benchmark's tracer self-test, which checks it wraps them here
 from .reduced import derive, objective as reduced_objective  # noqa: F401
@@ -191,13 +192,14 @@ def estimate_q_numeric(r: int, n_grid, *, seed: int = 0) -> AsymptoticFit:
     For each grid n the deficit of ``best_params(n, r)`` is evaluated by
     ``area_deficit``, one ``fsum`` of O(1/n) terms with no O(1) term to
     cancel; the model pi/4 - 5 pi^3/48n^2 - q pi^3/n^3 - d pi^4/n^4 is then
-    fit by ordinary least squares with the known terms fixed.  ``best_params``
-    checks r and each grid n; a grid n above ``MAX_GRID_N`` is refused,
-    because there the deficit is below the root finder's resolution (see
+    fit by ordinary least squares with the known terms fixed.  Each grid n
+    is checked by ``require_even`` (a float is refused, not truncated) and
+    by ``best_params``; a grid n above ``MAX_GRID_N`` is refused, because
+    there the deficit is below the root finder's resolution (see
     ``area_deficit``).  Every solve is deterministic; ``seed`` is accepted
     and unused.
     """
-    grid = [int(n) for n in n_grid]
+    grid = [int(require_even(n, minimum=6)) for n in n_grid]
     if len(grid) < 2:
         raise ValueError("need at least two grid points")
     if any(b <= a for a, b in zip(grid, grid[1:])):

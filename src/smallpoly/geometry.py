@@ -159,13 +159,13 @@ def chain_coordinates(theta) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def walk_chain(theta) -> tuple[list, list, list, float]:
-    """Partial sums S_j, chain vertices 0..m and triangle sum of m angles.
+def walk_chain(theta) -> tuple[list, list, list]:
+    """Partial sums S_j and chain vertices 0..m of m angles.
 
     The chain of ``chain_coordinates`` in plain floats, with the partial
     sums added plainly in sequence, as ``np.cumsum`` adds them, and not
-    compensated, and the dissection area added in sequence: the one walk
-    behind every derivative of the area and of the closure.  At the full
+    compensated: the one walk behind the triangle sum (``triangle_terms``)
+    and every derivative of the area and of the closure.  At the full
     program's m <= 256 angles and the family's prefix of at most 17, numpy's
     fixed cost per call outweighs the arithmetic, and the rounding a
     compensation would remove is a few ulp.
@@ -186,10 +186,31 @@ def walk_chain(theta) -> tuple[list, list, list, float]:
         else:
             x[j + 1] = x[j] + math.sin(s)
             y[j + 1] = y[j] + math.cos(s)
-    tri = 0.0
-    for k in range(2, m):
-        tri += x[k + 1] * y[k - 1] - y[k + 1] * x[k - 1]
-    return S, x, y, x[1] + tri
+    return S, x, y
+
+
+def triangle_terms(theta, S, x, y) -> list[float]:
+    """The terms of the triangle sum of m angles, each from small differences.
+
+    Takes the angles and their ``walk_chain``.  The apex triangle is x_1 =
+    sin S_0; triangle k >= 2, x_{k+1} y_{k-1} - y_{k+1} x_{k-1}, equals dx
+    y_{k-1} - dy x_{k-1} with (dx, dy) = vertex k+1 - vertex k-1, the sum of
+    steps k-1 and k.  The two steps have opposite signs, so by the
+    sum-to-product formulas (dx, dy) = -+2 sin(theta_k/2) (cos m, -sin m),
+    m = S_{k-1} + theta_k/2, minus for odd k.  The rounding of the O(1)
+    coordinate y_{k-1} is then multiplied by the O(1/n) dx rather than by
+    the O(r/n) x_{k+1}: near the r = 16 optimum at n = 20000 the family's
+    deficit's worst relative rounding over 30 points fell from 2.3e-6 to
+    2.3e-7.
+    """
+    terms = [x[1]]
+    for k in range(2, len(theta)):
+        h = math.sin(theta[k] / 2)
+        m = S[k - 1] + theta[k] / 2
+        if k % 2 == 0:
+            h = -h
+        terms.append(-2 * h * (math.cos(m) * y[k - 1] + math.sin(m) * x[k - 1]))
+    return terms
 
 
 def area_gradient_s(x, y) -> tuple[list, list, list]:
@@ -318,14 +339,16 @@ def vertices_from_angles(a: AngleVector) -> SmallPolygon:
 
 
 def area_dissection(a) -> float:
-    """Polygon area as twice the sum of the star's triangle areas (``walk_chain``).
+    """Polygon area as twice the sum of the star's triangle areas.
 
     The first triangle (apex, origin, first chain vertex) contributes
     sin(theta_0)/2; triangle k >= 2 spans the origin and chain vertices
-    k-1, k+1.  Accepts an AngleVector or a raw sequence of angles (the sum
-    is then over its chain alone).
+    k-1, k+1.  The ``math.fsum`` of ``triangle_terms``.  Accepts an
+    AngleVector or a raw sequence of angles (the sum is then over its chain
+    alone).
     """
-    return walk_chain(a.theta if isinstance(a, AngleVector) else a)[3]
+    theta = a.theta if isinstance(a, AngleVector) else a
+    return math.fsum(triangle_terms(theta, *walk_chain(theta)))
 
 
 def shoelace(points) -> float:

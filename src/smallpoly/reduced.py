@@ -28,6 +28,7 @@ from .geometry import (
     area_gradient_s,
     area_hessian_s,
     require_even,
+    triangle_terms,
     validate,
     vertices_from_angles,
     walk_chain,
@@ -48,7 +49,8 @@ class ReducedParams:
     """Free and derived parameters of the r-parameter construction.
 
     ``betas`` holds the floor(r/2) free pair angles, ``gammas_free`` the
-    ceil(r/2) - 1 free asymmetries.  ``beta_derived`` (tail angle) and
+    ceil(r/2) - 1 free asymmetries; ``__post_init__``, the one check of a
+    point, counts each on its own.  ``beta_derived`` (tail angle) and
     ``gamma_last_derived`` (final asymmetry) are filled in by ``derive``.
     Every angle is stored as a Python float, -0.0 as 0.0, so equal points
     have identical bits and the memos below can key on the point alone.
@@ -64,19 +66,18 @@ class ReducedParams:
 
     def __post_init__(self):
         _check_size(self.n, self.r)
-        object.__setattr__(self, "alpha", float(self.alpha) + 0.0)
-        object.__setattr__(self, "betas", tuple(float(b) + 0.0 for b in self.betas))
-        object.__setattr__(self, "gammas_free", tuple(float(g) + 0.0 for g in self.gammas_free))
+        d = self.__dict__  # frozen: the fields are set in the instance dict
+        d["alpha"] = float(self.alpha) + 0.0
+        d["betas"] = tuple([float(b) + 0.0 for b in self.betas])
+        d["gammas_free"] = tuple([float(g) + 0.0 for g in self.gammas_free])
         for name in ("beta_derived", "gamma_last_derived"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, float(getattr(self, name)) + 0.0)
+            if d[name] is not None:
+                d[name] = float(d[name]) + 0.0
         nb, ng = free_shape(self.r)
         if len(self.betas) != nb:
             raise ValueError(f"r = {self.r} takes {nb} free betas, got {len(self.betas)}")
         if len(self.gammas_free) != ng:
-            raise ValueError(
-                f"r = {self.r} takes {ng} free gammas, got {len(self.gammas_free)}"
-            )
+            raise ValueError(f"r = {self.r} takes {ng} free gammas, got {len(self.gammas_free)}")
 
 
 def _check_size(n: int, r: int) -> None:
@@ -105,13 +106,14 @@ def _split(a: float) -> tuple[float, float]:
 def solve_beta(p: ReducedParams) -> float:
     """Tail angle from the quarter-turn angle sum, correctly rounded.
 
+    Every angle after alpha and the free pairs is beta (for odd r the last
+    pair's too, ``_pairs``), so the tail count is n/2 - 1 - 2 len(betas).
     The quotient (pi/2 - alpha - 2 sum(betas)) / tail of the ``fsum`` of
     the terms (pi/2 as its high and low parts), plus the exact remainder,
     itself an ``fsum`` of the same terms and the four exact partial products
     of the split quotient and tail count, divided by the tail count.
     """
-    m = p.n // 2
-    tail = float(m - p.r - 1 if p.r % 2 == 0 else m - p.r)
+    tail = float(p.n // 2 - 1 - 2 * len(p.betas))
     terms = [math.pi / 2, _PI_LO / 2, -p.alpha, *(-2.0 * b for b in p.betas)]
     q = math.fsum(terms) / tail
     qh, ql = _split(q)
@@ -123,13 +125,22 @@ def solve_beta(p: ReducedParams) -> float:
     return beta
 
 
+def _pairs(r: int, betas, beta, gammas, gamma_last) -> list[tuple]:
+    """The prefix's pairs (b, g), whose angles are b + g and b - g.
+
+    The one home of the pair layout: the free betas, then for odd r the
+    tail angle beta, zipped with the free gammas and gamma_last.  Read with
+    the point's angles (``_prefix_angles``, ``_closure``, ``_area_terms``)
+    and with unit rows (``_sum_skeleton``).
+    """
+    return list(zip([*betas, beta] if r % 2 else betas, [*gammas, gamma_last]))
+
+
 def _prefix_angles(p: ReducedParams, beta: float, gamma_last: float) -> list[float]:
+    """alpha, then b + g and b - g for each of the point's ``_pairs``."""
     th = [p.alpha]
-    bs = list(p.betas) + ([beta] if p.r % 2 else [])
-    gs = list(p.gammas_free) + [gamma_last]
-    for b, g in zip(bs, gs):
-        th.append(b + g)
-        th.append(b - g)
+    for b, g in _pairs(p.r, p.betas, beta, p.gammas_free, gamma_last):
+        th += (b + g, b - g)
     return th
 
 
@@ -143,9 +154,9 @@ def _closure(p: ReducedParams, beta: float):
     pair (b + g, b - g), whose first angle is an odd step of the chain.
     """
     th = _prefix_angles(p, beta, 0.0)[:-2]
-    S, x, _, _ = walk_chain(th)
+    S, x, _ = walk_chain(th)
     s0, x0 = S[-1], x[-1]
-    b = beta if p.r % 2 else p.betas[-1]
+    b = _pairs(p.r, p.betas, beta, p.gammas_free, 0.0)[-1][0]
     half = beta / 2
     den = 2.0 * math.cos(half)
 
@@ -156,6 +167,7 @@ def _closure(p: ReducedParams, beta: float):
     return residual
 
 
+@functools.lru_cache(maxsize=1)
 def derive(p: ReducedParams) -> ReducedParams:
     """Fill in the two derived parameters (one copy of ``p``).
 
@@ -167,11 +179,6 @@ def derive(p: ReducedParams) -> ReducedParams:
     ``estimate_q_numeric``, reuse the point that the solve's last
     ``derivatives`` call derived, root solve included.
     """
-    return _derive(p)
-
-
-@functools.lru_cache(maxsize=1)
-def _derive(p: ReducedParams) -> ReducedParams:
     beta = solve_beta(p)
     gamma = p.gamma_last_derived
     if p.r > 0:
@@ -262,10 +269,10 @@ def _area_terms(p: ReducedParams) -> tuple[float, float]:
     the tail tc = n/2 - rp - 1 copies of sin(beta) - tan(beta/2), and one
     ``correction`` in phi = S_rp and vertex rp joins them, all three from
     one ``walk_chain``, with the triangles' terms formed by
-    ``_triangle_terms``; for r = 0 the prefix is theta_0 = alpha alone.  Since
+    ``triangle_terms``; for r = 0 the prefix is theta_0 = alpha alone.  Since
     tc beta = pi/2 - phi for the exact tail angle, the tail is pi/4 - phi/2
-    + tc g(beta) (``_g``), with phi/2 = alpha/2 + sum(betas) (+ beta for
-    odd r) taken from the free parameters term by term.  So the deficit is
+    + tc g(beta) (``_g``), with phi/2 = alpha/2 plus the beta of each of
+    ``_pairs`` taken term by term.  So the deficit is
     phi/2 - tc g(beta) - tri + correction - 5 pi^3/48n^2, with no O(1) term
     to cancel, and the area pi/4 - phi/2 + tc g(beta) + tri - correction.
     Keyed like ``derive``'s memo and, like it, kept for the last point, so
@@ -273,11 +280,12 @@ def _area_terms(p: ReducedParams) -> tuple[float, float]:
     """
     beta = p.beta_derived
     th = _prefix_angles(p, beta, p.gamma_last_derived)
-    S, x, y, _ = walk_chain(th)
-    tri = _triangle_terms(th, S, x, y)
+    S, x, y = walk_chain(th)
+    tri = triangle_terms(th, S, x, y)
     phi, X, Y = S[-1], x[-2], y[-2]  # S_rp and vertex rp
     correction = (X * math.sin(phi) + Y * math.cos(phi) + 0.5) * math.tan(beta / 2)
-    half_phi = [p.alpha / 2, *p.betas] + ([beta] if p.r % 2 else [])
+    half_phi = [p.alpha / 2]
+    half_phi += (b for b, _ in _pairs(p.r, p.betas, beta, p.gammas_free, None))
     tail = (p.n // 2 - len(th)) * _g(beta)
     area = math.fsum(
         [math.pi / 4, _PI_LO / 4, *(-h for h in half_phi), tail, *tri, -correction]
@@ -287,28 +295,6 @@ def _area_terms(p: ReducedParams) -> tuple[float, float]:
          -5 * math.pi**3 / (48 * p.n * p.n)]
     )
     return area, deficit
-
-
-def _triangle_terms(th, S, x, y) -> list[float]:
-    """The terms of ``walk_chain``'s triangle sum, each from small differences.
-
-    Triangle k, x_{k+1} y_{k-1} - y_{k+1} x_{k-1}, equals dx y_{k-1} - dy
-    x_{k-1} with (dx, dy) = vertex k+1 - vertex k-1, the sum of steps k-1
-    and k.  The two steps have opposite signs, so by the sum-to-product
-    formulas (dx, dy) = -+2 sin(theta_k/2) (cos m, -sin m), m = S_{k-1} +
-    theta_k/2, minus for odd k.  The rounding of the O(1) coordinate y_{k-1}
-    is then multiplied by the O(1/n) dx rather than by the O(r/n) x_{k+1}:
-    near the r = 16 optimum at n = 20000 the deficit's worst relative
-    rounding over 30 points fell from 2.3e-6 to 2.3e-7.
-    """
-    terms = [x[1]]
-    for k in range(2, len(th)):
-        h = math.sin(th[k] / 2)
-        m = S[k - 1] + th[k] / 2
-        if k % 2 == 0:
-            h = -h
-        terms.append(-2 * h * (math.cos(m) * y[k - 1] + math.sin(m) * x[k - 1]))
-    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -323,27 +309,14 @@ def parameter_bounds(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def params_from_vector(n: int, r: int, vec) -> ReducedParams:
-    """The point with free parameters ``vec``, validated and stored once.
+    """The point with free parameters ``vec``: alpha, the betas, the gammas.
 
-    Checks what ``ReducedParams`` checks and stores the angles as it does,
-    without a second pass through its constructor.
+    Split by ``free_shape`` and checked as every point is, so a vector of
+    the wrong length fails the count of its gammas.
     """
-    _check_size(n, r)
-    nb, ng = free_shape(r)
-    vals = [v + 0.0 for v in np.asarray(vec, dtype=float).tolist()]
-    if len(vals) != 1 + nb + ng:
-        raise ValueError(f"expected {1 + nb + ng} free parameters, got {len(vals)}")
-    p = object.__new__(ReducedParams)
-    p.__dict__.update(
-        n=n,
-        r=r,
-        alpha=vals[0],
-        betas=tuple(vals[1 : 1 + nb]),
-        gammas_free=tuple(vals[1 + nb :]),
-        beta_derived=None,
-        gamma_last_derived=None,
-    )
-    return p
+    alpha, *rest = np.asarray(vec, dtype=float).tolist()
+    nb = free_shape(r)[0]
+    return ReducedParams(n, r, alpha, rest[:nb], rest[nb:])
 
 
 def params_to_vector(p: ReducedParams) -> np.ndarray:
@@ -374,21 +347,19 @@ def objective(n: int, r: int, vec) -> float:
 def _sum_skeleton(r: int) -> np.ndarray:
     """The rows of ``_sum_map`` that do not depend on n; read-only, one per r.
 
-    The beta row is left zero, and so, for odd r, are the last pair's two
-    rows, whose angles are the tail angle beta plus and minus gamma_last.
+    The prefix angles of ``_pairs`` laid out on unit rows and accumulated,
+    with the beta row left zero: for odd r the last pair's rows then hold
+    only their gamma_last terms, and ``_sum_map`` adds the tail angle's.
     """
     nb, ng = free_shape(r)
     k = 1 + nb + ng
-    rp = 2 * (ng + 1)
-    A = np.zeros((rp + 2, k + 1))
     eye = np.eye(k + 1)
-    A[0, 0] = 1.0
-    gs = [eye[1 + nb + i] for i in range(ng)] + [eye[k]]
-    for i in range(nb):
-        A[2 * i + 1] = eye[1 + i] + gs[i]
-        A[2 * i + 2] = eye[1 + i] - gs[i]
-    fixed = rp + 1 - 2 * (r % 2)
-    A[:fixed] = np.cumsum(A[:fixed], axis=0)
+    zero = np.zeros(k + 1)
+    rows = [eye[0]]
+    for b, g in _pairs(r, eye[1 : 1 + nb], zero, eye[1 + nb : k], eye[k]):
+        rows += (b + g, b - g)
+    A = np.vstack(rows + [zero])
+    A[:-1] = np.cumsum(A[:-1], axis=0)
     A.flags.writeable = False
     return A
 
@@ -404,20 +375,17 @@ def _sum_map(n: int, r: int) -> np.ndarray:
     sums accumulate the prefix rows.  A copy of ``_sum_skeleton(r)`` with
     the rows that n changes filled in, by the additions ``np.cumsum`` makes.
     """
-    nb, ng = free_shape(r)
-    k = 1 + nb + ng
-    rp = 2 * (ng + 1)
-    tail = n // 2 - rp - 1 + 2 * (r % 2)
+    nb = free_shape(r)[0]
     A = _sum_skeleton(r).copy()
+    rp, k = A.shape[0] - 2, A.shape[1] - 1
+    tail = n // 2 - 1 - 2 * nb
     b = A[rp + 1]
     b[0] = -1.0 / tail
     b[1 : 1 + nb] = -2.0 / tail
     if r % 2:
-        plus, minus = b.copy(), b.copy()
-        plus[k] += 1.0
-        minus[k] -= 1.0
-        A[rp - 1] = A[rp - 2] + plus
-        A[rp] = A[rp - 1] + minus
+        # the last pair's angles are beta +- gamma_last
+        A[rp - 1] += b
+        A[rp, :k] = A[rp - 1, :k] + b[:k]
     A.flags.writeable = False
     return A
 
@@ -460,7 +428,7 @@ def derivatives(n: int, r: int, vec):
 
     # prefix terms in z: triangles T, vertex rp = (X, Y), phi = S_rp; the
     # entries of gX and gY after rp - 1 are zero and left out
-    S, x, y, _ = walk_chain(th)
+    S, x, y = walk_chain(th)
     steps_p, steps_q, gT = area_gradient_s(x, y)
     gX = steps_q[:rp]  # q_j
     gY = [-v for v in steps_p[:rp]]  # -p_j

@@ -366,7 +366,7 @@ def objective_gradient(a) -> np.ndarray:
     sequence of angles.
     """
     theta = a.theta if isinstance(a, AngleVector) else a
-    _, x, y, _ = walk_chain(theta)
+    _, x, y = walk_chain(theta)
     return _gradient(x, y)
 
 
@@ -400,7 +400,7 @@ def _nlp_evaluate(n):
     """
 
     def evaluate(theta, lam):
-        S, x, y, _ = walk_chain(theta)
+        S, x, y = walk_chain(theta)
         J = _jacobian(y)
 
         def hessian():

@@ -214,6 +214,18 @@ class TestEstimateQ:
         with pytest.raises(ValueError):
             estimate_q_numeric(17, (1000, 2000))
 
+    def test_grid_entries_must_be_integers(self):
+        # a float entry is refused as best_params refuses it, not truncated
+        # to the next integer below
+        with pytest.raises(ValueError, match="n must be an integer, got 1000.7"):
+            estimate_q_numeric(1, (1000.7, 2000, 5000.2))
+        with pytest.raises(ValueError, match="n must be an integer, got 2000.0"):
+            estimate_q_numeric(1, (1000, 2000.0, 5000))
+        # numpy integers pass and the grid is reported in Python ints
+        fit = estimate_q_numeric(1, np.array([1000, 2000, 5000], dtype=np.int64))
+        assert fit == estimate_q_numeric(1, (1000, 2000, 5000))
+        assert all(type(n) is int for n in fit.n_grid)
+
     def test_grid_past_1e5_is_refused(self):
         # past n = 1e5 the deficit is below brentq's resolution: unrefused,
         # r = 4 on this grid fits q = -0.193 against the tabulated 0.11507

@@ -22,6 +22,7 @@ from smallpoly.geometry import (
     polygon_from_vertices,
     regular_area,
     shoelace,
+    triangle_terms,
     upper_bound,
     validate,
     vertices_from_angles,
@@ -244,13 +245,15 @@ class TestAreas:
 
     @pytest.mark.parametrize("m", [3, 30, 256])
     def test_walk_against_mpmath(self, m):
-        # whole chains up to the full program's 256 angles: the triangle sum
-        # is the dissection area, and 16 entries of its gradient in the
-        # partial sums (all at m = 3) match 50-digit central differences,
-        # to the bounds of the prefix test (measured worst 2.5 and 13.7 eps)
+        # whole chains up to the full program's 256 angles: the fsum of
+        # ``triangle_terms`` is the dissection area, and 16 entries of its
+        # gradient in the partial sums (all at m = 3) match 50-digit central
+        # differences, to the bounds of the prefix test (measured worst 2.5
+        # and 13.7 eps)
         mpmath = pytest.importorskip("mpmath")
         theta = np.random.default_rng(m).uniform(0.0, math.pi / (m - 0.5), m)
-        S, x, y, tri = walk_chain(theta)
+        S, x, y = walk_chain(theta)
+        tri = math.fsum(triangle_terms(theta, S, x, y))
         components = sorted(set(np.linspace(0, m - 1, 16).astype(int).tolist()))
         grad = area_gradient_s(x, y)[2]
         with mpmath.workdps(50):

@@ -13,6 +13,7 @@ from smallpoly.geometry import (
     area_gradient_s,
     chain_coordinates,
     half_sign,
+    triangle_terms,
     validate,
     vertices_from_angles,
     walk_chain,
@@ -73,8 +74,22 @@ class TestParams:
         with pytest.raises(ValueError):
             ReducedParams(n=7, r=1, alpha=0.2)
 
+    def test_wrong_split_is_refused(self):
+        # betas and gammas are counted each on its own: the right total in
+        # the wrong split is refused, not re-split
+        with pytest.raises(ValueError, match="r = 3 takes 1 free betas, got 2"):
+            ReducedParams(n=40, r=3, alpha=0.05, betas=(0.08, 0.01), gammas_free=())
+        with pytest.raises(ValueError, match="r = 3 takes 1 free gammas, got 0"):
+            ReducedParams(n=40, r=3, alpha=0.05, betas=(0.08,))
+        with pytest.raises(ValueError, match="r = 4 takes 2 free betas, got 1"):
+            ReducedParams(n=40, r=4, alpha=0.05, betas=(0.08,), gammas_free=(0.01, 0.02))
+        # a vector of the wrong length fails the count of its gammas
+        for vec in ([0.05, 0.08], [0.05, 0.08, 0.01, 0.02]):
+            with pytest.raises(ValueError, match="r = 3 takes 1 free gammas"):
+                params_from_vector(40, 3, vec)
+
     def test_from_vector_is_the_constructed_point(self):
-        # built without the constructor, stored as the constructor stores it
+        # split from the vector, then stored and checked as every point is
         x = start_vector(40, 5)
         x[3] = -0.0
         p = params_from_vector(40, 5, x)
@@ -242,7 +257,8 @@ def test_prefix_walk_matches_the_numpy_path(r):
     ``np.sin`` and ``np.cos`` round as ``math.sin`` and ``math.cos``; the
     bound of 4 ulp of the largest entry leaves room for a numpy whose
     vectorized sine rounds differently.  The triangle sum and its gradient
-    in the partial sums are checked against 50-digit mpmath
+    in the partial sums, the ``math.fsum`` of ``triangle_terms`` and
+    ``area_gradient_s``, are checked against 50-digit mpmath
     (``mp_walk_oracle``) within 8 and 32 eps: over random chains of m = 3
     to 256 angles the worst errors seen were 2.5 and 13.7 eps.  The solve's
     starts and points up to 5% of the box off them, at n = 2r + 4 (no tail
@@ -266,7 +282,8 @@ def test_prefix_walk_matches_the_numpy_path(r):
                 continue
             th = _prefix_angles(p, p.beta_derived, p.gamma_last_derived)
             assert len(th) == 2 * ((r + 1) // 2) + 1  # 3 angles at r = 1
-            S, x, y, tri = walk_chain(th)
+            S, x, y = walk_chain(th)
+            tri = math.fsum(triangle_terms(th, S, x, y))
             assert S == list(np.cumsum(th))
             steps_p, steps_q, grad = area_gradient_s(x, y)
             nx, ny = plain_chain(th)
@@ -324,7 +341,7 @@ class TestExpand:
                 continue
             rp = params.r if params.r % 2 == 0 else params.r + 1
             th = _prefix_angles(params, params.beta_derived, params.gamma_last_derived)
-            S, x, y, _ = walk_chain(th)
+            S, x, y = walk_chain(th)
             phi = S[rp]
             assert phi == pytest.approx(sum(angles.theta[: rp + 1]), abs=1e-14)
             chain = tuple(vertices_from_angles(angles).points[rp].tolist())
@@ -527,8 +544,9 @@ def test_tail_angle_is_correctly_rounded(n, r):
 
 def test_every_tabulated_start_is_defined_and_converges(monkeypatch):
     # the sizes a family solve meets: every r, every even n from 2r + 4 to
-    # 120 and three large n; no start is undefined and every box solve
-    # stops on a small residual
+    # 120, three large n and 40 even n drawn log-uniformly from 2r + 4 to
+    # 1e7 (both parities of r, whose pair layouts and tail counts differ);
+    # no start is undefined and every box solve stops on a small residual
     reasons = []
 
     def recording(problem, start):
@@ -543,6 +561,10 @@ def test_every_tabulated_start_is_defined_and_converges(monkeypatch):
         for r in range(1, MAX_TABULATED_R + 1)
         for n in [*range(2 * r + 4, 121, 2), 1000, 50000, 10**6]
     ]
+    rng = np.random.default_rng(7)
+    for r in range(1, MAX_TABULATED_R + 1):
+        for v in rng.uniform(math.log(2 * r + 4), math.log(1e7), 40).tolist():
+            sizes.append((max(2 * r + 4, 2 * round(math.exp(v) / 2)), r))
     for n, r in sizes:
         best_params(n, r)
     assert reasons == [STOP_CONVERGED] * len(sizes)
@@ -804,12 +826,12 @@ class TestPointDerivedOnce:
         assert repr(neg) == repr(pos)
         first = derive(pos)
         reduced_area(first)
-        misses = reduced._derive.cache_info().misses, reduced._area_terms.cache_info().misses
+        misses = reduced.derive.cache_info().misses, reduced._area_terms.cache_info().misses
         # the second point is served from both memos
         assert derive(neg) is first
         reduced_area(derive(neg))
         assert (
-            reduced._derive.cache_info().misses, reduced._area_terms.cache_info().misses
+            reduced.derive.cache_info().misses, reduced._area_terms.cache_info().misses
         ) == misses
         # a bit-identical input, even a new object, is served from the memo
         assert derive(params_from_vector(40, 5, x)) is first
