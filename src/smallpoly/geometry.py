@@ -159,7 +159,7 @@ def chain_coordinates(theta) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def walk_chain(theta) -> tuple[list, list, list]:
+def walk_chain(theta, walk=None) -> tuple[list, list, list]:
     """Partial sums S_j and chain vertices 0..m of m angles.
 
     The chain of ``chain_coordinates`` in plain floats, with the partial
@@ -168,16 +168,18 @@ def walk_chain(theta) -> tuple[list, list, list]:
     and every derivative of the area and of the closure.  At the full
     program's m <= 256 angles and the family's prefix of at most 17, numpy's
     fixed cost per call outweighs the arithmetic, and the rounding a
-    compensation would remove is a few ulp.
+    compensation would remove is a few ulp.  Given the ``walk`` (S, x, y) of
+    earlier angles, the angles ``theta`` continue it, in new lists, with the
+    bits of one walk of all the angles.
     """
     if isinstance(theta, np.ndarray):
         theta = theta.tolist()
-    m = len(theta)
-    S = [0.0] * m
-    x = [0.0] * (m + 1)
-    y = [0.0] * (m + 1)
-    s = 0.0
-    for j, t in enumerate(theta):
+    S, x, y = ([], [0.0], [0.0]) if walk is None else walk
+    k = len(S)
+    pad = [0.0] * len(theta)
+    S, x, y = S + pad, x + pad, y + pad
+    s = S[k - 1] if k else 0.0
+    for j, t in enumerate(theta, k):
         s += t
         S[j] = s
         if j % 2:

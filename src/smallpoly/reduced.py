@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,9 +51,13 @@ class ReducedParams:
     ``betas`` holds the floor(r/2) free pair angles, ``gammas_free`` the
     ceil(r/2) - 1 free asymmetries; ``__post_init__``, the one check of a
     point, counts each on its own.  ``beta_derived`` (tail angle) and
-    ``gamma_last_derived`` (final asymmetry) are filled in by ``derive``.
-    Every angle is stored as a Python float, -0.0 as 0.0, so equal points
-    have identical bits and the memos below can key on the point alone.
+    ``gamma_last_derived`` (final asymmetry) are filled in by ``derive``,
+    which also keeps its walk of the prefix in ``_walk``: the prefix angles
+    and their ``walk_chain`` (S, x, y), read-only.  ``_walk`` is neither an
+    argument nor compared, so ``dataclasses.replace`` drops it and the
+    readers of the walk refuse the copy as underived.  Every angle is stored
+    as a Python float, -0.0 as 0.0, so equal points have identical bits and
+    the memos below can key on the point alone.
     """
 
     n: int
@@ -63,6 +67,7 @@ class ReducedParams:
     gammas_free: tuple[float, ...] = ()
     beta_derived: float | None = None
     gamma_last_derived: float | None = None
+    _walk: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_size(self.n, self.r)
@@ -130,7 +135,7 @@ def _pairs(r: int, betas, beta, gammas, gamma_last) -> list[tuple]:
 
     The one home of the pair layout: the free betas, then for odd r the
     tail angle beta, zipped with the free gammas and gamma_last.  Read with
-    the point's angles (``_prefix_angles``, ``_closure``, ``_area_terms``)
+    the point's angles (``_prefix_angles``, ``_area_terms``)
     and with unit rows (``_sum_skeleton``).
     """
     return list(zip([*betas, beta] if r % 2 else betas, [*gammas, gamma_last]))
@@ -144,69 +149,74 @@ def _prefix_angles(p: ReducedParams, beta: float, gamma_last: float) -> list[flo
     return th
 
 
-def _closure(p: ReducedParams, beta: float):
-    """The closure residual as a function of gamma_last alone.
-
-    Summing the constant-angle tail in closed form reduces x_{n/2-1} = +-1/2
-    to: x_rp + sin(phi - beta/2) / (2 cos(beta/2)) = 0, phi = S_rp.  The
-    prefix before the last pair does not depend on gamma_last, so it is
-    walked once here (``walk_chain``); each evaluation adds only the last
-    pair (b + g, b - g), whose first angle is an odd step of the chain.
-    """
-    th = _prefix_angles(p, beta, 0.0)[:-2]
-    S, x, _ = walk_chain(th)
-    s0, x0 = S[-1], x[-1]
-    b = _pairs(p.r, p.betas, beta, p.gammas_free, 0.0)[-1][0]
-    half = beta / 2
-    den = 2.0 * math.cos(half)
-
-    def residual(g: float) -> float:
-        s = s0 + (b + g)
-        return x0 - math.sin(s) + math.sin(s + (b - g) - half) / den
-
-    return residual
-
-
 @functools.lru_cache(maxsize=1)
 def derive(p: ReducedParams) -> ReducedParams:
-    """Fill in the two derived parameters (one copy of ``p``).
+    """Fill in the two derived parameters and the prefix walk (one copy of ``p``).
 
-    The tail angle comes from the angle sum (``solve_beta``); for r >= 1 the
-    last asymmetry is the ``brentq`` root of the closure (``_closure``),
-    checked to ``CLOSURE_RESIDUAL_TOL``.  The last point derived is kept (a
-    one-entry memo keyed on ``p``), so the closing ``objective`` of a box
-    solve, and the ``derive`` of its result in ``construct_Q`` and
+    The tail angle comes from the angle sum (``solve_beta``).  The one walk
+    of the prefix (``walk_chain``) is kept in the copy, and the area, the
+    deficit, ``derivatives`` and ``expand_angles`` read it.  For r >= 1 it
+    walks the angles before the last pair (b + g, b - g) first: they do not
+    depend on g = gamma_last.  Summing the constant-angle tail in closed
+    form reduces x_{n/2-1} = +-1/2 to x_rp + sin(phi - beta/2) / (2
+    cos(beta/2)) = 0, phi = S_rp, and each evaluation of that residual adds
+    only the last pair, whose first angle is an odd step of the chain.  Its
+    ``brentq`` root, checked to ``CLOSURE_RESIDUAL_TOL``, is gamma_last, and
+    the walk goes on by the last pair's two angles.  The last point derived
+    is kept (a one-entry memo keyed on ``p``), so the closing ``objective``
+    of a box solve, and the ``derive`` of its result in ``construct_Q`` and
     ``estimate_q_numeric``, reuse the point that the solve's last
     ``derivatives`` call derived, root solve included.
     """
     beta = solve_beta(p)
     gamma = p.gamma_last_derived
+    th = _prefix_angles(p, beta, 0.0)
+    walk = walk_chain(th[:-2] if p.r else th)
     if p.r > 0:
+        b = th[-2]  # the last pair's beta
+        s0, x0 = walk[0][-1], walk[1][-1]
+        half = beta / 2
+        den = 2.0 * math.cos(half)
+
+        def residual(g: float) -> float:
+            s = s0 + (b + g)
+            return x0 - math.sin(s) + math.sin(s + (b - g) - half) / den
+
         # the bracket [-pi/n, pi/n] is deliberately wider than the box
         # [0, pi/n], so a negative root is found rather than failing it
-        f = _closure(p, beta)
-        gamma = brentq(f, -math.pi / p.n, math.pi / p.n) + 0.0
-        res = f(gamma)
+        gamma = brentq(residual, -math.pi / p.n, math.pi / p.n) + 0.0
+        res = residual(gamma)
         if abs(res) > CLOSURE_RESIDUAL_TOL:
             raise BracketError(
                 f"closure residual {res:.3e} above {CLOSURE_RESIDUAL_TOL:.0e} at root"
             )
-    # a copy of the validated p with the two floats set, stored as
-    # ``__post_init__`` stores them; ``dataclasses.replace`` would run it again
+        th[-2:] = b + gamma, b - gamma
+        walk = walk_chain(th[-2:], walk)
+    # a copy of the validated p with the derived fields set, the floats
+    # stored as ``__post_init__`` stores them; ``dataclasses.replace`` would
+    # run it again
     q = object.__new__(ReducedParams)
-    q.__dict__.update(p.__dict__, beta_derived=beta, gamma_last_derived=gamma)
+    q.__dict__.update(
+        p.__dict__, beta_derived=beta, gamma_last_derived=gamma, _walk=(th, *walk)
+    )
     return q
+
+
+def _walk_of(p: ReducedParams, doing: str) -> tuple[list, list, list, list]:
+    """The prefix walk (angles, S, x, y) that ``derive`` kept in ``p``.
+
+    A point that ``derive`` did not make, a ``dataclasses.replace`` of a
+    derived one included, has none and is refused.
+    """
+    if p._walk is None:
+        raise ValueError(f"derive the parameters before {doing}")
+    return p._walk
 
 
 def expand_angles(p: ReducedParams) -> AngleVector:
     """The full n/2 turning angles of the construction (``AngleVector`` checks their box)."""
-    if p.beta_derived is None:
-        raise ValueError("derive the parameters before expanding")
-    if p.r > 0 and p.gamma_last_derived is None:
-        raise ValueError("derive the parameters before expanding")
-    beta = p.beta_derived
-    prefix = _prefix_angles(p, beta, p.gamma_last_derived)
-    th = np.full(p.n // 2, beta)
+    prefix = _walk_of(p, "expanding")[0]
+    th = np.full(p.n // 2, p.beta_derived)
     th[: len(prefix)] = prefix
     return AngleVector(p.n, th)
 
@@ -218,10 +228,9 @@ def reduced_area(p: ReducedParams) -> float:
     sin(beta) - tan(beta/2) plus one correction term built from the prefix
     state; the prefix contributes its own triangle areas.  For r = 0 the
     value is the polygon area only at the closure point alpha = beta/2.
-    Summed as ``_area_terms`` describes.
+    Summed as ``_area_terms`` describes, from the walk ``derive`` kept.
     """
-    if p.beta_derived is None:
-        raise ValueError("derive the parameters before evaluating the area")
+    _walk_of(p, "evaluating the area")
     return _area_terms(p)[0]
 
 
@@ -240,8 +249,7 @@ def area_deficit(p: ReducedParams) -> float:
     to about 1e-17 (at n = 582992, r = 7 it reads -3.8e-16 against a true
     1.8e-17).  ``asymptotics.estimate_q_numeric`` refuses such a grid.
     """
-    if p.beta_derived is None:
-        raise ValueError("derive the parameters before evaluating the deficit")
+    _walk_of(p, "evaluating the deficit")
     return _area_terms(p)[1]
 
 
@@ -268,7 +276,7 @@ def _area_terms(p: ReducedParams) -> tuple[float, float]:
     The prefix contributes the triangle sum ``tri`` of its rp + 1 angles,
     the tail tc = n/2 - rp - 1 copies of sin(beta) - tan(beta/2), and one
     ``correction`` in phi = S_rp and vertex rp joins them, all three from
-    one ``walk_chain``, with the triangles' terms formed by
+    the walk that ``derive`` kept, with the triangles' terms formed by
     ``triangle_terms``; for r = 0 the prefix is theta_0 = alpha alone.  Since
     tc beta = pi/2 - phi for the exact tail angle, the tail is pi/4 - phi/2
     + tc g(beta) (``_g``), with phi/2 = alpha/2 plus the beta of each of
@@ -277,10 +285,10 @@ def _area_terms(p: ReducedParams) -> tuple[float, float]:
     to cancel, and the area pi/4 - phi/2 + tc g(beta) + tri - correction.
     Keyed like ``derive``'s memo and, like it, kept for the last point, so
     the ``area_deficit`` after a solve's closing ``objective`` reuses it.
+    The walk is not part of the key: its callers refuse a point without one.
     """
     beta = p.beta_derived
-    th = _prefix_angles(p, beta, p.gamma_last_derived)
-    S, x, y = walk_chain(th)
+    th, S, x, y = p._walk
     tri = triangle_terms(th, S, x, y)
     phi, X, Y = S[-1], x[-2], y[-2]  # S_rp and vertex rp
     correction = (X * math.sin(phi) + Y * math.cos(phi) + 0.5) * math.tan(beta / 2)
@@ -396,8 +404,8 @@ def derivatives(n: int, r: int, vec):
     Returns ``(gradient, hessian)`` with ``hessian`` a zero-argument
     callable (the ``BoxProblem`` contract), or None where ``derive`` raises
     (``objective`` is undefined).  The gradient and mu are computed here,
-    from the vertices of one ``walk_chain`` of the prefix, their steps and
-    area gradient (``area_gradient_s``) and one product with A; the prefix
+    from the vertices of the prefix walk that ``derive`` kept (a point
+    without one is refused), their steps and area gradient (``area_gradient_s``) and one product with A; the prefix
     triangles' dense Hessian and the B^T H B assembly wait for
     ``hessian()``, which the Newton kernel calls only at the points it steps
     from.  The turn phi is the walk's S_rp, as in ``_area_terms``.  With
@@ -419,16 +427,15 @@ def derivatives(n: int, r: int, vec):
         p = derive(params_from_vector(n, r, vec))
     except ValueError:
         return None
+    _, S, x, y = _walk_of(p, "differentiating")
     k = 1 + sum(free_shape(r))
     A = _sum_map(n, r)
     beta = p.beta_derived
-    th = _prefix_angles(p, beta, p.gamma_last_derived)
-    rp = len(th) - 1
+    rp = len(S) - 1
     tc = n // 2 - rp - 1  # tail angles after the prefix
 
     # prefix terms in z: triangles T, vertex rp = (X, Y), phi = S_rp; the
     # entries of gX and gY after rp - 1 are zero and left out
-    S, x, y = walk_chain(th)
     steps_p, steps_q, gT = area_gradient_s(x, y)
     gX = steps_q[:rp]  # q_j
     gY = [-v for v in steps_p[:rp]]  # -p_j

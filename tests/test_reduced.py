@@ -21,7 +21,6 @@ from smallpoly.geometry import (
 from smallpoly.reduced import (
     CLOSURE_RESIDUAL_TOL,
     ReducedParams,
-    _closure,
     _g,
     _prefix_angles,
     _sum_map,
@@ -137,7 +136,7 @@ class TestSolveGammaLast:
         p = q61_params()
         a, b, g = p.alpha, p.beta_derived, p.gamma_last_derived
         classic = math.sin(a + b + g) - math.sin(a) - math.sin(a + 1.5 * b) / (2 * math.cos(b / 2))
-        generalized = _closure(p, b)(g)
+        generalized = walked_residual(p, b, g)
         assert abs(generalized + classic) <= 1e-14
         assert abs(classic) <= 1e-14
 
@@ -154,7 +153,7 @@ class TestSolveGammaLast:
         n, r, alpha = 8, 2, 0.2725
         def residual_at_zero(b1):
             p = ReducedParams(n=n, r=r, alpha=alpha, betas=(b1,))
-            return _closure(p, solve_beta(p))(0.0)
+            return walked_residual(p, solve_beta(p), 0.0)
 
         # keep the tail angle positive: b1 < (pi/2 - alpha)/2
         b1 = brentq(residual_at_zero, math.pi / n * 1.001, (math.pi / 2 - alpha) / 2 * 0.98)
@@ -181,14 +180,11 @@ def walked_gamma_last(p, beta):
     return gamma
 
 
-def test_hoisted_closure_matches_prefix_walk():
-    """One prefix walk per root solve gives the root of the full walk, bit for bit.
-
-    1000 points, 125 per family, up to 10% of the box off the tabulated
+def closure_corpus():
+    """1000 points, 125 per family, up to 10% of the box off the tabulated
     start; (6, 1), (10, 3), (14, 5) and (30, 13) are zero-tail families.
-    """
+    Yields each point whose tail angle is defined, with that angle."""
     families = [(6, 1), (10, 3), (14, 5), (12, 4), (30, 13), (120, 16), (1000, 7), (50000, 16)]
-    solved = 0
     for n, r in families:
         lo, hi = parameter_bounds(n, r)
         rng = np.random.default_rng(7 * n + r)
@@ -199,17 +195,39 @@ def test_hoisted_closure_matches_prefix_walk():
                 beta = solve_beta(p)
             except ValueError:
                 continue
-            g = float(rng.uniform(-math.pi / n, math.pi / n))
-            assert _closure(p, beta)(g) == walked_residual(p, beta, g)
-            try:
-                expected = walked_gamma_last(p, beta)
-            except BracketError:
-                with pytest.raises(BracketError):
-                    derive(p)
-                continue
-            assert derive(p).gamma_last_derived == expected
-            solved += 1
+            yield p, beta
+
+
+def test_hoisted_closure_matches_prefix_walk():
+    """One walk of the fixed prefix per root solve gives the root of the
+    full walk, bit for bit, on the 1000 points of ``closure_corpus``."""
+    solved = 0
+    for p, beta in closure_corpus():
+        try:
+            expected = walked_gamma_last(p, beta)
+        except BracketError:
+            with pytest.raises(BracketError):
+                derive(p)
+            continue
+        assert derive(p).gamma_last_derived == expected
+        solved += 1
     assert solved >= 900
+
+
+def test_stored_walk_is_the_walk_of_the_prefix():
+    """The walk ``derive`` keeps, the fixed prefix continued by the last
+    pair, is the walk of the whole prefix from scratch, bit for bit."""
+    walked = 0
+    for p, _ in closure_corpus():
+        try:
+            d = derive(p)
+        except BracketError:
+            continue
+        th = _prefix_angles(d, d.beta_derived, d.gamma_last_derived)
+        # repr shows every bit of a float, the sign of a zero included
+        assert repr(d._walk) == repr((th, *walk_chain(th)))
+        walked += 1
+    assert walked >= 900
 
 
 @pytest.mark.parametrize("n, r", [(6, 1), (12, 4), (14, 5), (40, 3), (120, 16), (50000, 16)])
@@ -311,15 +329,13 @@ class TestExpand:
         "change, named",
         [
             ({"alpha": 1.0}, "theta_0 = 1.0 outside [0, pi/6]"),
-            ({"beta_derived": 1.2}, "theta_1 = 1.2 outside [0, pi/3]"),
-            ({"beta_derived": -0.1}, "theta_1 = -0.1 outside [0, pi/3]"),
-            ({"alpha": 1.0, "beta_derived": 1.2}, "theta_0 = 1.0 outside [0, pi/6]"),
         ],
     )
     def test_bounds_name_first_offender(self, change, named):
         # ``AngleVector`` checks the expanded angles' box and names the first
-        # angle outside it
-        p = replace(derive(ReducedParams(n=12, r=0, alpha=math.pi / 22)), **change)
+        # angle outside it; a derived tail angle outside its box cannot be
+        # reached through ``derive`` (test_geometry's AngleVector tests name it)
+        p = derive(replace(ReducedParams(n=12, r=0, alpha=math.pi / 22), **change))
         with pytest.raises(ValueError, match=re.escape(named)):
             expand_angles(p)
 
@@ -347,8 +363,8 @@ class TestExpand:
             chain = tuple(vertices_from_angles(angles).points[rp].tolist())
             assert (x[rp], y[rp]) == pytest.approx(chain, abs=1e-14)
             # the closure the root solve met, through the same walk
-            closure = _closure(params, params.beta_derived)
-            assert abs(closure(params.gamma_last_derived)) <= CLOSURE_RESIDUAL_TOL
+            residual = walked_residual(params, params.beta_derived, params.gamma_last_derived)
+            assert abs(residual) <= CLOSURE_RESIDUAL_TOL
             # strict only when tail angles remain; at n = 2r + 4 with r odd
             # the prefix is the whole quarter turn
             if rp + 1 < params.n // 2:
@@ -835,3 +851,71 @@ class TestPointDerivedOnce:
         ) == misses
         # a bit-identical input, even a new object, is served from the memo
         assert derive(params_from_vector(40, 5, x)) is first
+
+
+class TestOneWalkPerPoint:
+    """``derive`` walks a point's prefix once and keeps the walk; the area,
+    the deficit, ``expand_angles`` and ``derivatives`` read it."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record (angles walked, whether the walk starts afresh) for each
+        ``walk_chain`` call that ``reduced`` makes."""
+        calls = []
+        real_walk_chain = reduced.walk_chain
+
+        def walk_chain(theta, walk=None):
+            calls.append((len(theta), walk is None))
+            return real_walk_chain(theta, walk)
+
+        monkeypatch.setattr(reduced, "walk_chain", walk_chain)
+        return calls
+
+    @pytest.mark.parametrize("n, r", [(6, 0), (12, 4), (40, 5), (1000, 16)])
+    def test_one_walk_per_derive_miss(self, monkeypatch, n, r):
+        # every derive miss starts one walk and steps each prefix angle
+        # once; nothing else in the family's solve walks the prefix
+        calls = self.spy(monkeypatch)
+        misses = derive.cache_info().misses
+        construct_Q(n, r)
+        misses = derive.cache_info().misses - misses
+        prefix = 2 * ((r + 1) // 2) + 1
+        assert misses > 0
+        assert sum(fresh for _, fresh in calls) == misses
+        assert sum(m for m, _ in calls) == misses * prefix
+
+    def test_readers_walk_nothing(self, monkeypatch):
+        n, r = 40, 5
+        vec = start_vector(n, r)
+        d = derive(params_from_vector(n, r, vec))
+        reduced._area_terms.cache_clear()
+        calls = self.spy(monkeypatch)
+        reduced_area(d)
+        area_deficit(d)
+        expand_angles(d)
+        _, hessian = derivatives(n, r, vec)
+        hessian()
+        assert calls == []
+
+    def test_readers_refuse_a_point_derive_did_not_make(self, monkeypatch):
+        n, r = 40, 5
+        vec = start_vector(n, r)
+        d = derive(params_from_vector(n, r, vec))
+        # the memos hold d's area and deficit: a copy equal to d must still
+        # be refused, not served from them
+        reduced_area(d), area_deficit(d)
+        copies = [
+            replace(d),
+            ReducedParams(n, r, d.alpha, d.betas, d.gammas_free, d.beta_derived,
+                          d.gamma_last_derived),
+        ]
+        for copy in copies:
+            assert copy == d and copy._walk is None
+            for read in (reduced_area, area_deficit, expand_angles):
+                with pytest.raises(ValueError, match="derive the parameters before"):
+                    read(copy)
+        # ``derivatives`` derives its own point; hand it the copy instead
+        real_derive = reduced.derive
+        monkeypatch.setattr(reduced, "derive", lambda p: replace(real_derive(p)))
+        with pytest.raises(ValueError, match="derive the parameters before differentiating"):
+            derivatives(n, r, vec)
