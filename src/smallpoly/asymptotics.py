@@ -172,7 +172,7 @@ def verify_certificates() -> CertificateReport:
 
 
 # the largest grid n of ``estimate_q_numeric``: ``area_deficit``'s resolved range
-MAX_GRID_N = 100_000
+MAX_GRID_N = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -194,10 +194,10 @@ def estimate_q_numeric(r: int, n_grid, *, seed: int = 0) -> AsymptoticFit:
     cancel; the model pi/4 - 5 pi^3/48n^2 - q pi^3/n^3 - d pi^4/n^4 is then
     fit by ordinary least squares with the known terms fixed.  Each grid n
     is checked by ``require_even`` (a float is refused, not truncated) and
-    by ``best_params``; a grid n above ``MAX_GRID_N`` is refused, because
-    there the deficit is below the root finder's resolution (see
-    ``area_deficit``).  Every solve is deterministic; ``seed`` is accepted
-    and unused.
+    by ``best_params``; a grid n above ``MAX_GRID_N`` = 1e6 is refused,
+    because past it the plain-double prefix terms leave the deficit up to
+    16% off (see ``area_deficit``).  Every solve is deterministic; ``seed``
+    is accepted and unused.
     """
     grid = [int(require_even(n, minimum=6)) for n in n_grid]
     if len(grid) < 2:
@@ -207,8 +207,8 @@ def estimate_q_numeric(r: int, n_grid, *, seed: int = 0) -> AsymptoticFit:
     if grid[-1] > MAX_GRID_N:
         raise ValueError(
             f"grid n must be at most {MAX_GRID_N}, got {grid[-1]}: past it the "
-            "closure root's stop tolerance exceeds the deficit, so the deficits "
-            "are rounding noise"
+            "rounding of the plain-double prefix terms leaves the deficit up to "
+            "16% off"
         )
 
     deficits = [area_deficit(best_params(n, r)) for n in grid]

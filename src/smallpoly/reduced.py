@@ -86,8 +86,14 @@ class ReducedParams:
 
 
 def _check_size(n: int, r: int) -> None:
-    """The family's size check: n even and >= 6, r >= 0 and n >= 2r + 4."""
+    """The family's size check: n even and >= 6, r an integer >= 0 and n >= 2r + 4.
+
+    A bool is not an r, and a float is refused rather than truncated; a
+    numpy integer passes, as ``require_even`` lets one pass for n.
+    """
     require_even(n, minimum=6)
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+        raise ValueError(f"r must be an integer, got {r!r}")
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     if n < 2 * r + 4:
@@ -241,13 +247,15 @@ def area_deficit(p: ReducedParams) -> float:
     pi/4 would leave rounding noise at the scale of the deficit's own 1/n^3
     term; ``_area_terms`` sums the deficit without forming either.
 
-    Resolved for n up to 1e5: in 212 random draws of n in 1e3..1e5 and r in
-    1..16 at the optimum, the deficit was within 2.3e-5 relative of the one
-    with gamma_last in closed form.  Past 1e5 it is noise: ``brentq`` stops
-    within 1e-15 + 2 eps |b| of the closure root, which leaves gamma_last
-    off by up to 4.6e-16, and the deficit moves by as much while it falls
-    to about 1e-17 (at n = 582992, r = 7 it reads -3.8e-16 against a true
-    1.8e-17).  ``asymptotics.estimate_q_numeric`` refuses such a grid.
+    Resolved for n up to 1e6.  The deficit reads gamma_last with unit weight
+    and falls to about 4e-18 at n = 1e6, and ``brentq``'s stop test is
+    relative to the root (2 eps |gamma_last|), so the root solve does not
+    stop short of that scale.  What limits it is the rounding of the
+    plain-double prefix terms, the closure residual's among them: against
+    a 50-digit oracle that solves the closure itself, the worst relative
+    errors over 1200 random optima with r in 1..16 were 2.4e-7 below n =
+    1e4, 2.3e-5 below 1e5 and 1.8e-3 below 1e6; in 1e6..1e7 they reach
+    16%.  ``asymptotics.estimate_q_numeric`` refuses a grid n above 1e6.
     """
     _walk_of(p, "evaluating the deficit")
     return _area_terms(p)[1]
@@ -405,7 +413,8 @@ def derivatives(n: int, r: int, vec):
     callable (the ``BoxProblem`` contract), or None where ``derive`` raises
     (``objective`` is undefined).  The gradient and mu are computed here,
     from the vertices of the prefix walk that ``derive`` kept (a point
-    without one is refused), their steps and area gradient (``area_gradient_s``) and one product with A; the prefix
+    without one is refused), their steps and area gradient
+    (``area_gradient_s``) and one product with A; the prefix
     triangles' dense Hessian and the B^T H B assembly wait for
     ``hessian()``, which the Newton kernel calls only at the points it steps
     from.  The turn phi is the walk's S_rp, as in ``_area_terms``.  With

@@ -50,8 +50,8 @@ _EPS = 2.220446049250313e-16
 GRAD_TOL = 1e-8
 # cap on the Newton steps of one solve, read by ``_newton`` at call time
 MAX_STEPS = 300
-# ``brentq``'s absolute tolerance on the root and its cap on steps
-_ROOT_TOL = 1e-15
+# ``brentq``'s absolute floor on its relative stop test, and its cap on steps
+_ROOT_TOL = 1e-30
 _ROOT_MAX_ITER = 200
 # why a Newton solve stopped (``Diagnostics.stop_reason``)
 STOP_CONVERGED = "residual below 1e-13"
@@ -96,7 +96,12 @@ def brentq(f, a: float, b: float) -> float:
     """Root of f in [a, b]; f(a) and f(b) must differ in sign.
 
     Stops when half the bracket is at most 2 eps |b| + ``_ROOT_TOL``, or
-    after ``_ROOT_MAX_ITER`` steps.
+    after ``_ROOT_MAX_ITER`` steps.  The tolerance is relative to the root:
+    the family's deficit reads its root, gamma_last, with unit weight, and
+    past n = 1e5 the deficit is below 1e-15, so an absolute tolerance of
+    1e-15 would leave it noise.  The floor, far below any deficit, only
+    ends a solve whose root is 0; bisection reaches it from [-pi/n, pi/n]
+    in under 90 halvings.
     """
     fa, fb = f(a), f(b)
     if fa == 0.0:

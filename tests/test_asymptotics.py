@@ -227,14 +227,18 @@ class TestEstimateQ:
         assert all(type(n) is int for n in fit.n_grid)
 
     def test_grid_past_1e5_is_refused(self):
-        # past n = 1e5 the deficit is below brentq's resolution: unrefused,
-        # r = 4 on this grid fits q = -0.193 against the tabulated 0.11507
-        with pytest.raises(ValueError, match="stop tolerance exceeds the deficit"):
+        # past n = 1e6 the plain-double prefix terms leave the deficit up to
+        # 16% off; below it the root solve resolves it (test_reduced's
+        # test_deficit_resolved_to_n_1e6), so only n > 1e6 is refused
+        with pytest.raises(ValueError, match="leaves the deficit up to 16% off"):
             estimate_q_numeric(4, (200000, 400000, 800000, 1600000))
-        with pytest.raises(ValueError, match="at most 100000, got 100002"):
-            estimate_q_numeric(4, (50000, 100002))
+        with pytest.raises(ValueError, match="at most 1000000, got 1000002"):
+            estimate_q_numeric(4, (50000, 1000002))
         fit = estimate_q_numeric(4, (1000, 2000, 5000, 10000, 20000, 50000))
         assert fit.q_estimate == pytest.approx(coeff_row(4).q, abs=1e-5)
+        # a grid past 1e5 fits q_4 to 5.4e-6 (every q_0..q_16 to 2.05e-5)
+        fit = estimate_q_numeric(4, (100000, 200000, 400000, 800000))
+        assert fit.q_estimate == pytest.approx(coeff_row(4).q, abs=2e-5)
 
     def test_scaled_parameters_converge(self):
         # the optimal alpha approaches its scaled limit like a/n
