@@ -69,33 +69,71 @@ def poly_derivative(poly: dict[tuple[int, ...], int], i: int) -> dict[tuple[int,
     return out
 
 
+def _derivative_terms(poly: dict[tuple[int, ...], int], r: int):
+    """The gradient and Hessian tables of ``poly`` as terms over shared monomials.
+
+    Returns ``(monomials, gradient, hessian)``: the exponent tuples that
+    the ``poly_derivative`` tables of the r first and second partials read,
+    in the order first met, and each table as its (coefficient, monomial
+    index) terms in table order.
+    """
+    grad = [poly_derivative(poly, i) for i in range(r)]
+    hess = [[poly_derivative(g, j) for j in range(r)] for g in grad]
+    monomials: dict[tuple[int, ...], int] = {}
+
+    def terms(table):
+        return tuple((c, monomials.setdefault(e, len(monomials))) for e, c in table.items())
+
+    grad_terms = tuple(terms(g) for g in grad)
+    hess_terms = tuple(tuple(terms(h) for h in row) for row in hess)
+    return tuple(monomials), grad_terms, hess_terms
+
+
+# ``_derivative_terms`` of each cubic, built once
+_CUBIC_DERIVATIVES = {r: _derivative_terms(cubic, r) for r, cubic in CUBICS.items()}
+
+
+def _cubic_derivatives(r: int, x):
+    """Gradient of ``CUBICS[r]`` at x and a callable that returns its Hessian there.
+
+    Both as lists, from the tables of ``_derivative_terms``: each monomial
+    is formed once per point, as ``poly_value`` forms a term's product, and
+    each table sums the same products in the same order as ``poly_value``
+    of its ``poly_derivative`` table, so the values are bit for bit those.
+    """
+    monomials, grad, hess = _CUBIC_DERIVATIVES[r]
+    x = [float(v) for v in x]
+    m = [math.prod(map(pow, x, e)) for e in monomials]
+
+    def value(table):
+        return sum([c * m[i] for c, i in table])
+
+    return [value(t) for t in grad], lambda: [[value(h) for h in row] for row in hess]
+
+
 def minimize_cubic(r: int) -> tuple[float, np.ndarray]:
     """Minimum of the scaled-limit cubic, normalized to the deficit scale.
 
     The Newton kernel of ``maximize_box`` runs from one start on the exact
-    gradient and Hessian tables to machine precision; the minimizer is
-    interior for all three cubics.
+    gradient and Hessian tables (``_cubic_derivatives``) to machine
+    precision; the minimizer is interior for all three cubics.
     """
     if r not in CUBICS:
         raise ValueError(f"scaled-limit cubics exist for r in {sorted(CUBICS)}, got {r}")
     cubic = CUBICS[r]
-    grad = [poly_derivative(cubic, i) for i in range(r)]
-    hess = [[poly_derivative(g, j) for j in range(r)] for g in grad]
 
-    def hessian(v):
-        return np.array([[poly_value(h, v) for h in row] for row in hess])
+    def derivatives(v):
+        g, hessian = _cubic_derivatives(r, v)
+        return -np.array(g), lambda: -np.array(hessian())
 
     problem = BoxProblem(
         lower=CUBIC_BOX[0][:r],
         upper=CUBIC_BOX[1][:r],
         objective=lambda v: -poly_value(cubic, v),
-        derivatives=lambda v: (
-            -np.array([poly_value(g, v) for g in grad]),
-            lambda: -hessian(v),
-        ),
+        derivatives=derivatives,
     )
     x, _, _ = maximize_box(problem, np.array([0.5, 1.0, 0.1][:r]))
-    if np.any(np.linalg.eigvalsh(hessian(x)) <= 0):
+    if np.any(np.linalg.eigvalsh(_cubic_derivatives(r, x)[1]()) <= 0):
         raise RuntimeError(f"stationary point for r = {r} is not a minimum")
     return poly_value(cubic, x) / 192.0, x
 

@@ -49,7 +49,7 @@ class ReducedParams:
     """Free and derived parameters of the r-parameter construction.
 
     ``betas`` holds the floor(r/2) free pair angles, ``gammas_free`` the
-    ceil(r/2) - 1 free asymmetries; ``__post_init__``, the one check of a
+    ceil(r/2) - 1 free asymmetries; ``__init__``, the one check of a
     point, counts each on its own.  ``beta_derived`` (tail angle) and
     ``gamma_last_derived`` (final asymmetry) are filled in by ``derive``,
     which also keeps its walk of the prefix in ``_walk``: the prefix angles
@@ -69,20 +69,26 @@ class ReducedParams:
     gamma_last_derived: float | None = None
     _walk: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        _check_size(self.n, self.r)
-        d = self.__dict__  # frozen: the fields are set in the instance dict
-        d["alpha"] = float(self.alpha) + 0.0
-        d["betas"] = tuple([float(b) + 0.0 for b in self.betas])
-        d["gammas_free"] = tuple([float(g) + 0.0 for g in self.gammas_free])
-        for name in ("beta_derived", "gamma_last_derived"):
-            if d[name] is not None:
-                d[name] = float(d[name]) + 0.0
-        nb, ng = free_shape(self.r)
-        if len(self.betas) != nb:
-            raise ValueError(f"r = {self.r} takes {nb} free betas, got {len(self.betas)}")
-        if len(self.gammas_free) != ng:
-            raise ValueError(f"r = {self.r} takes {ng} free gammas, got {len(self.gammas_free)}")
+    def __init__(self, n, r, alpha, betas=(), gammas_free=(), beta_derived=None,
+                 gamma_last_derived=None):
+        # written out, not generated: a frozen dataclass's __init__ sets each
+        # field through object.__setattr__, and a __post_init__ would then
+        # set most of them again; here each is set once, in the instance dict
+        _check_size(n, r)
+        alpha = float(alpha) + 0.0
+        betas = tuple([float(b) + 0.0 for b in betas])
+        gammas_free = tuple([float(g) + 0.0 for g in gammas_free])
+        nb, ng = free_shape(r)
+        if len(betas) != nb:
+            raise ValueError(f"r = {r} takes {nb} free betas, got {len(betas)}")
+        if len(gammas_free) != ng:
+            raise ValueError(f"r = {r} takes {ng} free gammas, got {len(gammas_free)}")
+        beta, gamma = (None if v is None else float(v) + 0.0
+                       for v in (beta_derived, gamma_last_derived))
+        self.__dict__.update(
+            n=n, r=r, alpha=alpha, betas=betas, gammas_free=gammas_free,
+            beta_derived=beta, gamma_last_derived=gamma, _walk=None,
+        )
 
 
 def _check_size(n: int, r: int) -> None:
@@ -199,7 +205,7 @@ def derive(p: ReducedParams) -> ReducedParams:
         th[-2:] = b + gamma, b - gamma
         walk = walk_chain(th[-2:], walk)
     # a copy of the validated p with the derived fields set, the floats
-    # stored as ``__post_init__`` stores them; ``dataclasses.replace`` would
+    # stored as ``__init__`` stores them; ``dataclasses.replace`` would
     # run it again
     q = object.__new__(ReducedParams)
     q.__dict__.update(
@@ -349,9 +355,11 @@ def start_vector(n: int, r: int) -> np.ndarray:
     is this start and its accuracy is the start's.
     """
     row = coeff_row(r)
-    limits = np.array([row.a, *row.b, *row.c])
     x1, x2 = START_DRIFT[r]
-    return math.pi / n * (limits + (np.array(x1) + np.array(x2) / n) / n)
+    step = math.pi / n
+    return np.array(
+        [step * (u + (a + b / n) / n) for u, a, b in zip((row.a, *row.b, *row.c), x1, x2)]
+    )
 
 
 def objective(n: int, r: int, vec) -> float:
@@ -510,15 +518,14 @@ def best_params(n: int, r: int) -> ReducedParams:
     _check_size(n, r)
     if r == 0:
         return derive(ReducedParams(n=n, r=0, alpha=math.pi / (2 * n - 2)))
-    start = start_vector(n, r)
     lo, hi = parameter_bounds(n, r)
     problem = BoxProblem(
-        lower=tuple(lo),
-        upper=tuple(hi),
+        lower=lo,
+        upper=hi,
         objective=lambda v: objective(n, r, v),
         derivatives=lambda v: derivatives(n, r, v),
     )
-    best, _, _ = maximize_box(problem, start)
+    best, _, _ = maximize_box(problem, start_vector(n, r))
     return derive(params_from_vector(n, r, best))
 
 

@@ -155,9 +155,17 @@ def brentq(f, a: float, b: float) -> float:
 # the Newton kernel
 # ---------------------------------------------------------------------------
 
-def _held(x, lo, hi, g) -> np.ndarray:
-    """Variables at a bound whose descent direction -g points out of the box."""
-    return ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
+def _held(x, lo, hi, g) -> np.ndarray | None:
+    """Variables at a bound whose descent direction -g points out of the box.
+
+    None if there are none.  In the interior none can be, so whether any
+    variable is at a bound is checked first.
+    """
+    low, high = x <= lo, x >= hi
+    if not (np.count_nonzero(low) or np.count_nonzero(high)):
+        return None
+    held = (low & (g > 0.0)) | (high & (g < 0.0))
+    return held if np.count_nonzero(held) else None
 
 
 def _newton(evaluate, x0, lo, hi, ncon: int):
@@ -178,47 +186,59 @@ def _newton(evaluate, x0, lo, hi, ncon: int):
     an eigenvalue within rounding of zero is lifted to the rounding level, so
     a flat direction (a linear f) still gets a step, which the projection
     cuts at the bound.  The null-space basis comes from a complete QR of the
-    free Jacobian's transpose; without constraints the null space is the
-    whole space and the Hessian is used as it is, with no QR.  Near a
-    nondegenerate optimum no shift is needed and the steps are Newton's.  A
-    step, or a halving of it, is projected onto the box and accepted if f is
-    defined there and the max-norm KKT residual (held variables excluded)
-    falls.  The loop ends for one of the five reasons in the module
-    docstring; the step cap is the module's ``MAX_STEPS``, read when the
-    cap is checked.
+    free Jacobian's transpose.  A step, or a halving of it, is projected
+    onto the box and accepted if f is defined there and the max-norm KKT
+    residual (held variables excluded) falls.  Near a nondegenerate optimum
+    no shift is needed and the steps are Newton's.  The loop ends for one
+    of the five reasons in the module docstring; the step cap is the
+    module's ``MAX_STEPS``, read when the cap is checked.
+
+    ``lo`` and ``hi`` are float arrays, read as they are.  Without
+    constraints (``ncon`` = 0, a box problem) the kernel does no constraint
+    work: ``evaluate`` may return None for c and the Jacobian, which are
+    never read; there are no multipliers to fit or step, the constraint
+    residual is 0, the null space is the whole space (no QR), and the KKT
+    matrix is the shifted Hessian alone, with no zero border.
 
     Returns ``(x, lam, gradient residual, constraint residual, steps,
     evaluations, stop reason)``, the reason being one of the ``STOP_*``
     constants; the residuals are infinite if f is undefined at the start.
     """
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    x = np.asarray(x0, dtype=float).clip(lo, hi)
     lam = np.zeros(ncon)
 
-    def defined(x, lam):
-        """``evaluate(x, lam)``, or None where f is undefined at x."""
-        ev = evaluate(x, lam)
-        finite = ev is not None and np.isfinite(ev[0]).all() and np.isfinite(ev[1]).all()
-        return ev if finite else None
+    def at(x, lam):
+        """``evaluate(x, lam)``, the held variables at x (None if there are
+        none) and the two max-norm residuals there; None where f is undefined.
 
-    ev = defined(x, lam)
+        The max-norms over all entries double as the finiteness check: the
+        max of the magnitudes is NaN if an entry is NaN and infinite if one
+        is infinite.
+        """
+        ev = evaluate(x, lam)
+        if ev is None:
+            return None
+        g = ev[0]
+        gmax = float(np.abs(g).max(initial=0.0))
+        cres = float(np.abs(ev[1]).max(initial=0.0)) if ncon else 0.0
+        if not (math.isfinite(gmax) and math.isfinite(cres)):
+            return None
+        held = _held(x, lo, hi, g)
+        if held is None:
+            return ev, None, gmax, cres
+        return ev, held, float(np.abs(np.where(held, 0.0, g)).max()), cres
+
+    point = at(x, lam)
     nfev = 1
-    if ev is not None and ncon:
+    if point is not None and ncon:
+        ev = point[0]
         lam = np.linalg.lstsq(ev[2].T, -ev[0], rcond=None)[0]
-        ev = defined(x, lam)
+        point = at(x, lam)
         nfev += 1
-    if ev is None:
+    if point is None:
         return x, lam, math.inf, math.inf, 0, nfev, STOP_UNDEFINED
 
-    def residuals(x, ev):
-        """The held variables at x and the two max-norm residuals there."""
-        g, c = ev[0], ev[1]
-        held = _held(x, lo, hi, g)
-        return held, (
-            float(np.max(np.abs(np.where(held, 0.0, g)), initial=0.0)),
-            float(np.max(np.abs(c), initial=0.0)) if ncon else 0.0,
-        )
-
-    held, (gres, cres) = residuals(x, ev)
+    ev, held, gres, cres = point
     steps = 0
     reason = STOP_CONVERGED
     while max(gres, cres) >= 1e-13:
@@ -227,17 +247,19 @@ def _newton(evaluate, x0, lo, hi, ncon: int):
             break
         g, c, J, hessian = ev
         # without held variables the free block is the whole system
-        free = ~held if held.any() else None
-        Hf, Jf, gf = hessian(), J, g
-        if free is not None:
-            Hf, Jf, gf = Hf[np.ix_(free, free)], J[:, free], g[free]
+        Hf, gf = hessian(), g
+        if held is not None:
+            free = ~held
+            Hf, gf = Hf[np.ix_(free, free)], g[free]
         k = len(gf)
         Hz = Hf
         if ncon:
+            Jf = J if held is None else J[:, free]
             Z = np.linalg.qr(Jf.T, mode="complete")[0][:, ncon:]
             Hz = Z.T @ Hf @ Z
-        low = min(np.linalg.eigvalsh(Hz), default=math.inf)
-        floor = _EPS * max(1.0, float(np.max(np.abs(Hf), initial=0.0)))
+        eig = np.linalg.eigvalsh(Hz)  # ascending
+        low = eig[0] if len(eig) else math.inf
+        floor = _EPS * max(1.0, float(np.abs(Hf).max(initial=0.0)))
         shift = -2.0 * low if low < -floor else max(0.0, floor - low)
         # the KKT matrix; without constraints it is the shifted Hessian alone
         K, rhs = Hf + shift * np.eye(k), -gf
@@ -253,22 +275,20 @@ def _newton(evaluate, x0, lo, hi, ncon: int):
             reason = STOP_SINGULAR
             break
         dx = d[:k]
-        if free is not None:
+        if held is not None:
             dx = np.zeros(len(x))
             dx[free] = d[:k]
         for t in _HALVINGS:
-            xn = np.clip(x + t * dx, lo, hi)
-            lamn = lam + t * d[k:]
-            evn = defined(xn, lamn)
+            xn = (x + t * dx).clip(lo, hi)
+            lamn = lam + t * d[k:] if ncon else lam
+            point = at(xn, lamn)
             nfev += 1
-            if evn is not None:
-                heldn, rn = residuals(xn, evn)
-                if max(rn) < max(gres, cres):
-                    break
+            if point is not None and max(point[2], point[3]) < max(gres, cres):
+                break
         else:
             reason = STOP_NO_DESCENT
             break
-        x, lam, ev, held, (gres, cres) = xn, lamn, evn, heldn, rn
+        x, lam, (ev, held, gres, cres) = xn, lamn, point
         steps += 1
     return x, lam, gres, cres, steps, nfev, reason
 
@@ -287,20 +307,26 @@ class BoxProblem:
     ``hessian`` only at the points it steps from and never accepts a step to
     an undefined point.  ``objective`` is evaluated once, at the returned
     point, which is defined unless the start is (``STOP_UNDEFINED``).
+
+    The bounds may be given as tuples, lists or arrays; they are checked
+    once, here, and held as read-only float arrays, which the kernel reads
+    as they are.
     """
 
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
+    lower: np.ndarray
+    upper: np.ndarray
     objective: object
     derivatives: object
 
     def __post_init__(self):
-        self.lower = tuple(float(v) for v in self.lower)
-        self.upper = tuple(float(v) for v in self.upper)
-        if len(self.lower) != len(self.upper):
+        self.lower = lower = np.array(self.lower, dtype=float)
+        self.upper = upper = np.array(self.upper, dtype=float)
+        if len(lower) != len(upper):
             raise ValueError("lower and upper must have the same length")
-        if any(lo > hi for lo, hi in zip(self.lower, self.upper)):
+        if np.count_nonzero(lower > upper):
             raise ValueError("lower bound exceeds upper bound")
+        lower.flags.writeable = False
+        upper.flags.writeable = False
         if not callable(self.derivatives):
             raise TypeError(
                 "derivatives must be a callable returning (gradient, Hessian callable)"
@@ -314,31 +340,27 @@ class BoxProblem:
 def maximize_box(problem: BoxProblem, start) -> tuple[np.ndarray, float, Diagnostics]:
     """Maximize within the box by one Newton solve on -objective from ``start``.
 
+    The kernel reads the problem's bounds as they are held and, the box
+    having no constraints, does no constraint work.
     The diagnostics report the solve's steps (``iterations``, each one
     Hessian), its evaluations (``nfev``: the ``derivatives`` calls plus the
     one ``objective`` call at the result), its gradient, whether that is at
     most ``GRAD_TOL`` (``converged``) and why the solve stopped
     (``stop_reason``).
     """
-    lo = np.asarray(problem.lower)
-    hi = np.asarray(problem.upper)
     x0 = np.asarray(start, dtype=float)
     if len(x0) != problem.dim:
         raise ValueError("start has wrong dimension")
-    empty = (np.zeros(0), np.zeros((0, problem.dim)))
+    derivatives = problem.derivatives
 
     def evaluate(x, lam):
-        derivs = problem.derivatives(x)
+        derivs = derivatives(x)
         if derivs is None:
             return None
         g, hessian = derivs
-        return (
-            -np.asarray(g, dtype=float),
-            *empty,
-            lambda: -np.asarray(hessian(), dtype=float),
-        )
+        return -np.asarray(g, dtype=float), None, None, lambda: -np.asarray(hessian(), dtype=float)
 
-    x, _, gres, _, steps, nfev, reason = _newton(evaluate, x0, lo, hi, 0)
+    x, _, gres, _, steps, nfev, reason = _newton(evaluate, x0, problem.lower, problem.upper, 0)
     converged = gres <= GRAD_TOL
     diag = Diagnostics(
         converged=converged,

@@ -8,6 +8,7 @@ import pytest
 from smallpoly import asymptotics
 from smallpoly.asymptotics import (
     A1_CLOSED_FORM,
+    CUBIC_BOX,
     CUBICS,
     DEGREE8_Q3,
     GAP_LINK_CLOSED_FORM,
@@ -102,6 +103,21 @@ class TestCubics:
     def test_domain(self):
         with pytest.raises(ValueError):
             minimize_cubic(4)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_derivative_terms_are_the_derivative_tables_bit_for_bit(r):
+    # the kernel's gradient and Hessian, from terms over shared monomials,
+    # against poly_value of each poly_derivative table, on 1000 points
+    # around the box
+    rng = np.random.default_rng(r)
+    lo, hi = np.array(CUBIC_BOX[0][:r]), np.array(CUBIC_BOX[1][:r])
+    grad = [poly_derivative(CUBICS[r], i) for i in range(r)]
+    for x in rng.uniform(lo - 0.5, hi + 0.5, size=(1000, r)):
+        g, hessian = asymptotics._cubic_derivatives(r, x)
+        hess = [[poly_value(poly_derivative(t, j), x) for j in range(r)] for t in grad]
+        assert np.array(g).tobytes() == np.array([poly_value(t, x) for t in grad]).tobytes()
+        assert np.array(hessian()).tobytes() == np.array(hess).tobytes()
 
 
 class TestMinimizeCubic:

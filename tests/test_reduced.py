@@ -692,6 +692,40 @@ class TestDriftStart:
                 assert diag.iterations == 0, (n, r)
 
 
+class TestZeroStepSolve:
+    """A family solve from a start already within the stop pays for its two
+    evaluations and nothing more."""
+
+    def test_one_derivatives_one_objective_no_hessian(self, monkeypatch):
+        calls = {"derivatives": 0, "objective": 0, "hessian": 0}
+        real_derivatives, real_objective = reduced.derivatives, reduced.objective
+
+        def derivatives(n, r, v):
+            calls["derivatives"] += 1
+            g, hessian = real_derivatives(n, r, v)
+
+            def counted():
+                calls["hessian"] += 1
+                return hessian()
+
+            return g, counted
+
+        def objective(n, r, v):
+            calls["objective"] += 1
+            return real_objective(n, r, v)
+
+        monkeypatch.setattr(reduced, "derivatives", derivatives)
+        monkeypatch.setattr(reduced, "objective", objective)
+        diags = record_box_solves(monkeypatch)
+        p = best_params(5000, 16)
+        assert calls == {"derivatives": 1, "objective": 1, "hessian": 0}
+        (diag,) = diags
+        assert diag.stop_reason == STOP_CONVERGED and diag.iterations == 0
+        assert diag.nfev == 2
+        # the result is the start, derived
+        assert params_to_vector(p).tolist() == start_vector(5000, 16).tolist()
+
+
 def whole_sum_map(n, r):
     """``_sum_map`` built whole, row by row, without the per-r skeleton."""
     nb, ng = free_shape(r)

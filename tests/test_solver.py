@@ -175,6 +175,41 @@ class TestMaximizeBox:
         assert diag.converged and diag.grad_norm <= 1e-8
 
 
+class TestBoxBounds:
+    def test_bounds_as_tuples_lists_or_arrays(self):
+        # each form is held as the same read-only float array, and solves alike
+        results = []
+        for lower, upper in (
+            ((0, -1.0), (1.0, 1)),
+            ([0, -1.0], [1.0, 1]),
+            (np.array([0, -1.0]), np.array([1.0, 1.0])),
+        ):
+            problem = BoxProblem(
+                lower=lower,
+                upper=upper,
+                objective=lambda v: -(v[0] ** 2) - 2 * v[1] ** 2,
+                derivatives=lambda v: (
+                    np.array([-2 * v[0], -4 * v[1]]), lambda: np.diag([-2.0, -4.0])
+                ),
+            )
+            for bound in (problem.lower, problem.upper):
+                assert isinstance(bound, np.ndarray) and bound.dtype == float
+                assert not bound.flags.writeable
+            assert problem.lower.tolist() == [0.0, -1.0] and problem.upper.tolist() == [1.0, 1.0]
+            x, value, diag = maximize_box(problem, (0.7, -0.6))
+            results.append((x.tobytes(), value, diag.nfev, diag.iterations))
+        assert results[0] == results[1] == results[2]
+
+    def test_bounds_are_copied(self):
+        lower = np.zeros(1)
+        problem = BoxProblem(
+            lower=lower, upper=(1.0,), objective=lambda v: 0.0,
+            derivatives=lambda v: (np.zeros(1), lambda: np.zeros((1, 1))),
+        )
+        lower[0] = 5.0
+        assert problem.lower[0] == 0.0
+
+
 class TestHessianOnDemand:
     def test_one_hessian_per_step(self):
         calls = []
