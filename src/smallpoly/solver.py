@@ -309,8 +309,10 @@ class BoxProblem:
     point, which is defined unless the start is (``STOP_UNDEFINED``).
 
     The bounds may be given as tuples, lists or arrays; they are checked
-    once, here, and held as read-only float arrays, which the kernel reads
-    as they are.
+    once, here, and held as read-only 1-D float arrays, which the kernel
+    reads as they are.  A bound may be infinite, not NaN (the error names
+    the first NaN bound), and no lower bound may exceed its upper one.
+    Both ``objective`` and ``derivatives`` must be callable.
     """
 
     lower: np.ndarray
@@ -321,12 +323,21 @@ class BoxProblem:
     def __post_init__(self):
         self.lower = lower = np.array(self.lower, dtype=float)
         self.upper = upper = np.array(self.upper, dtype=float)
+        if lower.ndim != 1 or upper.ndim != 1:
+            raise ValueError("lower and upper must each be a sequence of numbers")
         if len(lower) != len(upper):
             raise ValueError("lower and upper must have the same length")
-        if np.count_nonzero(lower > upper):
+        # one comparison checks both: it is False where a bound is NaN
+        if np.count_nonzero(lower <= upper) != len(lower):
+            for side, bound in (("lower", lower), ("upper", upper)):
+                nan = np.flatnonzero(np.isnan(bound))
+                if len(nan):
+                    raise ValueError(f"{side} bound {nan[0]} is NaN")
             raise ValueError("lower bound exceeds upper bound")
         lower.flags.writeable = False
         upper.flags.writeable = False
+        if not callable(self.objective):
+            raise TypeError("objective must be a callable returning the value at x")
         if not callable(self.derivatives):
             raise TypeError(
                 "derivatives must be a callable returning (gradient, Hessian callable)"
@@ -340,8 +351,9 @@ class BoxProblem:
 def maximize_box(problem: BoxProblem, start) -> tuple[np.ndarray, float, Diagnostics]:
     """Maximize within the box by one Newton solve on -objective from ``start``.
 
-    The kernel reads the problem's bounds as they are held and, the box
-    having no constraints, does no constraint work.
+    ``start`` must have the box's shape, one number per variable; it is
+    projected onto the box.  The kernel reads the problem's bounds as they
+    are held and, the box having no constraints, does no constraint work.
     The diagnostics report the solve's steps (``iterations``, each one
     Hessian), its evaluations (``nfev``: the ``derivatives`` calls plus the
     one ``objective`` call at the result), its gradient, whether that is at
@@ -349,8 +361,8 @@ def maximize_box(problem: BoxProblem, start) -> tuple[np.ndarray, float, Diagnos
     (``stop_reason``).
     """
     x0 = np.asarray(start, dtype=float)
-    if len(x0) != problem.dim:
-        raise ValueError("start has wrong dimension")
+    if x0.shape != problem.lower.shape:
+        raise ValueError(f"start must have shape {problem.lower.shape}, got {x0.shape}")
     derivatives = problem.derivatives
 
     def evaluate(x, lam):
@@ -485,8 +497,8 @@ def solve_full_nlp(n: int, start=None, *, tol: float = 1e-10):
         theta0 = np.array(start.theta)
     else:
         theta0 = np.asarray(start, dtype=float)
-    if len(theta0) != m:
-        raise ValueError(f"start must have {m} angles")
+    if theta0.shape != (m,):
+        raise ValueError(f"start must be {m} angles, got shape {theta0.shape}")
 
     theta, lam, kkt, cmax, steps, nfev, reason = _newton(_nlp_evaluate(n), theta0, lower, upper, 2)
     diag = Diagnostics(

@@ -175,6 +175,47 @@ class TestMaximizeBox:
         assert diag.converged and diag.grad_norm <= 1e-8
 
 
+class TestBoxEntryChecks:
+    """``BoxProblem`` and ``maximize_box`` refuse a malformed problem or start
+    at entry, before any evaluation."""
+
+    @staticmethod
+    def problem(lower=(0.0,), upper=(1.0,), objective=lambda v: -((v[0] - 0.3) ** 2)):
+        return BoxProblem(
+            lower=lower,
+            upper=upper,
+            objective=objective,
+            derivatives=lambda v: (np.array([-2 * (v[0] - 0.3)]), lambda: np.array([[-2.0]])),
+        )
+
+    def test_nan_bound_is_named(self):
+        with pytest.raises(ValueError, match="lower bound 0 is NaN"):
+            self.problem(lower=(math.nan,))
+        with pytest.raises(ValueError, match="upper bound 1 is NaN"):
+            self.problem(lower=(0.0, 0.0), upper=(1.0, math.nan))
+
+    def test_infinite_bounds_are_allowed(self):
+        x, _, diag = maximize_box(self.problem(lower=(-math.inf,), upper=(math.inf,)), (0.9,))
+        assert x[0] == pytest.approx(0.3, abs=1e-12) and diag.converged
+
+    def test_objective_must_be_callable(self):
+        with pytest.raises(TypeError, match="objective"):
+            self.problem(objective=None)
+
+    def test_bounds_must_be_flat(self):
+        with pytest.raises(ValueError):
+            self.problem(lower=[[0.0]], upper=[[1.0]])
+
+    @pytest.mark.parametrize("start", [[[0.5]], (0.5, 0.5), ()])
+    def test_start_must_have_the_box_shape(self, start):
+        with pytest.raises(ValueError, match="start must have shape"):
+            maximize_box(self.problem(), start)
+
+    def test_full_program_start_must_be_flat(self):
+        with pytest.raises(ValueError, match="start must be 5 angles"):
+            solve_full_nlp(10, np.full((5, 1), math.pi / 10))
+
+
 class TestBoxBounds:
     def test_bounds_as_tuples_lists_or_arrays(self):
         # each form is held as the same read-only float array, and solves alike
