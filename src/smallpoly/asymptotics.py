@@ -264,22 +264,53 @@ def estimate_q_numeric(r: int, n_grid, *, seed: int = 0) -> AsymptoticFit:
     )
 
 
+# decimal digits of the rational upper bound on sqrt(114) behind the proved
+# lower bound on q_1: 12 digits leave the separation a margin of 3.3e-7 (6
+# digits would leave 2.75e-7)
+SQRT114_DIGITS = 12
+
+
+def sqrt114_upper(digits: int = SQRT114_DIGITS) -> Fraction:
+    """A rational above sqrt(114) by at most 10^-digits.
+
+    ``math.isqrt(114 10^2k)`` is floor(sqrt(114) 10^k) exactly, so one more,
+    over 10^k, lies above sqrt(114).
+    """
+    scale = 10**digits
+    return Fraction(math.isqrt(114 * scale * scale) + 1, scale)
+
+
 @dataclass(frozen=True)
 class TheoremReport:
-    """The headline constants separating the r = 16 family from the bound."""
+    """The headline constants separating the r = 16 family from the bound.
+
+    ``separation`` and ``separation_floor`` are the tabulated q_1 - q_16 and
+    1/725 as floats, for display.  The separation is decided in rationals:
+    ``q1_lower`` = (5545 - 456 s)/5808 <= q_1 for the witness s =
+    ``sqrt114_upper`` > sqrt(114), and ``separation_margin`` is q1_lower -
+    q_16 - 1/725 with the tabulated q_16 read exactly, so a positive margin
+    proves q_1 - q_16 > 1/725 for that q_16.
+    """
 
     delta: float
     delta_reference_error: float
     upper_coefficient: float
     separation: float
     separation_floor: float
+    sqrt114_upper: Fraction
+    q1_lower: Fraction
+    separation_margin: Fraction
+
+    @property
+    def separation_proved(self) -> bool:
+        return self.separation_margin > 0
 
     @property
     def all_passed(self) -> bool:
         return (
             abs(self.delta_reference_error) <= 1e-9
             and self.delta < self.upper_coefficient
-            and self.separation > self.separation_floor
+            and self.separation_proved
         )
 
 
@@ -289,15 +320,22 @@ def theorem_constants() -> TheoremReport:
     The bound's own deficit expansion carries a 1/24 coefficient on pi^3/n^3,
     so delta measures how much of the remaining gap the r = 16 family leaves;
     it stays below 8/109, and the improvement over the one-parameter family
-    exceeds 1/725.
+    exceeds 1/725.  q_1's side of that improvement is proved in rationals
+    from its closed form (see ``TheoremReport``); q_16 is the tabulated
+    value.
     """
     q16 = coeff_row(16).q
     q1 = coeff_row(1).q
     delta = q16 - 1.0 / 24.0
+    s = sqrt114_upper()
+    q1_lower = (5545 - 456 * s) / 5808
     return TheoremReport(
         delta=delta,
         delta_reference_error=delta - 0.0733883168,
         upper_coefficient=8.0 / 109.0,
         separation=q1 - q16,
         separation_floor=1.0 / 725.0,
+        sqrt114_upper=s,
+        q1_lower=q1_lower,
+        separation_margin=q1_lower - Fraction(q16) - Fraction(1, 725),
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -292,3 +293,40 @@ class TestTheoremConstants:
         assert report.upper_coefficient == pytest.approx(8.0 / 109.0, abs=1e-16)
         assert report.separation == pytest.approx(0.0013796440720117, abs=1e-15)
         assert report.separation_floor == pytest.approx(1.0 / 725.0, abs=1e-16)
+
+    def test_q1_bound_is_proved_and_tight(self):
+        report = theorem_constants()
+        s = report.sqrt114_upper
+        # above sqrt(114), by at most 10^-SQRT114_DIGITS
+        step = Fraction(1, 10**asymptotics.SQRT114_DIGITS)
+        assert isinstance(s, Fraction) and (s - step) ** 2 <= 114 < s * s
+        assert report.q1_lower == (5545 - 456 * s) / 5808
+        # below q_1's closed form, by less than 1e-12
+        assert 0.0 < Q1_CLOSED_FORM - float(report.q1_lower) < 1e-12
+        q16 = Fraction(coeff_row(16).q)
+        assert report.separation_margin == report.q1_lower - q16 - Fraction(1, 725)
+        assert report.separation_proved
+        assert float(report.separation_margin) == pytest.approx(3.34e-7, rel=1e-2)
+
+    @staticmethod
+    def tabulated(monkeypatch, r, dq):
+        """Serve ``theorem_constants`` a tabulated q_r moved by dq."""
+        real = asymptotics.coeff_row
+        moved = dataclasses.replace(real(r), q=real(r).q + dq)
+        monkeypatch.setattr(asymptotics, "coeff_row", lambda k: moved if k == r else real(k))
+
+    def test_no_float_decides_the_separation(self, monkeypatch):
+        # a tabulated q_1 lowered by 1e-3 fails the float comparison, but
+        # the proof reads q_1's closed form, not the table
+        self.tabulated(monkeypatch, 1, -1e-3)
+        report = theorem_constants()
+        assert not report.separation > report.separation_floor
+        assert isinstance(report.separation_margin, Fraction)
+        assert report.separation_proved and report.all_passed
+
+    def test_raised_q16_fails_the_separation(self, monkeypatch):
+        # the margin is 3.3e-7, so q_16 + 1e-6 is not separated from q_1
+        self.tabulated(monkeypatch, 16, 1e-6)
+        report = theorem_constants()
+        assert report.separation_margin < 0
+        assert not report.separation_proved and not report.all_passed
