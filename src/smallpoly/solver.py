@@ -343,10 +343,6 @@ class BoxProblem:
                 "derivatives must be a callable returning (gradient, Hessian callable)"
             )
 
-    @property
-    def dim(self) -> int:
-        return len(self.lower)
-
 
 def maximize_box(problem: BoxProblem, start) -> tuple[np.ndarray, float, Diagnostics]:
     """Maximize within the box by one Newton solve on -objective from ``start``.
