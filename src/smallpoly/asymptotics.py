@@ -270,13 +270,13 @@ def estimate_q_numeric(r: int, n_grid, *, seed: int = 0) -> AsymptoticFit:
 SQRT114_DIGITS = 12
 
 
-def sqrt114_upper(digits: int = SQRT114_DIGITS) -> Fraction:
-    """A rational above sqrt(114) by at most 10^-digits.
+def sqrt114_upper() -> Fraction:
+    """A rational above sqrt(114) by at most 10^-k, k = ``SQRT114_DIGITS``.
 
     ``math.isqrt(114 10^2k)`` is floor(sqrt(114) 10^k) exactly, so one more,
     over 10^k, lies above sqrt(114).
     """
-    scale = 10**digits
+    scale = 10**SQRT114_DIGITS
     return Fraction(math.isqrt(114 * scale * scale) + 1, scale)
 
 
