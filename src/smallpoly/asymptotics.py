@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import require_even
-from .reduced import area_deficit, best_params
+from .reduced import area_deficit, best_params, require_r
 # bound for the benchmark's tracer self-test, which checks it wraps them here
 from .reduced import derive, objective as reduced_objective  # noqa: F401
 from .reference import coeff_row
@@ -116,15 +116,18 @@ def minimize_cubic(r: int) -> tuple[float, np.ndarray]:
 
     The Newton kernel of ``maximize_box`` runs from one start on the exact
     gradient and Hessian tables (``_cubic_derivatives``) to machine
-    precision; the minimizer is interior for all three cubics.
+    precision; the minimizer is interior for all three cubics.  r is
+    checked as the family checks it (``require_r``): a bool or a float is
+    refused, a numpy integer passes.
     """
+    require_r(r)
     if r not in CUBICS:
         raise ValueError(f"scaled-limit cubics exist for r in {sorted(CUBICS)}, got {r}")
     cubic = CUBICS[r]
 
     def derivatives(v):
         g, hessian = _cubic_derivatives(r, v)
-        return -np.array(g), lambda: -np.array(hessian())
+        return [-d for d in g], lambda: [[-h for h in row] for row in hessian()]
 
     problem = BoxProblem(
         lower=CUBIC_BOX[0][:r],
@@ -132,10 +135,10 @@ def minimize_cubic(r: int) -> tuple[float, np.ndarray]:
         objective=lambda v: -poly_value(cubic, v),
         derivatives=derivatives,
     )
-    x, _, _ = maximize_box(problem, np.array([0.5, 1.0, 0.1][:r]))
+    x, value, _ = maximize_box(problem, np.array([0.5, 1.0, 0.1][:r]))
     if np.any(np.linalg.eigvalsh(_cubic_derivatives(r, x)[1]()) <= 0):
         raise RuntimeError(f"stationary point for r = {r} is not a minimum")
-    return poly_value(cubic, x) / 192.0, x
+    return -value / 192.0, x
 
 
 # Certificate polynomials: q_2 and q_3 are algebraic; these are their minimal

@@ -174,20 +174,22 @@ def walk_chain(theta, walk=None) -> tuple[list, list, list]:
     """
     if isinstance(theta, np.ndarray):
         theta = theta.tolist()
-    S, x, y = ([], [0.0], [0.0]) if walk is None else walk
-    k = len(S)
-    pad = [0.0] * len(theta)
-    S, x, y = S + pad, x + pad, y + pad
-    s = S[k - 1] if k else 0.0
-    for j, t in enumerate(theta, k):
+    S, x, y = ([], [0.0], [0.0]) if walk is None else (walk[0][:], walk[1][:], walk[2][:])
+    s, X, Y = S[-1] if S else 0.0, x[-1], y[-1]
+    sin, cos = math.sin, math.cos
+    odd = len(S) % 2  # step j goes right for even j, left for odd j
+    for t in theta:
         s += t
-        S[j] = s
-        if j % 2:
-            x[j + 1] = x[j] - math.sin(s)
-            y[j + 1] = y[j] - math.cos(s)
+        S.append(s)
+        if odd:
+            X -= sin(s)
+            Y -= cos(s)
         else:
-            x[j + 1] = x[j] + math.sin(s)
-            y[j + 1] = y[j] + math.cos(s)
+            X += sin(s)
+            Y += cos(s)
+        x.append(X)
+        y.append(Y)
+        odd = not odd
     return S, x, y
 
 
@@ -206,12 +208,13 @@ def triangle_terms(theta, S, x, y) -> list[float]:
     2.3e-7.
     """
     terms = [x[1]]
-    for k in range(2, len(theta)):
-        h = math.sin(theta[k] / 2)
-        m = S[k - 1] + theta[k] / 2
-        if k % 2 == 0:
-            h = -h
-        terms.append(-2 * h * (math.cos(m) * y[k - 1] + math.sin(m) * x[k - 1]))
+    sin, cos = math.sin, math.cos
+    c = 2.0  # -2 h with h = -sin(theta_k/2) for even k, +sin for odd k
+    for t, s, xk, yk in zip(theta[2:], S[1:], x[1:], y[1:]):
+        half = t / 2
+        m = s + half
+        terms.append(c * sin(half) * (cos(m) * yk + sin(m) * xk))
+        c = -c
     return terms
 
 
@@ -271,8 +274,9 @@ def area_hessian_s(S) -> np.ndarray:
     with step b.
     """
     s = np.asarray(S, dtype=float)
-    pair = _pair_weights(len(s)) * np.sin(s[:, None] - s[None, :])
-    hess = pair - np.diag(pair.sum(axis=1))
+    hess = _pair_weights(len(s)) * np.sin(s[:, None] - s[None, :])
+    # minus the row sums on the diagonal, where the pair weights are zero
+    hess.flat[:: len(s) + 1] -= hess.sum(axis=1)
     hess[0, 0] -= math.sin(s[0])
     return hess
 

@@ -38,6 +38,8 @@ from .solver import BoxProblem, BracketError, brentq, maximize_box
 
 CLOSURE_RESIDUAL_TOL = 1e-14
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi, rounded
+# the deficit leaves out -5 pi^3 / 48 n^2, formed as this over 48 n^2
+_MINUS_5_PI3 = -5 * math.pi**3
 _SPLITTER = 134217729.0  # 2**27 + 1: Dekker's split into two 26-bit halves
 # g(b) = sin b - tan(b/2) - b/2 = -5 b^3/24 + b^5/240 - 5 b^7/8064
 #        - 29 b^9/725760 - 139 b^11/31933440 - ..., highest order first
@@ -53,11 +55,12 @@ class ReducedParams:
     point, counts each on its own.  ``beta_derived`` (tail angle) and
     ``gamma_last_derived`` (final asymmetry) are filled in by ``derive``,
     which also keeps its walk of the prefix in ``_walk``: the prefix angles
-    and their ``walk_chain`` (S, x, y), read-only.  ``_walk`` is neither an
-    argument nor compared, so ``dataclasses.replace`` drops it and the
-    readers of the walk refuse the copy as underived.  Every angle is stored
-    as a Python float, -0.0 as 0.0, so equal points have identical bits and
-    the memos below can key on the point alone.
+    and their ``walk_chain`` (S, x, y), read-only.  A derived point's area
+    and deficit are summed once, when first read, and kept in ``_terms``
+    (``_area_terms``).  Neither private field is an argument or compared,
+    so ``dataclasses.replace`` drops both and the readers of the walk refuse
+    the copy as underived.  Every angle is stored as a Python float, -0.0
+    as 0.0, so equal points have identical bits.
     """
 
     n: int
@@ -68,6 +71,7 @@ class ReducedParams:
     beta_derived: float | None = None
     gamma_last_derived: float | None = None
     _walk: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _terms: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __init__(self, n, r, alpha, betas=(), gammas_free=(), beta_derived=None,
                  gamma_last_derived=None):
@@ -83,23 +87,32 @@ class ReducedParams:
             raise ValueError(f"r = {r} takes {nb} free betas, got {len(betas)}")
         if len(gammas_free) != ng:
             raise ValueError(f"r = {r} takes {ng} free gammas, got {len(gammas_free)}")
-        beta, gamma = (None if v is None else float(v) + 0.0
-                       for v in (beta_derived, gamma_last_derived))
+        if beta_derived is not None:
+            beta_derived = float(beta_derived) + 0.0
+        if gamma_last_derived is not None:
+            gamma_last_derived = float(gamma_last_derived) + 0.0
         self.__dict__.update(
             n=n, r=r, alpha=alpha, betas=betas, gammas_free=gammas_free,
-            beta_derived=beta, gamma_last_derived=gamma, _walk=None,
+            beta_derived=beta_derived, gamma_last_derived=gamma_last_derived,
+            _walk=None, _terms=None,
         )
 
 
-def _check_size(n: int, r: int) -> None:
-    """The family's size check: n even and >= 6, r an integer >= 0 and n >= 2r + 4.
+def require_r(r: int) -> int:
+    """The one check that r is an integer, for the family and the cubics.
 
     A bool is not an r, and a float is refused rather than truncated; a
     numpy integer passes, as ``require_even`` lets one pass for n.
     """
-    require_even(n, minimum=6)
     if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
         raise ValueError(f"r must be an integer, got {r!r}")
+    return r
+
+
+def _check_size(n: int, r: int) -> None:
+    """The family's size check: n even and >= 6, r an integer >= 0 and n >= 2r + 4."""
+    require_even(n, minimum=6)
+    require_r(r)
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     if n < 2 * r + 4:
@@ -131,7 +144,7 @@ def solve_beta(p: ReducedParams) -> float:
     of the split quotient and tail count, divided by the tail count.
     """
     tail = float(p.n // 2 - 1 - 2 * len(p.betas))
-    terms = [math.pi / 2, _PI_LO / 2, -p.alpha, *(-2.0 * b for b in p.betas)]
+    terms = [math.pi / 2, _PI_LO / 2, -p.alpha, *[-2.0 * b for b in p.betas]]
     q = math.fsum(terms) / tail
     qh, ql = _split(q)
     th, tl = _split(tail)
@@ -142,7 +155,7 @@ def solve_beta(p: ReducedParams) -> float:
     return beta
 
 
-def _pairs(r: int, betas, beta, gammas, gamma_last) -> list[tuple]:
+def _pairs(r: int, betas, beta, gammas, gamma_last) -> zip:
     """The prefix's pairs (b, g), whose angles are b + g and b - g.
 
     The one home of the pair layout: the free betas, then for odd r the
@@ -150,18 +163,18 @@ def _pairs(r: int, betas, beta, gammas, gamma_last) -> list[tuple]:
     the point's angles (``_prefix_angles``, ``_area_terms``)
     and with unit rows (``_sum_skeleton``).
     """
-    return list(zip([*betas, beta] if r % 2 else betas, [*gammas, gamma_last]))
+    return zip([*betas, beta] if r % 2 else betas, [*gammas, gamma_last])
 
 
 def _prefix_angles(p: ReducedParams, beta: float, gamma_last: float) -> list[float]:
     """alpha, then b + g and b - g for each of the point's ``_pairs``."""
     th = [p.alpha]
     for b, g in _pairs(p.r, p.betas, beta, p.gammas_free, gamma_last):
-        th += (b + g, b - g)
+        th.append(b + g)
+        th.append(b - g)
     return th
 
 
-@functools.lru_cache(maxsize=1)
 def derive(p: ReducedParams) -> ReducedParams:
     """Fill in the two derived parameters and the prefix walk (one copy of ``p``).
 
@@ -174,11 +187,9 @@ def derive(p: ReducedParams) -> ReducedParams:
     cos(beta/2)) = 0, phi = S_rp, and each evaluation of that residual adds
     only the last pair, whose first angle is an odd step of the chain.  Its
     ``brentq`` root, checked to ``CLOSURE_RESIDUAL_TOL``, is gamma_last, and
-    the walk goes on by the last pair's two angles.  The last point derived
-    is kept (a one-entry memo keyed on ``p``), so the closing ``objective``
-    of a box solve, and the ``derive`` of its result in ``construct_Q`` and
-    ``estimate_q_numeric``, reuse the point that the solve's last
-    ``derivatives`` call derived, root solve included.
+    the walk goes on by the last pair's two angles.  Every call derives
+    anew; the family's solve reaches it through ``_derived``, which keeps
+    the last point derived from a vector.
     """
     beta = solve_beta(p)
     gamma = p.gamma_last_derived
@@ -209,7 +220,8 @@ def derive(p: ReducedParams) -> ReducedParams:
     # run it again
     q = object.__new__(ReducedParams)
     q.__dict__.update(
-        p.__dict__, beta_derived=beta, gamma_last_derived=gamma, _walk=(th, *walk)
+        p.__dict__, beta_derived=beta, gamma_last_derived=gamma, _walk=(th, *walk),
+        _terms=None,
     )
     return q
 
@@ -283,7 +295,6 @@ def _g(beta: float) -> float:
     return math.tan(beta / 2) * math.cos(beta) - beta / 2
 
 
-@functools.lru_cache(maxsize=1)
 def _area_terms(p: ReducedParams) -> tuple[float, float]:
     """Area and deficit, each one ``math.fsum`` of O(1/n) terms.
 
@@ -297,26 +308,27 @@ def _area_terms(p: ReducedParams) -> tuple[float, float]:
     ``_pairs`` taken term by term.  So the deficit is
     phi/2 - tc g(beta) - tri + correction - 5 pi^3/48n^2, with no O(1) term
     to cancel, and the area pi/4 - phi/2 + tc g(beta) + tri - correction.
-    Keyed like ``derive``'s memo and, like it, kept for the last point, so
-    the ``area_deficit`` after a solve's closing ``objective`` reuses it.
-    The walk is not part of the key: its callers refuse a point without one.
+    Both are summed from one list of terms: the deficit's are the area's
+    after pi/4, negated, and the n^-2 term, and a correctly rounded sum of
+    negated terms is the negated sum.  Summed at the first read of a
+    derived point and kept on it (``_terms``), so the ``area_deficit``
+    after a solve's closing ``objective`` reads the sums that made the
+    area.  Its callers refuse a point without a walk.
     """
+    if p._terms is not None:
+        return p._terms
     beta = p.beta_derived
     th, S, x, y = p._walk
     tri = triangle_terms(th, S, x, y)
     phi, X, Y = S[-1], x[-2], y[-2]  # S_rp and vertex rp
     correction = (X * math.sin(phi) + Y * math.cos(phi) + 0.5) * math.tan(beta / 2)
-    half_phi = [p.alpha / 2]
-    half_phi += (b for b, _ in _pairs(p.r, p.betas, beta, p.gammas_free, None))
     tail = (p.n // 2 - len(th)) * _g(beta)
-    area = math.fsum(
-        [math.pi / 4, _PI_LO / 4, *(-h for h in half_phi), tail, *tri, -correction]
-    )
-    deficit = math.fsum(
-        [*half_phi, -tail, *(-t for t in tri), correction,
-         -5 * math.pi**3 / (48 * p.n * p.n)]
-    )
-    return area, deficit
+    terms = [-p.alpha / 2, *[-b for b, _ in _pairs(p.r, p.betas, beta, p.gammas_free, None)],
+             tail, *tri, -correction]
+    area = math.fsum([math.pi / 4, _PI_LO / 4, *terms])
+    terms.append(-(_MINUS_5_PI3 / (48 * p.n * p.n)))
+    p.__dict__["_terms"] = area, -math.fsum(terms)
+    return p._terms
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +336,19 @@ def _area_terms(p: ReducedParams) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def parameter_bounds(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    nb, ng = free_shape(r)
-    lo = np.array([math.pi / (2 * n - 2)] + [math.pi / n] * nb + [0.0] * ng)
-    hi = np.array([math.pi / n] + [2 * math.pi / n] * nb + [math.pi / n] * ng)
+    """The box of the free parameters: (lower, upper), the arrays of ``_box``."""
+    lo, hi = np.array(_box(n, r))
     return lo, hi
+
+
+def _box(n: int, r: int) -> tuple[list, list]:
+    """(lower, upper) of alpha, the betas and the gammas, as lists of floats."""
+    nb, ng = free_shape(r)
+    step = math.pi / n
+    return (
+        [math.pi / (2 * n - 2), *[step] * nb, *[0.0] * ng],
+        [step, *[2 * math.pi / n] * nb, *[step] * ng],
+    )
 
 
 def params_from_vector(n: int, r: int, vec) -> ReducedParams:
@@ -336,9 +357,37 @@ def params_from_vector(n: int, r: int, vec) -> ReducedParams:
     Split by ``free_shape`` and checked as every point is, so a vector of
     the wrong length fails the count of its gammas.
     """
-    alpha, *rest = np.asarray(vec, dtype=float).tolist()
+    return _params_of_floats(n, r, np.asarray(vec, dtype=float).tolist())
+
+
+def _params_of_floats(n: int, r: int, floats) -> ReducedParams:
+    """``params_from_vector`` of a sequence of floats, without converting it."""
+    alpha, *rest = floats
     nb = free_shape(r)[0]
     return ReducedParams(n, r, alpha, rest[:nb], rest[nb:])
+
+
+# the key (n, r, their types, the floats) and point of the last ``_derived`` call
+_last_derived: tuple = ((), None)
+
+
+def _derived(n: int, r: int, vec) -> ReducedParams:
+    """``derive(params_from_vector(n, r, vec))``, the last one kept.
+
+    The one memo in front of ``derive``, keyed on n, r, their types (a
+    float n or a bool r is not served the point of an int one) and the
+    vector's floats (-0.0 equals 0.0, which the point stores).
+    ``derivatives`` derives each Newton iterate through it, and the closing
+    ``objective`` of a box solve and the result of ``best_params`` read
+    the point that the solve's last ``derivatives`` call derived, root
+    solve included: a zero-step solve builds and derives its point once.
+    """
+    global _last_derived
+    floats = np.asarray(vec, dtype=float).tolist()
+    key = (n, r, type(n), type(r), *floats)
+    if key != _last_derived[0]:
+        _last_derived = key, derive(_params_of_floats(n, r, floats))
+    return _last_derived[1]
 
 
 def params_to_vector(p: ReducedParams) -> np.ndarray:
@@ -356,15 +405,19 @@ def start_vector(n: int, r: int) -> np.ndarray:
     """
     row = coeff_row(r)
     x1, x2 = START_DRIFT[r]
-    step = math.pi / n
+    step, nf = math.pi / n, float(n)  # b / n is b / float(n)
     return np.array(
-        [step * (u + (a + b / n) / n) for u, a, b in zip((row.a, *row.b, *row.c), x1, x2)]
+        [step * (u + (a + b / nf) / nf) for u, a, b in zip((row.a, *row.b, *row.c), x1, x2)]
     )
 
 
 def objective(n: int, r: int, vec) -> float:
-    """Area of the candidate; a ValueError where ``derive`` finds none."""
-    return reduced_area(derive(params_from_vector(n, r, vec)))
+    """Area of the candidate; a ValueError where ``derive`` finds none.
+
+    The point comes from ``_derived``, so at the end of a box solve it is
+    the one the last ``derivatives`` call derived.
+    """
+    return reduced_area(_derived(n, r, vec))
 
 
 @functools.lru_cache(maxsize=MAX_TABULATED_R + 1)
@@ -410,7 +463,7 @@ def _sum_map(n: int, r: int) -> np.ndarray:
         # the last pair's angles are beta +- gamma_last
         A[rp - 1] += b
         A[rp, :k] = A[rp - 1, :k] + b[:k]
-    A.flags.writeable = False
+    A.setflags(write=False)
     return A
 
 
@@ -438,14 +491,17 @@ def derivatives(n: int, r: int, vec):
     C_zz is written into T's Hessian there.  The closure defines
     gamma_last(p), hence grad = F_p - mu C_p and Hessian = Z^T (F_uu - mu
     C_uu) Z with mu = F_gamma / C_gamma and Z = [I; -C_p / C_gamma].
-    Everything is evaluated at the point ``derive`` returns.
+    Everything is evaluated at the point ``_derived`` keeps for ``vec``:
+    built and derived here at a new vector, and read again by the closing
+    ``objective`` of the solve.  The two products with A are A^T gF and
+    A^T gC as ``np.dot`` forms them, one matrix-vector product each.
     """
     try:
-        p = derive(params_from_vector(n, r, vec))
+        p = _derived(n, r, vec)
     except ValueError:
         return None
     _, S, x, y = _walk_of(p, "differentiating")
-    k = 1 + sum(free_shape(r))
+    k = 1 + len(p.betas) + len(p.gammas_free)
     A = _sum_map(n, r)
     beta = p.beta_derived
     rp = len(S) - 1
@@ -454,8 +510,7 @@ def derivatives(n: int, r: int, vec):
     # prefix terms in z: triangles T, vertex rp = (X, Y), phi = S_rp; the
     # entries of gX and gY after rp - 1 are zero and left out
     steps_p, steps_q, gT = area_gradient_s(x, y)
-    gX = steps_q[:rp]  # q_j
-    gY = [-v for v in steps_p[:rp]]  # -p_j
+    gX = steps_q[:rp]  # q_j; gY is -p_j
 
     phi, X, Y = S[rp], x[rp], y[rp]
     sp, cp = math.sin(phi), math.cos(phi)
@@ -465,39 +520,43 @@ def derivatives(n: int, r: int, vec):
     # with dW = sp gX + cp gY + (X cp - Y sp) e_phi and d2W = diag(sp gY -
     # cp gX) + sym(cp gX - sp gY, e_phi) - W e_phi e_phi
     w_val = X * sp + Y * cp
-    gW = [sp * a + cp * b for a, b in zip(gX, gY)]
-    gW.append(X * cp - Y * sp)
-    gF = [a - t * b for a, b in zip(gT, gW)]
-    gF.append(tc * (math.cos(beta) - t1) - (w_val + 0.5) * t1)
+    gW_phi = X * cp - Y * sp
+    gF = [a - t * (sp * b - cp * c) for a, b, c in zip(gT, gX, steps_p)]
+    gF += (gT[rp] - t * gW_phi, tc * (math.cos(beta) - t1) - (w_val + 0.5) * t1)
     # C = X + (sin phi - t cos phi) / 2, d2C = diag(gY) + terms in phi, beta
     gC = gX + [(cp + sp * t) / 2.0, -cp * t1 / 2.0]
 
-    gFu, gCu = A.T @ np.array(gF), A.T @ np.array(gC)
+    gFu, gCu = np.dot(gF, A), np.dot(gC, A)  # A^T gF and A^T gC
     mu = gFu[k] / gCu[k]
 
     def hessian():
         # H = F_zz - mu C_zz, written into T's Hessian: the diagonals of -t
         # d2W and -mu d2C, -t sym(cp gX - sp gY, e_phi), -t1 sym(dW,
         # e_beta), then the phi and beta corners
-        gXa, gYa, gWa = np.zeros((3, rp + 2))
+        G = np.zeros((3, rp + 2))
+        gXa, gYa, gWa = G[0], G[1], G[2]
         gXa[:rp] = gX
-        gYa[:rp] = gY
-        gWa[: rp + 1] = gW
+        gYa[:rp] = [-v for v in steps_p[:rp]]
+        gWa[:rp] = [sp * a - cp * b for a, b in zip(gX, steps_p)]
+        gWa[rp] = gW_phi
         H = np.zeros((rp + 2, rp + 2))
         H[: rp + 1, : rp + 1] = area_hessian_s(S)
         H.flat[:: rp + 3] -= t * (sp * gYa - cp * gXa) + mu * gYa
         v = t * (cp * gXa - sp * gYa)
         H[rp] -= v
         H[:, rp] -= v
-        H[rp + 1] -= t1 * gWa
-        H[:, rp + 1] -= t1 * gWa
+        v = t1 * gWa
+        H[rp + 1] -= v
+        H[:, rp + 1] -= v
         H[rp, rp] += t * w_val - mu * (t * cp - sp) / 2.0
         H[rp, rp + 1] -= mu * sp * t1 / 2.0
         H[rp + 1, rp] -= mu * sp * t1 / 2.0
         t2 = t * t1
         H[rp + 1, rp + 1] += (tc * (-math.sin(beta) - t2) - (w_val + 0.5) * t2
                               + mu * cp * t2 / 2.0)
-        B = A @ np.vstack((np.eye(k), -gCu[:k] / gCu[k]))
+        Z = np.eye(k + 1, k)
+        Z[k] = -gCu[:k] / gCu[k]
+        B = A @ Z
         return B.T @ H @ B
 
     return gFu[:k] - mu * gCu[:k], hessian
@@ -509,16 +568,19 @@ def best_params(n: int, r: int) -> ReducedParams:
     The one check of n and r: ``_check_size``, then, for r >= 1, the
     tabulated r of ``start_vector``.  r = 0 has no free parameter: alpha =
     pi/(2n - 2), half the tail angle.  Otherwise one Newton solve of the box
-    maximizer from ``start_vector``; an undefined start raises the
-    ValueError of ``derive`` when the solve evaluates ``objective`` there.
-    A start whose gradient is already under 1e-13, as at every n >= 2000
-    for r = 1..16, is returned as it is, so the parameters are then as
-    accurate as the start, O(1/n^3) in scaled units.
+    maximizer from ``start_vector``, over the box of ``_box``; an undefined
+    start raises the ValueError of ``derive`` when the solve evaluates
+    ``objective`` there.  The result is the point the solve's last
+    ``derivatives`` call derived, read from ``_derived``: a solve builds
+    and derives each iterate's point once.  A start whose gradient is
+    already under 1e-13, as at every n >= 2000 for r = 1..16, is returned
+    as it is, so the parameters are then as accurate as the start, O(1/n^3)
+    in scaled units.
     """
     _check_size(n, r)
     if r == 0:
         return derive(ReducedParams(n=n, r=0, alpha=math.pi / (2 * n - 2)))
-    lo, hi = parameter_bounds(n, r)
+    lo, hi = _box(n, r)
     problem = BoxProblem(
         lower=lo,
         upper=hi,
@@ -526,7 +588,7 @@ def best_params(n: int, r: int) -> ReducedParams:
         derivatives=lambda v: derivatives(n, r, v),
     )
     best, _, _ = maximize_box(problem, start_vector(n, r))
-    return derive(params_from_vector(n, r, best))
+    return _derived(n, r, best)
 
 
 def construct_Q(n: int, r: int) -> tuple[SmallPolygon, AreaReport, ReducedParams]:

@@ -75,7 +75,7 @@ class InfeasibleError(RuntimeError):
         self.diagnostics = diagnostics
 
 
-@dataclass
+@dataclass(slots=True)
 class Diagnostics:
     converged: bool = True
     iterations: int = 0
@@ -257,10 +257,18 @@ def _newton(evaluate, x0, lo, hi, ncon: int):
             Jf = J if held is None else J[:, free]
             Z = np.linalg.qr(Jf.T, mode="complete")[0][:, ncon:]
             Hz = Z.T @ Hf @ Z
-        eig = np.linalg.eigvalsh(Hz)  # ascending
-        low = eig[0] if len(eig) else math.inf
         floor = _EPS * max(1.0, float(np.abs(Hf).max(initial=0.0)))
-        shift = -2.0 * low if low < -floor else max(0.0, floor - low)
+        # no shift where Hz - floor I has a Cholesky factor (every eigenvalue
+        # of Hz above the floor); only where it has none are they computed
+        Hc = Hz.copy()
+        Hc.flat[:: len(Hc) + 1] -= floor
+        try:
+            np.linalg.cholesky(Hc)
+            shift = 0.0
+        except np.linalg.LinAlgError:
+            eig = np.linalg.eigvalsh(Hz)  # ascending
+            low = eig[0] if len(eig) else math.inf
+            shift = -2.0 * low if low < -floor else max(0.0, floor - low)
         # the KKT matrix; without constraints it is the shifted Hessian alone
         K, rhs = Hf + shift * np.eye(k), -gf
         if ncon:
@@ -309,9 +317,10 @@ class BoxProblem:
     point, which is defined unless the start is (``STOP_UNDEFINED``).
 
     The bounds may be given as tuples, lists or arrays; they are checked
-    once, here, and held as read-only 1-D float arrays, which the kernel
-    reads as they are.  A bound may be infinite, not NaN (the error names
-    the first NaN bound), and no lower bound may exceed its upper one.
+    once, here, and held as read-only 1-D float arrays, the two rows of one
+    copy, which the kernel reads as they are.  A bound may be infinite, not
+    NaN (the error names the first NaN bound), and no lower bound may exceed
+    its upper one.
     Both ``objective`` and ``derivatives`` must be callable.
     """
 
@@ -321,12 +330,18 @@ class BoxProblem:
     derivatives: object
 
     def __post_init__(self):
-        self.lower = lower = np.array(self.lower, dtype=float)
-        self.upper = upper = np.array(self.upper, dtype=float)
-        if lower.ndim != 1 or upper.ndim != 1:
-            raise ValueError("lower and upper must each be a sequence of numbers")
-        if len(lower) != len(upper):
+        try:
+            box = np.array((self.lower, self.upper), dtype=float)
+        except ValueError:  # bounds of different lengths
+            box = None
+        if box is None or box.ndim != 2:
+            lower, upper = np.array(self.lower, dtype=float), np.array(self.upper, dtype=float)
+            if lower.ndim != 1 or upper.ndim != 1:
+                raise ValueError("lower and upper must each be a sequence of numbers")
             raise ValueError("lower and upper must have the same length")
+        box.setflags(write=False)  # before the rows are taken, which inherit it
+        self.lower = lower = box[0]
+        self.upper = upper = box[1]
         # one comparison checks both: it is False where a bound is NaN
         if np.count_nonzero(lower <= upper) != len(lower):
             for side, bound in (("lower", lower), ("upper", upper)):
@@ -334,8 +349,6 @@ class BoxProblem:
                 if len(nan):
                     raise ValueError(f"{side} bound {nan[0]} is NaN")
             raise ValueError("lower bound exceeds upper bound")
-        lower.flags.writeable = False
-        upper.flags.writeable = False
         if not callable(self.objective):
             raise TypeError("objective must be a callable returning the value at x")
         if not callable(self.derivatives):
@@ -366,7 +379,7 @@ def maximize_box(problem: BoxProblem, start) -> tuple[np.ndarray, float, Diagnos
         if derivs is None:
             return None
         g, hessian = derivs
-        return -np.asarray(g, dtype=float), None, None, lambda: -np.asarray(hessian(), dtype=float)
+        return np.negative(g, dtype=float), None, None, lambda: np.negative(hessian(), dtype=float)
 
     x, _, gres, _, steps, nfev, reason = _newton(evaluate, x0, problem.lower, problem.upper, 0)
     converged = gres <= GRAD_TOL

@@ -105,6 +105,18 @@ class TestCubics:
         with pytest.raises(ValueError):
             minimize_cubic(4)
 
+    @pytest.mark.parametrize("r", [True, False, 1.0, 2.0, "1", None])
+    def test_r_is_checked_as_the_family_checks_it(self, r):
+        # a bool is not an r (True would solve as r = 1) and a float is
+        # refused rather than failing in the slicing of CUBIC_BOX
+        with pytest.raises(ValueError, match="r must be an integer"):
+            minimize_cubic(r)
+
+    def test_a_numpy_integer_r_passes(self):
+        q, x = minimize_cubic(np.int64(2))
+        q2, x2 = minimize_cubic(2)
+        assert q == q2 and x.tobytes() == x2.tobytes()
+
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_derivative_terms_are_the_derivative_tables_bit_for_bit(r):

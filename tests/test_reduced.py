@@ -726,6 +726,96 @@ class TestZeroStepSolve:
         assert params_to_vector(p).tolist() == start_vector(5000, 16).tolist()
 
 
+def count_derives(monkeypatch):
+    """Record every point ``reduced.derive`` returns; returns the list."""
+    derived = []
+    real_derive = reduced.derive
+
+    def derive(p):
+        derived.append(real_derive(p))
+        return derived[-1]
+
+    monkeypatch.setattr(reduced, "derive", derive)
+    return derived
+
+
+def count_builds(monkeypatch):
+    """Count the ``ReducedParams`` constructions (``__init__`` calls)."""
+    builds = [0]
+    real_init = ReducedParams.__init__
+
+    def init(self, *args, **kwargs):
+        builds[0] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReducedParams, "__init__", init)
+    return builds
+
+
+class TestOnePointPerIterate:
+    """A family solve builds and derives each Newton iterate's point once:
+    ``derivatives``, the closing ``objective`` and ``best_params``' result
+    share it through the vector memo."""
+
+    def test_zero_step_solve_builds_and_derives_once(self, monkeypatch):
+        monkeypatch.setattr(reduced, "_last_derived", ((), None))
+        builds = count_builds(monkeypatch)
+        derives = count_derives(monkeypatch)
+        diags = record_box_solves(monkeypatch)
+        p = best_params(5000, 16)
+        assert diags[0].iterations == 0
+        assert builds == [1] and len(derives) == 1
+        assert p is derives[0]
+
+    def test_one_step_solve_builds_once_per_derivatives_call(self, monkeypatch):
+        monkeypatch.setattr(reduced, "_last_derived", ((), None))
+        calls = [0]
+        real_derivatives = reduced.derivatives
+
+        def derivatives(n, r, v):
+            calls[0] += 1
+            return real_derivatives(n, r, v)
+
+        monkeypatch.setattr(reduced, "derivatives", derivatives)
+        builds = count_builds(monkeypatch)
+        derives = count_derives(monkeypatch)
+        diags = record_box_solves(monkeypatch)
+        p = best_params(1000, 16)
+        assert diags[0].iterations == 1 and calls[0] == 2
+        assert builds == calls and len(derives) == calls[0]
+        assert p is derives[-1]
+
+    def test_a_vector_one_ulp_away_derives_anew(self, monkeypatch):
+        n, r = 40, 5
+        x = start_vector(n, r)
+        reduced.objective(n, r, x)
+        derives = count_derives(monkeypatch)
+        for i in range(len(x)):
+            y = x.copy()
+            y[i] = np.nextafter(y[i], 1.0)
+            reduced.objective(n, r, y)
+            assert len(derives) == i + 1
+            assert params_to_vector(derives[-1]).tolist() == y.tolist()
+
+    def test_minus_zero_is_served_the_point_of_zero(self, monkeypatch):
+        n, r = 40, 5
+        x = start_vector(n, r)
+        x[3] = 0.0  # the first free gamma, at its lower bound
+        derives = count_derives(monkeypatch)
+        reduced.objective(n, r, x)
+        x[3] = -0.0
+        reduced.objective(n, r, x)
+        (p,) = derives
+        assert math.copysign(1.0, p.gammas_free[0]) == 1.0
+
+    def test_a_float_n_or_a_bool_r_is_not_served_an_int_point(self):
+        x = start_vector(40, 1)
+        reduced.objective(40, 1, x)
+        with pytest.raises(ValueError, match="r must be an integer"):
+            reduced.objective(40, True, x)
+        assert derivatives(40.0, 1, x) is None
+
+
 def whole_sum_map(n, r):
     """``_sum_map`` built whole, row by row, without the per-r skeleton."""
     nb, ng = free_shape(r)
@@ -942,7 +1032,7 @@ class TestPointDerivedOnce:
         asymptotics.estimate_q_numeric(2, (1000, 2000))
         assert counts["outside"] == 0 and counts["inside"] > 0
 
-    def test_memo_stores_zero_without_its_sign(self):
+    def test_memo_stores_zero_without_its_sign(self, monkeypatch):
         x = start_vector(40, 5)
         x[3] = 0.0  # the first free gamma, at its lower bound
         pos = params_from_vector(40, 5, x)
@@ -951,17 +1041,18 @@ class TestPointDerivedOnce:
         # shows the sign of a zero and round-trips every float)
         assert math.copysign(1.0, neg.gammas_free[0]) == 1.0
         assert repr(neg) == repr(pos)
-        first = derive(pos)
-        reduced_area(first)
-        misses = reduced.derive.cache_info().misses, reduced._area_terms.cache_info().misses
-        # the second point is served from both memos
-        assert derive(neg) is first
-        reduced_area(derive(neg))
-        assert (
-            reduced.derive.cache_info().misses, reduced._area_terms.cache_info().misses
-        ) == misses
+        derives = count_derives(monkeypatch)
+        area = reduced.objective(40, 5, x)
+        first = reduced._last_derived[1]
+        # the vector with -0.0 is served the point of the one with 0.0, and
+        # its area from that point's sums
+        x_neg = x.copy()
+        x_neg[3] = -0.0
+        assert reduced.objective(40, 5, x_neg) == area
+        assert reduced._last_derived[1] is first and derives == [first]
+        assert math.copysign(1.0, first.gammas_free[0]) == 1.0
         # a bit-identical input, even a new object, is served from the memo
-        assert derive(params_from_vector(40, 5, x)) is first
+        assert reduced._derived(40, 5, x.tolist()) is first and len(derives) == 1
 
 
 class TestOneWalkPerPoint:
@@ -984,22 +1075,22 @@ class TestOneWalkPerPoint:
 
     @pytest.mark.parametrize("n, r", [(6, 0), (12, 4), (40, 5), (1000, 16)])
     def test_one_walk_per_derive_miss(self, monkeypatch, n, r):
-        # every derive miss starts one walk and steps each prefix angle
-        # once; nothing else in the family's solve walks the prefix
+        # every derive (each one a miss of the vector memo) starts one walk
+        # and steps each prefix angle once; nothing else in the family's
+        # solve walks the prefix
+        monkeypatch.setattr(reduced, "_last_derived", ((), None))
         calls = self.spy(monkeypatch)
-        misses = derive.cache_info().misses
+        derives = count_derives(monkeypatch)
         construct_Q(n, r)
-        misses = derive.cache_info().misses - misses
         prefix = 2 * ((r + 1) // 2) + 1
-        assert misses > 0
-        assert sum(fresh for _, fresh in calls) == misses
-        assert sum(m for m, _ in calls) == misses * prefix
+        assert derives
+        assert sum(fresh for _, fresh in calls) == len(derives)
+        assert sum(m for m, _ in calls) == len(derives) * prefix
 
     def test_readers_walk_nothing(self, monkeypatch):
         n, r = 40, 5
         vec = start_vector(n, r)
-        d = derive(params_from_vector(n, r, vec))
-        reduced._area_terms.cache_clear()
+        d = reduced._derived(n, r, vec)
         calls = self.spy(monkeypatch)
         reduced_area(d)
         area_deficit(d)
@@ -1026,8 +1117,10 @@ class TestOneWalkPerPoint:
             for read in (reduced_area, area_deficit, expand_angles):
                 with pytest.raises(ValueError, match="derive the parameters before"):
                     read(copy)
-        # ``derivatives`` derives its own point; hand it the copy instead
+        # ``derivatives`` derives its own point; hand it the copy instead,
+        # from an empty memo
         real_derive = reduced.derive
+        monkeypatch.setattr(reduced, "_last_derived", ((), None))
         monkeypatch.setattr(reduced, "derive", lambda p: replace(real_derive(p)))
         with pytest.raises(ValueError, match="derive the parameters before differentiating"):
             derivatives(n, r, vec)
