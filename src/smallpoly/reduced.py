@@ -98,7 +98,7 @@ class ReducedParams:
         )
 
 
-def require_r(r: int) -> int:
+def require_r(r: int) -> None:
     """The one check that r is an integer, for the family and the cubics.
 
     A bool is not an r, and a float is refused rather than truncated; a
@@ -106,7 +106,6 @@ def require_r(r: int) -> int:
     """
     if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
         raise ValueError(f"r must be an integer, got {r!r}")
-    return r
 
 
 def _check_size(n: int, r: int) -> None:
