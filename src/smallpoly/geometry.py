@@ -52,6 +52,12 @@ class AngleVector:
         if th.shape != (self.n // 2,):
             raise ValueError(f"expected {self.n // 2} angles, got {len(self.theta)}")
         object.__setattr__(self, "theta", tuple(th.tolist()))
+        # the box's bounds with the slack, as ``angle_box`` gives them; a
+        # vector inside passes on three comparisons, any other (a NaN among
+        # them) is searched for its first offender
+        if (th.min() >= -_BOUND_SLACK and th[0] <= math.pi / 6 + _BOUND_SLACK
+                and th.max() <= THETA_MAX + _BOUND_SLACK):
+            return
         lo, hi = angle_box(len(th))
         outside = np.flatnonzero(~((th >= lo - _BOUND_SLACK) & (th <= hi + _BOUND_SLACK)))
         if len(outside):
@@ -145,18 +151,24 @@ def chain_coordinates(theta) -> tuple[np.ndarray, np.ndarray]:
     of ``np.cumsum`` (Knuth's TwoSum) is summed alongside and added back,
     so each is the correctly rounded sum of its prefix, and the closing
     edge stays horizontal within an ulp up to n = 1e6.  A plain ``cumsum``
-    drifts by about an ulp per turn along the constant tail.
+    drifts by about an ulp per turn along the constant tail.  x and y are
+    the two rows of one (2, m + 1) array.
     """
     th = np.asarray(theta, dtype=float)
-    s = np.cumsum(th)
-    prev = np.concatenate(([0.0], s[:-1]))
+    m = len(th)
+    partial = np.zeros(m + 1)  # 0, then the plain partial sums
+    s = th.cumsum(out=partial[1:])
+    prev = partial[:-1]
     b = s - prev
     err = (prev - (s - b)) + (th - b)
-    s = s + np.cumsum(err)
-    sign = np.where(np.arange(len(th)) % 2 == 0, 1.0, -1.0)
-    x = np.concatenate(([0.0], np.cumsum(sign * np.sin(s))))
-    y = np.concatenate(([0.0], np.cumsum(sign * np.cos(s))))
-    return x, y
+    s = s + err.cumsum()
+    xy = np.zeros((2, m + 1))
+    steps = xy[:, 1:]
+    np.sin(s, out=steps[0])
+    np.cos(s, out=steps[1])
+    np.negative(steps[:, 1::2], out=steps[:, 1::2])  # odd steps go left
+    steps.cumsum(axis=1, out=steps)
+    return xy[0], xy[1]
 
 
 def walk_chain(theta, walk=None) -> tuple[list, list, list]:
@@ -276,7 +288,7 @@ def area_hessian_s(S) -> np.ndarray:
     s = np.asarray(S, dtype=float)
     hess = _pair_weights(len(s)) * np.sin(s[:, None] - s[None, :])
     # minus the row sums on the diagonal, where the pair weights are zero
-    hess.flat[:: len(s) + 1] -= hess.sum(axis=1)
+    hess.reshape(-1)[:: len(s) + 1] -= hess.sum(axis=1)
     hess[0, 0] -= math.sin(s[0])
     return hess
 
@@ -296,9 +308,9 @@ def boundary_order(vertices) -> np.ndarray:
     is a read-only integer index array, ready to index the vertices with.
     """
     pts = np.asarray(vertices, dtype=float)
-    cx, cy = pts.mean(axis=0)
-    order = np.argsort(np.arctan2(pts[:, 1] - cy, pts[:, 0] - cx), kind="stable")
-    k = int(np.flatnonzero(order == 0)[0])
+    rel = pts - pts.sum(axis=0) / len(pts)  # the bits of pts.mean(axis=0)
+    order = np.arctan2(rel[:, 1], rel[:, 0]).argsort(kind="stable")
+    k = int(order.argmin())  # the position of vertex 0
     ring = np.concatenate((order[k:], order[:k]))
     ring.flags.writeable = False
     return ring
@@ -338,7 +350,7 @@ def vertices_from_angles(a: AngleVector) -> SmallPolygon:
     verts[: m + 1, 0] = x
     verts[: m + 1, 1] = y
     # vertex k > m mirrors vertex n - 1 - k
-    verts[m + 1 : n - 1, 0] = -x[m - 2 : 0 : -1]
+    np.negative(x[m - 2 : 0 : -1], out=verts[m + 1 : n - 1, 0])
     verts[m + 1 : n - 1, 1] = y[m - 2 : 0 : -1]
     verts[n - 1] = (0.0, 1.0)
     return polygon_from_vertices(n, verts)
@@ -371,10 +383,13 @@ def shoelace(points) -> float:
     where x_i y_{i+1} - x_{i+1} y_i was up to 2.7e-15 off.
     """
     pts = np.asarray(points, dtype=float)
-    pts = pts - pts.mean(axis=0)
-    x, y = np.concatenate((pts, pts[:1])).T  # the ring, closed
+    k = len(pts)
+    ring = np.empty((k + 1, 2))  # the ring, closed
+    np.subtract(pts, pts.sum(axis=0) / k, out=ring[:k])  # the bits of pts.mean(axis=0)
+    ring[k] = ring[0]
+    x, y = ring.T
     dx, dy = x[1:] - x[:-1], y[1:] - y[:-1]
-    return 0.5 * abs(float(np.sum(x[:-1] * dy - y[:-1] * dx)))
+    return 0.5 * abs(float((x[:-1] * dy - y[:-1] * dx).sum()))
 
 
 def _exact_cross(ax, ay, bx, by, cx, cy, dx, dy) -> Fraction:
@@ -383,23 +398,29 @@ def _exact_cross(ax, ay, bx, by, cx, cy, dx, dy) -> Fraction:
     return (f(bx) - f(ax)) * (f(dy) - f(cy)) - (f(by) - f(ay)) * (f(dx) - f(cx))
 
 
-def _cross_sign(ax, ay, bx, by, cx, cy, dx, dy) -> np.ndarray:
-    """The sign of (b - a) x (d - c), elementwise over broadcast float arrays.
+def _cross_sign(x, y, ex, ey, i, j) -> np.ndarray:
+    """The sign of e_i x e_j, elementwise over broadcast indices i and j.
 
-    The float cross product decides every entry farther from zero than its
-    rounding bound ``_CROSS_BOUND``; the few entries inside it are
-    recomputed in ``Fraction``s, so every sign is exact.
+    Edge m of the path of points (x, y) is (ex_m, ey_m) = (x_{m+1} - x_m,
+    y_{m+1} - y_m), formed once by the caller; i and j index the edges
+    (slices or integer arrays).  The float cross product of the edges
+    decides every entry farther from zero than its rounding bound
+    ``_CROSS_BOUND``; the few entries inside it are recomputed in
+    ``Fraction``s from the points, so every sign is exact.
     """
-    left = (bx - ax) * (dy - cy)
-    right = (by - ay) * (dx - cx)
+    left = ex[i] * ey[j]
+    right = ey[i] * ex[j]
     turn = left - right
     sign = np.sign(turn)
     unsure = np.abs(turn) <= _CROSS_BOUND * (np.abs(left) + np.abs(right)) + _TINY
     if np.count_nonzero(unsure):
-        args = np.broadcast_arrays(ax, ay, bx, by, cx, cy, dx, dy)
+        index = np.arange(len(ex))
+        a, b = (np.broadcast_to(index[k], sign.shape).ravel() for k in (i, j))
+        flat = sign.reshape(-1)
         for k in np.flatnonzero(unsure).tolist():
-            exact = _exact_cross(*(v[k] for v in args))
-            sign[k] = (exact > 0) - (exact < 0)
+            p, q = a[k], b[k]
+            exact = _exact_cross(x[p], y[p], x[p + 1], y[p + 1], x[q], y[q], x[q + 1], y[q + 1])
+            flat[k] = (exact > 0) - (exact < 0)
     return sign
 
 
@@ -440,62 +461,77 @@ def _convex_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def _antipodal_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _closed_ring(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A ring of h vertices as the calipers take it: (x, y, ex, ey), its
+    vertices and then its first again, and its h edges."""
+    x, y = np.append(x, x[:1]), np.append(y, y[:1])
+    return x, y, x[1:] - x[:-1], y[1:] - y[:-1]
+
+
+def _antipodal_pairs(x, y, ex, ey) -> tuple[np.ndarray, np.ndarray]:
     """Every antipodal vertex pair of a strictly convex counter-clockwise ring.
 
-    Rotating calipers (Shamos 1978): the far pointer of edge i is the first
-    edge j after it with e_i x e_j <= 0, the first vertex j from which the
-    ring no longer moves away from the edge's line, and both ends of edge i
-    are antipodal to vertex j.  Two vertices are antipodal when their ranges
-    of outward edge normals overlap by at least a point (opposite
-    directions), and then an end of one range lies in the other: the pair
-    is met from that end's edge.  The edge directions increase around the
-    ring, so each pointer is placed by a binary search on the unwrapped
-    directions and then checked exactly, e_i x e_{j-1} > 0 and
-    e_i x e_j <= 0; the few that fail step by one until both hold, which on
-    such a ring takes fewer than h rounds.  The pointers are those of the
-    sequential sweep, which advances one pointer while e_i x e_j > 0.
-    Raises ValueError when h rounds leave a pointer unplaced: the ring is
-    not strictly convex and counter-clockwise.
+    The ring of h vertices comes closed, as ``_closed_ring`` gives it: x
+    and y hold its vertices and then its first one again, ex and ey its h
+    edges, edge i from vertex i to vertex i + 1.  Rotating calipers
+    (Shamos 1978): the far pointer of edge i is the first edge j after it
+    with e_i x e_j <= 0, the first vertex j from which the ring no longer
+    moves away from the edge's line, and both ends of edge i are antipodal
+    to vertex j.  Two vertices are antipodal when their ranges of outward
+    edge normals overlap by at least a point (opposite directions), and
+    then an end of one range lies in the other: the pair is met from that
+    end's edge.  The edge directions increase around the ring, so each
+    pointer is placed by a binary search on the unwrapped directions and
+    then checked exactly, e_i x e_{j-1} > 0 and e_i x e_j <= 0, both in
+    one ``_cross_sign`` call; the few that fail step by one until both
+    hold, which on such a ring takes fewer than h rounds.  The pointers
+    are those of the sequential sweep, which advances one pointer while
+    e_i x e_j > 0.  Raises ValueError when h rounds leave a pointer
+    unplaced: the ring is not strictly convex and counter-clockwise.
     """
-    h = len(x)
+    h = len(ex)
     ends = np.arange(h)
     if h < 3:  # a point or a segment
         return ends, ends[::-1]
     nxt = ends + 1
     nxt[-1] = 0
-    xn, yn = x[nxt], y[nxt]
     # each turn of the ring is in (0, pi); clipping to [0, pi] keeps the
     # unwrapped directions increasing through the rounding of arctan2
-    direction = np.arctan2(yn - y, xn - x)
-    turn = np.mod(direction[1:] - direction[:-1] + np.pi / 2, 2 * np.pi) - np.pi / 2
-    unwrapped = np.concatenate(([0.0], np.cumsum(np.minimum(np.maximum(turn, 0.0), np.pi))))
-    far = np.searchsorted(
-        np.concatenate((unwrapped, unwrapped + 2 * np.pi)), unwrapped + np.pi
-    )
+    direction = np.arctan2(ey, ex)
+    turn = direction[1:] - direction[:-1]
+    turn += np.pi / 2
+    np.mod(turn, 2 * np.pi, out=turn)
+    turn -= np.pi / 2
+    # the unwrapped directions, then the same a full turn on
+    unwrapped = np.zeros(2 * h)
+    np.minimum(np.maximum(turn, 0.0, out=turn), np.pi, out=turn).cumsum(out=unwrapped[1:h])
+    np.add(unwrapped[:h], 2 * np.pi, out=unwrapped[h:])
+    far = unwrapped.searchsorted(unwrapped[:h] + np.pi)
     # strict convexity puts the pointer between the next edge but one and
     # the previous edge
     far = np.minimum(np.maximum(far, ends + 2), ends + h - 1) % h
     todo = ends
     for _ in range(h):
-        edge = x[todo], y[todo], xn[todo], yn[todo]
         j = far[todo]
-        # e_i x e_j > 0: the ring still moves away from edge i at vertex j
-        ahead = _cross_sign(*edge, x[j], y[j], xn[j], yn[j]) > 0
-        j = j - 1  # -1 indexes the last vertex
-        behind = _cross_sign(*edge, x[j], y[j], xn[j], yn[j]) <= 0
-        far[todo] = (far[todo] + ahead - behind) % h
+        # row 0: e_i x e_j > 0, the ring still moves away from edge i at
+        # vertex j; row 1: e_i x e_{j-1} <= 0 (-1 indexes the last edge)
+        sign = _cross_sign(x, y, ex, ey, todo, np.add.outer((0, -1), j))
+        ahead, behind = sign[0] > 0, sign[1] <= 0
+        far[todo] = (j + ahead - behind) % h
         todo = todo[ahead | behind]
         if not len(todo):
             return np.concatenate((ends, nxt)), np.concatenate((far, far))
     raise ValueError("the calipers need a strictly convex counter-clockwise ring")
 
 
-def _ring_diameter(x: np.ndarray, y: np.ndarray) -> float:
-    """Diameter of a strictly convex counter-clockwise ring: its longest antipodal pair."""
-    i, j = _antipodal_pairs(x, y)
+def _ring_diameter(x, y, ex, ey) -> float:
+    """Diameter of a strictly convex counter-clockwise ring, closed as
+    ``_antipodal_pairs`` takes it: its longest antipodal pair."""
+    i, j = _antipodal_pairs(x, y, ex, ey)
     dx, dy = x[i] - x[j], y[i] - y[j]
-    return float(np.sqrt(dx * dx + dy * dy).max())
+    # the square root is monotone, so that of the largest square is the
+    # largest distance, bit for bit
+    return math.sqrt((dx * dx + dy * dy).max())
 
 
 def max_pairwise_distance(points) -> float:
@@ -521,20 +557,21 @@ def max_pairwise_distance(points) -> float:
         raise ValueError("the diameter needs finite coordinates")
     x, y = pts[np.lexsort((pts[:, 1], pts[:, 0]))].T
     hull = _convex_hull(x, y)
-    return _ring_diameter(x[hull], y[hull])
+    return _ring_diameter(*_closed_ring(x[hull], y[hull]))
 
 
-def _winds_once(y: np.ndarray) -> bool:
+def _winds_once(ey: np.ndarray) -> bool:
     """Whether a ring whose turns all have one sign goes round once.
 
-    Takes the y-coordinates of the ring followed by its first again.  The
-    edge direction of such a ring sweeps 2 pi k, k the winding number, so
-    its edges switch between going up and going down 2k times, flat and
-    zero-length edges left out; the comparisons are exact.  Counted along
-    the ring, not round it, 2 switches read as 1 or 2 and 4 as 3 or 4.
+    Takes the y-components of the ring's edges, in order.  The edge
+    direction of such a ring sweeps 2 pi k, k the winding number, so its
+    edges switch between going up and going down 2k times, flat and
+    zero-length edges left out; the signs are exact, since a difference of
+    two floats is zero only when they are equal and otherwise has their
+    order's sign.  Counted along the ring, not round it, 2 switches read
+    as 1 or 2 and 4 as 3 or 4.
     """
-    rise, fall = y[1:] > y[:-1], y[1:] < y[:-1]
-    up = rise[rise | fall]
+    up = ey[ey != 0.0] > 0.0
     return int(np.count_nonzero(up[1:] != up[:-1])) <= 2
 
 
@@ -555,24 +592,31 @@ def validate(p: SmallPolygon) -> AreaReport:
     pts = p.points
     n = p.n
     ordered = pts[p.boundary]
-    x, y = np.concatenate((ordered, ordered[:2])).T  # the ring, then its first two again
-    x0, y0, x1, y1, x2, y2 = x[:-2], y[:-2], x[1:-1], y[1:-1], x[2:], y[2:]
-    turn = _cross_sign(x0, y0, x1, y1, x1, y1, x2, y2)
-    is_convex = bool(np.all(turn >= 0) or np.all(turn <= 0)) and _winds_once(y[: n + 1])
-    if is_convex and bool(np.all(turn > 0)):
-        diameter = _ring_diameter(x[:n], y[:n])
+    # the ring, then its first two vertices again, and its edges, formed
+    # once (one subtraction of the (2, n + 2) coordinate rows): edge k runs
+    # from ring vertex k to k + 1, and edge n is edge 0 again; turn k is
+    # e_k x e_{k+1}
+    ring = np.concatenate((ordered, ordered[:2])).T
+    (x, y), (ex, ey) = ring, ring[:, 1:] - ring[:, :-1]
+    turn = _cross_sign(x, y, ex, ey, slice(0, n), slice(1, n + 1))
+    strict = np.count_nonzero(turn > 0) == n
+    is_convex = bool(
+        strict or np.count_nonzero(turn >= 0) == n or np.count_nonzero(turn <= 0) == n
+    ) and _winds_once(ey[:n])
+    if is_convex and strict:
+        diameter = _ring_diameter(x[: n + 1], y[: n + 1], ex[:n], ey[:n])
     else:
         diameter = max_pairwise_distance(pts)
 
-    mirror = np.concatenate((
-        np.abs(pts[n - 2:0:-1, 0] + pts[1:n - 1, 0]),
-        np.abs(pts[n - 2:0:-1, 1] - pts[1:n - 1, 1]),
-    ))
-    is_symmetric = bool(mirror.max() <= MIRROR_TOL)
+    # vertex k > m mirrors vertex n - 1 - k: x_k = -x_{n-1-k}, y_k = y_{n-1-k};
+    # subtracting the negated x adds it, bit for bit
+    mirror = pts[n - 2 : 0 : -1] - pts[1 : n - 1] * (-1.0, 1.0)
+    is_symmetric = bool(np.abs(mirror).max() <= MIRROR_TOL)
 
     # the skeleton's edge vectors: the cycle steps v_k v_{k+1}, k < n - 2,
     # then the closing edge v_{n-2} v_0 and the pendant edge v_0 v_{n-1}
-    steps = np.concatenate((pts[1 : n - 1] - pts[: n - 2], pts[[n - 2, 0]] - pts[[0, n - 1]]))
+    # (rows n - 2, 0 less rows 0, n - 1, taken as slices)
+    steps = np.concatenate((pts[1 : n - 1] - pts[: n - 2], pts[n - 2 :: 2 - n] - pts[:: n - 1]))
     edge_error = float(np.abs(np.hypot(*steps.T) - 1.0).max())
 
     area = shoelace(ordered)

@@ -471,13 +471,13 @@ def derivatives(n: int, r: int, vec):
 
     Returns ``(gradient, hessian)`` with ``hessian`` a zero-argument
     callable (the ``BoxProblem`` contract), or None where ``derive`` raises
-    (``objective`` is undefined).  The gradient and mu are computed here,
-    from the vertices of the prefix walk that ``derive`` kept (a point
-    without one is refused), their steps and area gradient
-    (``area_gradient_s``) and one product with A; the prefix
-    triangles' dense Hessian and the B^T H B assembly wait for
-    ``hessian()``, which the Newton kernel calls only at the points it steps
-    from.  The turn phi is the walk's S_rp, as in ``_area_terms``.  With
+    (``objective`` is undefined); a malformed n or r is the caller's error
+    and raises the ``ValueError`` of ``_check_size``.  The gradient and mu
+    are computed here, from the vertices of the prefix walk that ``derive``
+    kept (a point without one is refused), their steps and area gradient
+    (``area_gradient_s``) and one product with A; the prefix triangles'
+    dense Hessian and the B^T H B assembly wait for ``hessian()``, which
+    the Newton kernel calls only at the points it steps from.  The turn phi is the walk's S_rp, as in ``_area_terms``.  With
     u = (free parameters p, gamma_last), the area F and the
     closure residual C are closed forms in z = (S_0, ..., S_rp, beta), the
     partial sums of the rp + 1 prefix angles and the tail angle, and z = A u
@@ -498,6 +498,11 @@ def derivatives(n: int, r: int, vec):
     try:
         p = _derived(n, r, vec)
     except ValueError:
+        p = None
+    if p is None:
+        # the point's construction checks the size too; only a point that
+        # derive finds undefined gives None
+        _check_size(n, r)
         return None
     _, S, x, y = _walk_of(p, "differentiating")
     k = 1 + len(p.betas) + len(p.gammas_free)
@@ -526,27 +531,25 @@ def derivatives(n: int, r: int, vec):
     gC = gX + [(cp + sp * t) / 2.0, -cp * t1 / 2.0]
 
     gFu, gCu = np.dot(gF, A), np.dot(gC, A)  # A^T gF and A^T gC
-    mu = gFu[k] / gCu[k]
+    mu = float(gFu[k] / gCu[k])  # a Python float, for the Python arithmetic below
 
     def hessian():
         # H = F_zz - mu C_zz, written into T's Hessian: the diagonals of -t
         # d2W and -mu d2C, -t sym(cp gX - sp gY, e_phi), -t1 sym(dW,
-        # e_beta), then the phi and beta corners
-        G = np.zeros((3, rp + 2))
-        gXa, gYa, gWa = G[0], G[1], G[2]
-        gXa[:rp] = gX
-        gYa[:rp] = [-v for v in steps_p[:rp]]
-        gWa[:rp] = [sp * a - cp * b for a, b in zip(gX, steps_p)]
-        gWa[rp] = gW_phi
+        # e_beta), then the phi and beta corners.  The O(rp) terms are
+        # formed in Python floats, with gX and gY zero at phi and beta; the
+        # phi and beta rows are subtracted as one block, then as columns
+        gXa = gX + [0.0, 0.0]
+        gYa = [-v for v in steps_p[:rp]] + [0.0, 0.0]
         H = np.zeros((rp + 2, rp + 2))
         H[: rp + 1, : rp + 1] = area_hessian_s(S)
-        H.flat[:: rp + 3] -= t * (sp * gYa - cp * gXa) + mu * gYa
-        v = t * (cp * gXa - sp * gYa)
-        H[rp] -= v
-        H[:, rp] -= v
-        v = t1 * gWa
-        H[rp + 1] -= v
-        H[:, rp + 1] -= v
+        H.flat[:: rp + 3] -= [t * (sp * b - cp * a) + mu * b for a, b in zip(gXa, gYa)]
+        V = np.array([
+            [t * (cp * a - sp * b) for a, b in zip(gXa, gYa)],
+            [t1 * (sp * a - cp * b) for a, b in zip(gX, steps_p)] + [t1 * gW_phi, t1 * 0.0],
+        ])
+        H[rp:] -= V
+        H[:, rp:] -= V.T
         H[rp, rp] += t * w_val - mu * (t * cp - sp) / 2.0
         H[rp, rp + 1] -= mu * sp * t1 / 2.0
         H[rp + 1, rp] -= mu * sp * t1 / 2.0
@@ -554,7 +557,7 @@ def derivatives(n: int, r: int, vec):
         H[rp + 1, rp + 1] += (tc * (-math.sin(beta) - t2) - (w_val + 0.5) * t2
                               + mu * cp * t2 / 2.0)
         Z = np.eye(k + 1, k)
-        Z[k] = -gCu[:k] / gCu[k]
+        np.divide(gCu[:k], -gCu[k], out=Z[k])  # -C_p / C_gamma
         B = A @ Z
         return B.T @ H @ B
 

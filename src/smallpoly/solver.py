@@ -261,7 +261,7 @@ def _newton(evaluate, x0, lo, hi, ncon: int):
         # no shift where Hz - floor I has a Cholesky factor (every eigenvalue
         # of Hz above the floor); only where it has none are they computed
         Hc = Hz.copy()
-        Hc.flat[:: len(Hc) + 1] -= floor
+        Hc.reshape(-1)[:: len(Hc) + 1] -= floor  # the diagonal, a view of the copy
         try:
             np.linalg.cholesky(Hc)
             shift = 0.0
@@ -420,7 +420,7 @@ def objective_gradient(a) -> np.ndarray:
 
 def _gradient(x, y) -> np.ndarray:
     """``objective_gradient`` from the vertices of the angles' chain walk."""
-    return np.cumsum(area_gradient_s(x, y)[2][::-1])[::-1]
+    return np.array(area_gradient_s(x, y)[2][::-1]).cumsum()[::-1]
 
 
 def constraint_jacobian(theta, n: int) -> np.ndarray:
@@ -434,9 +434,11 @@ def constraint_jacobian(theta, n: int) -> np.ndarray:
 
 def _jacobian(y) -> np.ndarray:
     """``constraint_jacobian`` from the chain walk's m + 1 y-coordinates."""
-    y = np.array(y)
     m = len(y) - 1
-    return np.vstack([np.ones(m), y[m - 1] - y[:m]])
+    J = np.empty((2, m))
+    J[0] = 1.0
+    np.subtract(y[m - 1], y[:m], out=J[1])
+    return J
 
 
 def _nlp_evaluate(n):
@@ -457,10 +459,11 @@ def _nlp_evaluate(n):
             # linear, and the midpoint x_{m-1} = p_0 + ... + p_{m-2} has the
             # diagonal Hessian -p_j.  Since S = L theta with L lower-triangular
             # ones, the map to theta is a suffix sum over rows and columns
+            m = len(S)
             hess = -area_hessian_s(S)
-            idx = np.arange(len(S) - 1)
-            hess[idx, idx] -= lam[1] * np.diff(x)[:-1]
-            return np.cumsum(np.cumsum(hess[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
+            # the diagonal's first m - 1 entries, a view
+            hess.reshape(-1)[: (m - 1) * (m + 1) : m + 1] -= lam[1] * np.subtract(x[1:m], x[: m - 1])
+            return hess[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
 
         return (
             -_gradient(x, y) + J.T @ lam,
@@ -526,4 +529,4 @@ def solve_full_nlp(n: int, start=None, *, tol: float = 1e-10):
             f"stationarity {kkt:.3e} (tol {100.0 * tol:.1e}); stopped: {reason}"
         )
         raise InfeasibleError(diag.message, diag)
-    return AngleVector(n, tuple(theta)), nlp_objective(theta), diag
+    return AngleVector(n, theta.tolist()), nlp_objective(theta), diag

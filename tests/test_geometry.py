@@ -432,7 +432,7 @@ class TestHullAndCalipers:
             x, y = sorted_distinct(ring)
             hull = geometry._convex_hull(x, y)
             assert len(hull) == 2 * k
-            far = geometry._antipodal_pairs(x[hull], y[hull])[1][: 2 * k]
+            far = geometry._antipodal_pairs(*geometry._closed_ring(x[hull], y[hull]))[1][: 2 * k]
             assert far.tolist() == sequential_far(x[hull], y[hull])
 
     def test_rectangles_with_collinear_points(self):
@@ -450,7 +450,7 @@ class TestHullAndCalipers:
             t = np.sort(rng.uniform(0.0, 2 * np.pi, k))
             x, y = sorted_distinct(np.c_[np.cos(t), np.sin(t)] * rng.uniform(0.1, 10))
             hull = geometry._convex_hull(x, y)
-            far = geometry._antipodal_pairs(x[hull], y[hull])[1][: len(hull)]
+            far = geometry._antipodal_pairs(*geometry._closed_ring(x[hull], y[hull]))[1][: len(hull)]
             assert far.tolist() == sequential_far(x[hull], y[hull])
 
     @pytest.mark.parametrize("case", ["first point repeated", "clockwise"])
@@ -464,7 +464,7 @@ class TestHullAndCalipers:
         code = (
             "import sys\nimport numpy as np\nfrom smallpoly import geometry\n"
             f"x, y = np.array({ring.tolist()!r}).T\n"
-            "try:\n    geometry._antipodal_pairs(x, y)\n"
+            "try:\n    geometry._antipodal_pairs(*geometry._closed_ring(x, y))\n"
             "except ValueError as e:\n    sys.exit(str(e))\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(geometry.__file__)))
@@ -618,11 +618,10 @@ class TestRing:
         ring = p.boundary
         for order, once in ((ring, True), ([ring[3 * i % 10] for i in range(10)], False)):
             x, y = p.points[list(order) + list(order[:2])].T
-            turn = geometry._cross_sign(
-                x[:-2], y[:-2], x[1:-1], y[1:-1], x[1:-1], y[1:-1], x[2:], y[2:]
-            )
+            ex, ey = x[1:] - x[:-1], y[1:] - y[:-1]
+            turn = geometry._cross_sign(x, y, ex, ey, slice(0, 10), slice(1, 11))
             assert np.all(turn > 0)
-            assert geometry._winds_once(y[:-1]) == once
+            assert geometry._winds_once(ey[:10]) == once
 
 
 @pytest.fixture(scope="module")
@@ -680,6 +679,61 @@ class TestRingDiameter:
         assert diameter_calls == [p.n]
         assert report.diameter == brute_force_diameter(p.points)
         assert report.is_convex == (case in ("collinear", "duplicate"))
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Count the ``Fraction`` cross products of the exact sign fallback."""
+    calls = []
+    exact = geometry._exact_cross
+
+    def spy(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(geometry, "_exact_cross", spy)
+    return calls
+
+
+class TestRingPathExactFallbacks:
+    @pytest.mark.parametrize("k", [3, 4, 8, 17])
+    def test_parallel_opposite_edges_take_the_ring_path(self, k, diameter_calls, exact_calls):
+        # opposite edges of the dyadic ring are exactly parallel, so the
+        # calipers' check of each parallel pair is within rounding of zero
+        # and is decided in Fractions; the ring is still proven strictly
+        # convex and its diameter is the all-pairs one
+        rng = np.random.default_rng(k)
+        p = polygon_from_vertices(2 * k, dyadic_ring(k, rng))
+        report = validate(p)
+        assert diameter_calls == []
+        assert report.is_convex
+        assert len(exact_calls) >= k
+        assert report.diameter == brute_force_diameter(p.points)
+
+    def test_a_turn_within_rounding_is_judged_by_its_exact_sign(self, diameter_calls, exact_calls):
+        # vertex 1 lies a rounding error left of the line from vertex 0 to
+        # vertex 2: the exact turn there is +4.8e-19, the float one -6.9e-18,
+        # inside the filter's bound; only the exact sign proves the ring
+        # strictly convex
+        phi = (1 + 5**0.5) / 2
+        t = 13 / 401
+        p = polygon_from_vertices(6, [
+            (0.0, 0.0), (t, t * phi), (1.0, phi), (0.5, 2.5), (-0.5, 2.0), (-0.6, 0.5),
+        ])
+        assert p.boundary.tolist() == [0, 1, 2, 3, 4, 5]
+        left = t * (phi - t * phi)
+        right = t * phi * (1.0 - t)
+        assert left - right < 0.0
+        exact = (Fraction(t) * (Fraction(phi) - Fraction(t * phi))
+                 - Fraction(t * phi) * (1 - Fraction(t)))
+        assert exact > 0
+        report = validate(p)
+        assert diameter_calls == []
+        assert report.is_convex
+        assert (0.0, 0.0, t, t * phi, t, t * phi, 1.0, phi) in [
+            tuple(map(float, args)) for args in exact_calls
+        ]
+        assert report.diameter == brute_force_diameter(p.points)
 
 
 def sorted_boundary(vertices):

@@ -813,7 +813,12 @@ class TestOnePointPerIterate:
         reduced.objective(40, 1, x)
         with pytest.raises(ValueError, match="r must be an integer"):
             reduced.objective(40, True, x)
-        assert derivatives(40.0, 1, x) is None
+        # a malformed size is refused, not reported as an undefined point
+        with pytest.raises(ValueError, match="n must be an integer"):
+            derivatives(40.0, 1, x)
+        with pytest.raises(ValueError, match="r must be an integer"):
+            derivatives(40, True, x)
+        assert derivatives(40, 1, x) is not None
 
 
 def whole_sum_map(n, r):
