@@ -476,24 +476,25 @@ def derivatives(n: int, r: int, vec):
     are computed here, from the vertices of the prefix walk that ``derive``
     kept (a point without one is refused), their steps and area gradient
     (``area_gradient_s``) and one product with A; the prefix triangles'
-    dense Hessian and the B^T H B assembly wait for ``hessian()``, which
-    the Newton kernel calls only at the points it steps from.  The turn phi is the walk's S_rp, as in ``_area_terms``.  With
-    u = (free parameters p, gamma_last), the area F and the
-    closure residual C are closed forms in z = (S_0, ..., S_rp, beta), the
-    partial sums of the rp + 1 prefix angles and the tail angle, and z = A u
-    is linear with A fixed per (n, r) (``_sum_map``).  In z the prefix
-    triangle sum T has ``area_gradient_s`` and ``area_hessian_s`` in partial
-    sums; the prefix vertex (X, Y) = vertex rp has gradient (q_j, -p_j) and
-    diagonal Hessians -p_j and -q_j in S_j, j < rp, where (p_j, q_j) are the
-    chain steps; the turn phi = S_rp is a coordinate.  Every term other than
-    T is diagonal or lies in the phi and beta rows and columns, so F_zz - mu
-    C_zz is written into T's Hessian there.  The closure defines
-    gamma_last(p), hence grad = F_p - mu C_p and Hessian = Z^T (F_uu - mu
-    C_uu) Z with mu = F_gamma / C_gamma and Z = [I; -C_p / C_gamma].
-    Everything is evaluated at the point ``_derived`` keeps for ``vec``:
-    built and derived here at a new vector, and read again by the closing
-    ``objective`` of the solve.  The two products with A are A^T gF and
-    A^T gC as ``np.dot`` forms them, one matrix-vector product each.
+    dense Hessian and the B^T H B assembly wait for ``hessian()``, which the
+    Newton kernel calls only at the points it steps from.  The turn phi is
+    the walk's S_rp, as in ``_area_terms``.  With u = (free parameters p,
+    gamma_last), the area F and the closure residual C are closed forms in z
+    = (S_0, ..., S_rp, beta), the partial sums of the rp + 1 prefix angles
+    and the tail angle, and z = A u is linear with A fixed per (n, r)
+    (``_sum_map``).  In z the prefix triangle sum T has ``area_gradient_s``
+    and ``area_hessian_s`` in partial sums; the prefix vertex (X, Y) =
+    vertex rp has gradient (q_j, -p_j) and diagonal Hessians -p_j and -q_j
+    in S_j, j < rp, where (p_j, q_j) are the chain steps; the turn phi =
+    S_rp is a coordinate.  Every term other than T is diagonal or lies in the
+    phi and beta rows and columns, so F_zz - mu C_zz is written into T's
+    Hessian there.  The closure defines gamma_last(p), hence grad = F_p - mu
+    C_p and Hessian = Z^T (F_uu - mu C_uu) Z with mu = F_gamma / C_gamma and
+    Z = [I; -C_p / C_gamma].  Everything is evaluated at the point
+    ``_derived`` keeps for ``vec``: built and derived here at a new vector,
+    and read again by the closing ``objective`` of the solve.  The two
+    products with A are A^T gF and A^T gC as ``np.dot`` forms them, one
+    matrix-vector product each.
     """
     try:
         p = _derived(n, r, vec)

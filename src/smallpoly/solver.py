@@ -461,8 +461,9 @@ def _nlp_evaluate(n):
             # ones, the map to theta is a suffix sum over rows and columns
             m = len(S)
             hess = -area_hessian_s(S)
-            # the diagonal's first m - 1 entries, a view
-            hess.reshape(-1)[: (m - 1) * (m + 1) : m + 1] -= lam[1] * np.subtract(x[1:m], x[: m - 1])
+            # the first m - 1 entries of the diagonal, as a view
+            diagonal = hess.reshape(-1)[: (m - 1) * (m + 1) : m + 1]
+            diagonal -= lam[1] * np.subtract(x[1:m], x[: m - 1])
             return hess[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
 
         return (
