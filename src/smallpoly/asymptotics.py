@@ -222,18 +222,22 @@ class AsymptoticFit:
 
     r: int
     q_estimate: float
-    d: float | None
+    d: float
+    e: float
     residual: float
     n_grid: tuple[int, ...]
 
 
 def estimate_q_numeric(r: int, n_grid, *, seed: int = 0) -> AsymptoticFit:
-    """Fit q (and the 1/n^4 coefficient d) to computed deficits.
+    """Fit q (and the 1/n^4 and 1/n^5 coefficients d and e) to computed deficits.
 
     For each grid n the deficit of ``best_params(n, r)`` is evaluated by
     ``area_deficit``, one ``fsum`` of O(1/n) terms with no O(1) term to
-    cancel; the model pi/4 - 5 pi^3/48n^2 - q pi^3/n^3 - d pi^4/n^4 is then
-    fit by ordinary least squares with the known terms fixed.  Each grid n
+    cancel; the model pi/4 - 5 pi^3/48n^2 - q pi^3/n^3 - d pi^4/n^4 -
+    e pi^5/n^5 is then fit by ordinary least squares with the known terms
+    fixed, so a grid needs at least three points.  Without the pi^5/n^5
+    term it leaks into q: on the acceptance grid 1000 .. 50000 a two-term
+    fit leaves every q_1..q_16 about 2e-7 low.  Each grid n
     is checked by ``require_even`` (a float is refused, not truncated) and
     by ``best_params``; a grid n above ``MAX_GRID_N`` = 1e6 is refused,
     because past it the plain-double prefix terms leave the deficit up to
@@ -241,8 +245,8 @@ def estimate_q_numeric(r: int, n_grid, *, seed: int = 0) -> AsymptoticFit:
     is accepted and unused.
     """
     grid = [int(require_even(n, minimum=6)) for n in n_grid]
-    if len(grid) < 2:
-        raise ValueError("need at least two grid points")
+    if len(grid) < 3:
+        raise ValueError("need at least three grid points")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     if grid[-1] > MAX_GRID_N:
@@ -254,7 +258,7 @@ def estimate_q_numeric(r: int, n_grid, *, seed: int = 0) -> AsymptoticFit:
 
     deficits = [area_deficit(best_params(n, r)) for n in grid]
 
-    design = np.array([[math.pi**3 / n**3, math.pi**4 / n**4] for n in grid])
+    design = np.array([[math.pi**k / n**k for k in (3, 4, 5)] for n in grid])
     y = np.array(deficits)
     coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coeffs
@@ -262,6 +266,7 @@ def estimate_q_numeric(r: int, n_grid, *, seed: int = 0) -> AsymptoticFit:
         r=r,
         q_estimate=float(coeffs[0]),
         d=float(coeffs[1]),
+        e=float(coeffs[2]),
         residual=float(np.sqrt(np.mean(resid**2))),
         n_grid=tuple(grid),
     )

@@ -394,12 +394,13 @@ def _angles_error(record: PolygonRecord) -> float:
 
 
 def cmd_verify(args) -> int:
-    """Revalidate the vertices and check the record's claims against them.
+    """Revalidate the vertices and check every claim of the record against them.
 
-    The claimed area and diameter must match the values recomputed from the
-    vertices, every skeleton edge must have unit length, and the chain that
-    the claimed angles walk must land on vertices 0..n/2, all to
-    ``RECORD_TOL``.
+    The claimed area, diameter and gap must match the values recomputed from
+    the vertices, the claimed upper bound must match ``upper_bound(n)``,
+    every skeleton edge must have unit length, and the chain that the
+    claimed angles walk must land on vertices 0..n/2, all to ``RECORD_TOL``;
+    each claimed ``valid`` flag must be the one ``validate`` gives.
     """
     with open(args.file, encoding="utf-8") as fh:
         record = PolygonRecord.from_json(fh.read())
@@ -407,9 +408,13 @@ def cmd_verify(args) -> int:
     errors = {
         "area error": abs(record.area - report.area),
         "diameter error": abs(record.diameter - report.diameter),
+        "bound error": abs(record.upper_bound - report.upper_bound),
+        "gap error": abs(record.gap - report.gap),
         "edge error": report.edge_error,
         "angles error": _angles_error(record),
     }
+    flags = ("is_convex", "is_symmetric", "is_small")
+    claims_hold = all(getattr(record, f) == getattr(report, f) for f in flags)
     sys.stdout.write(
         f"area       = {_format_float(report.area)}\n"
         f"diameter   = {_format_float(report.diameter)}\n"
@@ -420,7 +425,7 @@ def cmd_verify(args) -> int:
     )
     for label, err in errors.items():
         sys.stdout.write(f"{label:<14} = {err:.3e}\n")
-    valid = report.is_valid and all(err <= RECORD_TOL for err in errors.values())
+    valid = report.is_valid and claims_hold and all(err <= RECORD_TOL for err in errors.values())
     return 0 if valid else VALIDATION_ERROR
 
 

@@ -334,12 +334,6 @@ def _area_terms(p: ReducedParams) -> tuple[float, float]:
 # optimization over the free parameters
 # ---------------------------------------------------------------------------
 
-def parameter_bounds(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The box of the free parameters: (lower, upper), the arrays of ``_box``."""
-    lo, hi = np.array(_box(n, r))
-    return lo, hi
-
-
 def _box(n: int, r: int) -> tuple[list, list]:
     """(lower, upper) of alpha, the betas and the gammas, as lists of floats."""
     nb, ng = free_shape(r)

@@ -171,13 +171,15 @@ def _held(x, lo, hi, g) -> np.ndarray | None:
 def _newton(evaluate, x0, lo, hi, ncon: int):
     """Newton steps on the KKT system of min f(x) s.t. c(x) = 0, lo <= x <= hi.
 
-    ``evaluate(x, lam)`` returns the gradient of the Lagrangian f + lam @ c,
-    the ``ncon`` constraint values c, their Jacobian and a zero-argument
-    callable that returns the Hessian of the Lagrangian, or None where f is
-    undefined, as it is where a gradient or constraint value is not finite.
-    The Hessian is asked for only at a point the solve steps from, so a
-    trial point that is rejected, and the point the solve ends on, never
-    build one.  The multipliers start at their least-squares values.  A
+    ``evaluate(x)`` returns the gradient of f, the ``ncon`` constraint values
+    c, their Jacobian J and a callable ``hessian(lam)`` that returns the
+    Hessian of the Lagrangian f + lam @ c, or None where f is undefined, as
+    it is where a gradient or constraint value is not finite.  The kernel
+    forms the Lagrangian's gradient, grad f + J^T lam, itself, so a point is
+    evaluated once whatever the multipliers: they start at their
+    least-squares values, fit to the start's own evaluation.  The Hessian is
+    asked for only at a point the solve steps from, so a trial point that is
+    rejected, and the point the solve ends on, never build one.  A
     variable at a bound whose gradient points out of the box is held there
     for the step; the others take the step from the KKT system with the
     exact Hessian.  Where that Hessian has a negative eigenvalue on
@@ -207,47 +209,46 @@ def _newton(evaluate, x0, lo, hi, ncon: int):
     x = np.asarray(x0, dtype=float).clip(lo, hi)
     lam = np.zeros(ncon)
 
-    def at(x, lam):
-        """``evaluate(x, lam)``, the held variables at x (None if there are
-        none) and the two max-norm residuals there; None where f is undefined.
+    def at(x, ev, lam):
+        """The Lagrangian's gradient at lam from the evaluation ``ev`` at x,
+        the held variables (None if there are none) and the two max-norm
+        residuals; None where f is undefined.
 
         The max-norms over all entries double as the finiteness check: the
         max of the magnitudes is NaN if an entry is NaN and infinite if one
         is infinite.
         """
-        ev = evaluate(x, lam)
         if ev is None:
             return None
-        g = ev[0]
+        g = ev[0] + ev[2].T @ lam if ncon else ev[0]
         gmax = float(np.abs(g).max(initial=0.0))
         cres = float(np.abs(ev[1]).max(initial=0.0)) if ncon else 0.0
         if not (math.isfinite(gmax) and math.isfinite(cres)):
             return None
         held = _held(x, lo, hi, g)
         if held is None:
-            return ev, None, gmax, cres
-        return ev, held, float(np.abs(np.where(held, 0.0, g)).max()), cres
+            return g, None, gmax, cres
+        return g, held, float(np.abs(np.where(held, 0.0, g)).max()), cres
 
-    point = at(x, lam)
+    ev = evaluate(x)
+    point = at(x, ev, lam)
     nfev = 1
     if point is not None and ncon:
-        ev = point[0]
         lam = np.linalg.lstsq(ev[2].T, -ev[0], rcond=None)[0]
-        point = at(x, lam)
-        nfev += 1
+        point = at(x, ev, lam)
     if point is None:
         return x, lam, math.inf, math.inf, 0, nfev, STOP_UNDEFINED
 
-    ev, held, gres, cres = point
+    g, held, gres, cres = point
     steps = 0
     reason = STOP_CONVERGED
     while max(gres, cres) >= 1e-13:
         if steps == MAX_STEPS:
             reason = STOP_MAX_STEPS
             break
-        g, c, J, hessian = ev
+        _, c, J, hessian = ev
         # without held variables the free block is the whole system
-        Hf, gf = hessian(), g
+        Hf, gf = hessian(lam), g
         if held is not None:
             free = ~held
             Hf, gf = Hf[np.ix_(free, free)], g[free]
@@ -289,14 +290,15 @@ def _newton(evaluate, x0, lo, hi, ncon: int):
         for t in _HALVINGS:
             xn = (x + t * dx).clip(lo, hi)
             lamn = lam + t * d[k:] if ncon else lam
-            point = at(xn, lamn)
+            evn = evaluate(xn)
+            point = at(xn, evn, lamn)
             nfev += 1
             if point is not None and max(point[2], point[3]) < max(gres, cres):
                 break
         else:
             reason = STOP_NO_DESCENT
             break
-        x, lam, (ev, held, gres, cres) = xn, lamn, point
+        x, lam, ev, (g, held, gres, cres) = xn, lamn, evn, point
         steps += 1
     return x, lam, gres, cres, steps, nfev, reason
 
@@ -374,12 +376,12 @@ def maximize_box(problem: BoxProblem, start) -> tuple[np.ndarray, float, Diagnos
         raise ValueError(f"start must have shape {problem.lower.shape}, got {x0.shape}")
     derivatives = problem.derivatives
 
-    def evaluate(x, lam):
+    def evaluate(x):
         derivs = derivatives(x)
         if derivs is None:
             return None
         g, hessian = derivs
-        return np.negative(g, dtype=float), None, None, lambda: np.negative(hessian(), dtype=float)
+        return np.negative(g, dtype=float), None, None, lambda _: np.negative(hessian(), dtype=float)
 
     x, _, gres, _, steps, nfev, reason = _newton(evaluate, x0, problem.lower, problem.upper, 0)
     converged = gres <= GRAD_TOL
@@ -406,60 +408,45 @@ def nlp_objective(theta) -> float:
 
 
 def objective_gradient(a) -> np.ndarray:
-    """Exact gradient of the area objective.
+    """Exact gradient of the area objective, read from ``_nlp_evaluate``.
 
-    The gradient in the partial sums (``area_gradient_s``), mapped to the
-    angles by a suffix sum (theta_i enters S_j for every j >= i), so the
-    cost is linear in the number of angles.  Accepts an AngleVector or a raw
-    sequence of angles.
+    Accepts an AngleVector or a raw sequence of angles.
     """
-    theta = a.theta if isinstance(a, AngleVector) else a
-    _, x, y = walk_chain(theta)
-    return _gradient(x, y)
-
-
-def _gradient(x, y) -> np.ndarray:
-    """``objective_gradient`` from the vertices of the angles' chain walk."""
-    return np.array(area_gradient_s(x, y)[2][::-1]).cumsum()[::-1]
+    theta = np.asarray(a.theta if isinstance(a, AngleVector) else a, dtype=float)
+    return -_nlp_evaluate(2 * len(theta))(theta)[0]
 
 
 def constraint_jacobian(theta, n: int) -> np.ndarray:
-    """Jacobian of the full program's two constraints (``_nlp_evaluate``) in the angles.
-
-    The midpoint x_{m-1} = p_0 + ... + p_{m-2} has derivative q_j in S_j, so
-    its derivative in theta_j is q_j + ... + q_{m-2} = y_{m-1} - y_j.
-    """
-    return _jacobian(walk_chain(theta)[2])
-
-
-def _jacobian(y) -> np.ndarray:
-    """``constraint_jacobian`` from the chain walk's m + 1 y-coordinates."""
-    m = len(y) - 1
-    J = np.empty((2, m))
-    J[0] = 1.0
-    np.subtract(y[m - 1], y[:m], out=J[1])
-    return J
+    """Jacobian of the full program's two constraints, read from ``_nlp_evaluate``."""
+    return _nlp_evaluate(n)(np.asarray(theta, dtype=float))[2]
 
 
 def _nlp_evaluate(n):
-    """The full program's KKT callback for the Newton kernel (f = -area).
+    """The full program's callback for the Newton kernel (f = -area).
 
-    One chain walk per point gives the gradient, the constraints (angle sum
-    - pi/2, chain midpoint x - required half), their Jacobian and, if the
-    kernel asks for it, the exact Hessian of -area + lam @ constraints.
+    One chain walk per point gives the gradient of f, the constraints (angle
+    sum - pi/2, chain midpoint x - required half), their Jacobian and, if
+    the kernel asks for it, the exact Hessian of -area + lam @ constraints.
+    The area's gradient is formed in the partial sums (``area_gradient_s``)
+    and mapped to the angles by a suffix sum (theta_i enters S_j for every
+    j >= i), so its cost is linear in the number of angles.  The midpoint
+    x_{m-1} = p_0 + ... + p_{m-2} has derivative q_j in S_j, so its
+    derivative in theta_j is q_j + ... + q_{m-2} = y_{m-1} - y_j.
     """
 
-    def evaluate(theta, lam):
+    def evaluate(theta):
         S, x, y = walk_chain(theta)
-        J = _jacobian(y)
+        m = len(S)
+        J = np.empty((2, m))
+        J[0] = 1.0
+        np.subtract(y[m - 1], y[:m], out=J[1])
 
-        def hessian():
+        def hessian(lam):
             # formed in the partial sums S = cumsum(theta): the area's
             # Hessian there is the dense ``area_hessian_s``, the angle sum is
-            # linear, and the midpoint x_{m-1} = p_0 + ... + p_{m-2} has the
-            # diagonal Hessian -p_j.  Since S = L theta with L lower-triangular
-            # ones, the map to theta is a suffix sum over rows and columns
-            m = len(S)
+            # linear, and the midpoint has the diagonal Hessian -p_j.  Since
+            # S = L theta with L lower-triangular ones, the map to theta is a
+            # suffix sum over rows and columns
             hess = -area_hessian_s(S)
             # the first m - 1 entries of the diagonal, as a view
             diagonal = hess.reshape(-1)[: (m - 1) * (m + 1) : m + 1]
@@ -467,8 +454,8 @@ def _nlp_evaluate(n):
             return hess[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
 
         return (
-            -_gradient(x, y) + J.T @ lam,
-            np.array([float(theta.sum()) - math.pi / 2, x[len(theta) - 1] - half_sign(n)]),
+            -np.array(area_gradient_s(x, y)[2][::-1]).cumsum()[::-1],
+            np.array([float(theta.sum()) - math.pi / 2, x[m - 1] - half_sign(n)]),
             J,
             hessian,
         )

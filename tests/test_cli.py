@@ -140,9 +140,9 @@ class TestOptimize:
         }
         assert diag["stop_reason"] == "residual below 1e-13"
         assert isinstance(diag["nfev"], int)
-        # the start is evaluated once, then once more with its least-squares
-        # multipliers, and each Newton step adds at least one evaluation
-        assert diag["nfev"] >= diag["inner_iterations"] + 2
+        # the start is evaluated once, its least-squares multipliers fit to
+        # that evaluation, and each Newton step adds at least one evaluation
+        assert diag["nfev"] >= diag["inner_iterations"] + 1
 
 
 @pytest.mark.parametrize(
@@ -242,13 +242,23 @@ class TestVerifyRender:
                 area=0.81 * d["area"],
                 diameter=0.9 * d["diameter"],
             ),
+            lambda d: d.update(upper_bound=2.0),
+            lambda d: d.update(gap=0.5),
+            lambda d: d.update(gap=d["gap"] + 1e-11),
+            lambda d: d.update(valid={"is_convex": False, "is_symmetric": False, "is_small": False}),
+            lambda d: d["valid"].update(is_convex=False),
         ],
-        ids=["vertices_scaled", "area_claimed", "diameter_claimed", "claims_rescaled"],
+        ids=[
+            "vertices_scaled", "area_claimed", "diameter_claimed", "claims_rescaled",
+            "bound_claimed", "gap_claimed", "gap_off_by_1e-11", "all_flags_false",
+            "convex_false",
+        ],
     )
     def test_verify_checks_claims(self, capsys, tmp_path, tamper):
         # every record still describes a small convex symmetric polygon; only
-        # its claims give it away: the area, the diameter, or (when those are
-        # rescaled with the vertices) the skeleton edge lengths
+        # its claims give it away: the area, the diameter, the bound, the gap,
+        # a validity flag, or (when the area and diameter are rescaled with
+        # the vertices) the skeleton edge lengths
         path = self._record_file(capsys, tmp_path)
         data = json.loads(path.read_text())
         tamper(data)

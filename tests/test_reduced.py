@@ -21,6 +21,7 @@ from smallpoly.geometry import (
 from smallpoly.reduced import (
     CLOSURE_RESIDUAL_TOL,
     ReducedParams,
+    _box,
     _g,
     _prefix_angles,
     _sum_map,
@@ -33,7 +34,6 @@ from smallpoly.reduced import (
     derive,
     expand_angles,
     free_shape,
-    parameter_bounds,
     params_from_vector,
     params_to_vector,
     reduced_area,
@@ -205,7 +205,7 @@ def closure_corpus():
     Yields each point whose tail angle is defined, with that angle."""
     families = [(6, 1), (10, 3), (14, 5), (12, 4), (30, 13), (120, 16), (1000, 7), (50000, 16)]
     for n, r in families:
-        lo, hi = parameter_bounds(n, r)
+        lo, hi = np.array(_box(n, r))
         rng = np.random.default_rng(7 * n + r)
         for _ in range(125):
             x = np.clip(start_vector(n, r) + 0.1 * (hi - lo) * rng.uniform(-1, 1, len(lo)), lo, hi)
@@ -306,7 +306,7 @@ def test_prefix_walk_matches_the_numpy_path(r):
     rng = np.random.default_rng(300 + r)
     walked = 0
     for n in (2 * r + 4, 100, 1000):
-        lo, hi = parameter_bounds(n, r)
+        lo, hi = np.array(_box(n, r))
         start = start_vector(n, r)
         points = [start] + [
             np.clip(start + 0.05 * (hi - lo) * rng.uniform(-1, 1, len(lo)), lo, hi)
@@ -523,7 +523,7 @@ class TestDerivatives:
         ],
     )
     def test_match_central_differences(self, n, r, gtol):
-        lo, hi = parameter_bounds(n, r)
+        lo, hi = np.array(_box(n, r))
         rng = np.random.default_rng(n)
         x = np.clip(math.pi / n * scaled_limits(r) + 0.02 * (hi - lo) * rng.uniform(-1, 1, len(lo)), lo, hi)
         g, hessian = derivatives(n, r, x)
@@ -547,7 +547,7 @@ class TestDerivatives:
     def test_none_outside_the_domain(self):
         # alpha at the top of its box with large betas leaves no tail angle;
         # the objective there raises derive's error
-        lo, hi = parameter_bounds(12, 4)
+        lo, hi = np.array(_box(12, 4))
         assert derivatives(12, 4, hi) is None
         with pytest.raises(ValueError, match="derived tail angle"):
             reduced.objective(12, 4, hi)
@@ -564,7 +564,7 @@ def test_tail_angle_is_correctly_rounded(n, r):
     m = n // 2
     tail = m - 1 if r == 0 else m - r - 1 if r % 2 == 0 else m - r
     quarter = Fraction(math.pi / 2) + Fraction(reduced._PI_LO / 2)
-    lo, hi = parameter_bounds(n, r)
+    lo, hi = np.array(_box(n, r))
     # r = 0 samples on both sides of its one point, alpha = pi/(2n - 2),
     # which is the bottom of its box
     start = start_vector(n, r) if r else lo
@@ -613,7 +613,7 @@ def scaled_limits(r):
 
 def solve_from(n, r, start):
     """One box solve of the family from ``start``: (optimum, diagnostics)."""
-    lo, hi = parameter_bounds(n, r)
+    lo, hi = _box(n, r)
     problem = BoxProblem(
         lower=lo,
         upper=hi,
@@ -1034,7 +1034,7 @@ class TestPointDerivedOnce:
 
     def test_estimate_q_numeric(self, monkeypatch):
         counts = self.spy(monkeypatch, reduced, "derivatives")
-        asymptotics.estimate_q_numeric(2, (1000, 2000))
+        asymptotics.estimate_q_numeric(2, (1000, 2000, 5000))
         assert counts["outside"] == 0 and counts["inside"] > 0
 
     def test_memo_stores_zero_without_its_sign(self, monkeypatch):

@@ -162,9 +162,9 @@ class TestMaximizeBox:
 
     @pytest.mark.parametrize("n", [120, 1000])
     def test_reduced_family_r16_converges(self, n):
-        from smallpoly.reduced import derivatives, objective, parameter_bounds, start_vector
+        from smallpoly.reduced import _box, derivatives, objective, start_vector
 
-        lo, hi = parameter_bounds(n, 16)
+        lo, hi = _box(n, 16)
         problem = BoxProblem(
             lower=lo,
             upper=hi,
@@ -262,7 +262,7 @@ class TestHessianOnDemand:
 
     @pytest.mark.parametrize("n, r", [(40, 4), (1000, 16)])
     def test_reduced_family(self, n, r):
-        from smallpoly.reduced import derivatives, objective, parameter_bounds, start_vector
+        from smallpoly.reduced import _box, derivatives, objective, start_vector
 
         calls = []
 
@@ -275,7 +275,7 @@ class TestHessianOnDemand:
 
             return g, counted
 
-        lo, hi = parameter_bounds(n, r)
+        lo, hi = _box(n, r)
         problem = BoxProblem(lower=lo, upper=hi, objective=lambda v: objective(n, r, v), derivatives=spied)
         _, _, diag = maximize_box(problem, start_vector(n, r))
         assert diag.converged and diag.iterations >= 1
@@ -315,8 +315,8 @@ class TestStopReason:
     def test_singular_kkt_matrix(self):
         # one constraint c = 1 with a zero Jacobian: the KKT matrix
         # [[1, 0], [0, 0]] has no inverse
-        def evaluate(x, lam):
-            return np.array([x[0] - 0.5]), np.array([1.0]), np.zeros((1, 1)), lambda: np.eye(1)
+        def evaluate(x):
+            return np.array([x[0] - 0.5]), np.array([1.0]), np.zeros((1, 1)), lambda lam: np.eye(1)
 
         x, _, gres, cres, steps, _, reason = _newton(
             evaluate, np.array([0.2]), np.zeros(1), np.ones(1), 1
@@ -346,10 +346,11 @@ class TestStopReason:
 
     def test_non_finite_trial_point_is_rejected(self):
         # c = x - 0.9 is NaN from x = 0.75 on: the full step to 0.9 is
-        # rejected, as is every halving that lands there
-        def evaluate(x, lam):
+        # rejected, as is every halving that lands there; f is constant, so
+        # the Lagrangian's gradient is lam
+        def evaluate(x):
             c = x[0] - 0.9 if x[0] < 0.75 else math.nan
-            return lam.copy(), np.array([c]), np.ones((1, 1)), lambda: np.zeros((1, 1))
+            return np.zeros(1), np.array([c]), np.ones((1, 1)), lambda lam: np.zeros((1, 1))
 
         x, _, _, cres, steps, _, reason = _newton(
             evaluate, np.array([0.5]), np.zeros(1), np.ones(1), 1
@@ -408,8 +409,10 @@ class TestObjectiveGradient:
 
 
 def _kkt(theta, lam, n):
-    """The full program's Lagrangian gradient, constraints, Jacobian and Hessian callback."""
-    return _nlp_evaluate(n)(np.asarray(theta, dtype=float), np.asarray(lam, dtype=float))
+    """The full program's Lagrangian gradient, constraints, Jacobian and Hessian at lam."""
+    g, c, J, hessian = _nlp_evaluate(n)(np.asarray(theta, dtype=float))
+    lam = np.asarray(lam, dtype=float)
+    return g + J.T @ lam, c, J, hessian(lam)
 
 
 class TestConstraints:
@@ -437,9 +440,8 @@ class TestLagrangianHessian:
         rng = np.random.default_rng(n)
         theta = rng.uniform(0.01, 0.5, n // 2)
         lam = rng.standard_normal(2)
-        grad, _, _, hessian = _kkt(theta, lam, n)
+        grad, _, _, H = _kkt(theta, lam, n)
         assert np.array_equal(grad, -objective_gradient(theta) + constraint_jacobian(theta, n).T @ lam)
-        H = hessian()
         fd = np.zeros_like(H)
         h = 1e-6
         for i in range(len(theta)):
@@ -458,7 +460,7 @@ class TestLagrangianHessian:
         theta = np.array(angles.theta)
         _, _, vt = np.linalg.svd(constraint_jacobian(theta, n))
         Z = vt[2:].T
-        reduced = Z.T @ _kkt(theta, diag.multipliers, n)[3]() @ Z
+        reduced = Z.T @ _kkt(theta, diag.multipliers, n)[3] @ Z
         assert np.min(np.linalg.eigvalsh(reduced)) > 0.0
 
 
@@ -542,6 +544,16 @@ class TestSolveFullNlp:
         _, _, diag = solve_full_nlp(120)
         assert 1 <= diag.iterations <= 8
         assert diag.nfev > diag.iterations
+
+    @pytest.mark.parametrize("n", [6, 20, 120])
+    def test_start_at_the_optimum_is_evaluated_once(self, n):
+        # the multipliers are fit to the start's one evaluation, which is
+        # already below the residual floor
+        angles, area, _ = solve_full_nlp(n)
+        again, area_again, diag = solve_full_nlp(n, start=angles)
+        assert diag.iterations == 0 and diag.nfev == 1
+        assert diag.stop_reason == STOP_CONVERGED
+        assert again.theta == angles.theta and area_again == area
 
     def test_explicit_start(self):
         start = AngleVector(6, (math.pi / 10, math.pi / 5, math.pi / 5))
