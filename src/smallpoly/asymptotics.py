@@ -237,12 +237,15 @@ def estimate_q_numeric(r: int, n_grid, *, seed: int = 0) -> AsymptoticFit:
     e pi^5/n^5 is then fit by ordinary least squares with the known terms
     fixed, so a grid needs at least three points.  Without the pi^5/n^5
     term it leaks into q: on the acceptance grid 1000 .. 50000 a two-term
-    fit leaves every q_1..q_16 about 2e-7 low.  Each grid n
-    is checked by ``require_even`` (a float is refused, not truncated) and
-    by ``best_params``; a grid n above ``MAX_GRID_N`` = 1e6 is refused,
-    because past it the plain-double prefix terms leave the deficit up to
-    16% off (see ``area_deficit``).  Every solve is deterministic; ``seed``
-    is accepted and unused.
+    fit leaves every q_1..q_16 about 2e-7 low, and the three-term fit
+    leaves every q_0..q_16 within 7.2e-9 (q_16 within 8.2e-10).  On the
+    grid 1e5 .. 8e5 the pi^5/n^5 term is below the deficits' rounding, so
+    it fits noise: there the worst q_0..q_16 is 5.94e-5 off (r = 13).  Each
+    grid n is checked by ``require_even`` (a float is refused, not
+    truncated) and by ``best_params``; a grid n above ``MAX_GRID_N`` = 1e6
+    is refused, because past it the plain-double prefix terms leave the
+    deficit up to 16% off (see ``area_deficit``).  Every solve is
+    deterministic; ``seed`` is accepted and unused.
     """
     grid = [int(require_even(n, minimum=6)) for n in n_grid]
     if len(grid) < 3:
@@ -297,7 +300,11 @@ class TheoremReport:
     ``q1_lower`` = (5545 - 456 s)/5808 <= q_1 for the witness s =
     ``sqrt114_upper`` > sqrt(114), and ``separation_margin`` is q1_lower -
     q_16 - 1/725 with the tabulated q_16 read exactly, so a positive margin
-    proves q_1 - q_16 > 1/725 for that q_16.
+    proves q_1 - q_16 > 1/725 for that q_16.  ``q16_estimate`` is the
+    code's own q_16, fit by ``estimate_q_numeric`` on the acceptance grid
+    1000 .. 50000, and ``q16_estimate_error`` its distance from the
+    tabulated value (about 8e-10); both are for display, and no proof reads
+    them.
     """
 
     delta: float
@@ -308,6 +315,8 @@ class TheoremReport:
     sqrt114_upper: Fraction
     q1_lower: Fraction
     separation_margin: Fraction
+    q16_estimate: float
+    q16_estimate_error: float
 
     @property
     def separation_proved(self) -> bool:
@@ -330,13 +339,14 @@ def theorem_constants() -> TheoremReport:
     it stays below 8/109, and the improvement over the one-parameter family
     exceeds 1/725.  q_1's side of that improvement is proved in rationals
     from its closed form (see ``TheoremReport``); q_16 is the tabulated
-    value.
+    value, shown beside the code's own fit of it.
     """
     q16 = coeff_row(16).q
     q1 = coeff_row(1).q
     delta = q16 - 1.0 / 24.0
     s = sqrt114_upper()
     q1_lower = (5545 - 456 * s) / 5808
+    q16_estimate = estimate_q_numeric(16, (1000, 2000, 5000, 10000, 20000, 50000)).q_estimate
     return TheoremReport(
         delta=delta,
         delta_reference_error=delta - 0.0733883168,
@@ -346,4 +356,6 @@ def theorem_constants() -> TheoremReport:
         sqrt114_upper=s,
         q1_lower=q1_lower,
         separation_margin=q1_lower - Fraction(q16) - Fraction(1, 725),
+        q16_estimate=q16_estimate,
+        q16_estimate_error=q16_estimate - q16,
     )

@@ -43,26 +43,30 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# the claims a record makes of its polygon, each named once, in the record's
+# JSON order: the values at its top level, the validity flags under "valid".
+# The writer, the reader, the text view and ``verify`` all read these, and
+# label a flag by its name without "is_"
+CLAIMED_VALUES = ("area", "upper_bound", "gap", "diameter")
+CLAIMED_FLAGS = ("is_convex", "is_symmetric", "is_small")
+
+
 @dataclass(eq=False)
 class PolygonRecord:
     """Everything needed to reconstruct, verify, and render one polygon.
 
     ``polygon`` holds the vertices, checked once by
-    ``geometry.polygon_from_vertices``, as its read-only ``points`` array.
+    ``geometry.polygon_from_vertices``, as its read-only ``points`` array;
+    ``claims`` maps each name of ``CLAIMED_VALUES`` and ``CLAIMED_FLAGS`` to
+    what the record claims for it.
     """
 
     n: int
     r: int | None
     method: str
-    area: float
-    upper_bound: float
-    gap: float
-    diameter: float
+    claims: dict
     angles: tuple[float, ...]
     polygon: geometry.SmallPolygon = field(repr=False)
-    is_convex: bool
-    is_symmetric: bool
-    is_small: bool
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -70,29 +74,25 @@ class PolygonRecord:
             "n": self.n,
             "r": self.r,
             "method": self.method,
-            "area": self.area,
-            "upper_bound": self.upper_bound,
-            "gap": self.gap,
-            "diameter": self.diameter,
+            **{k: self.claims[k] for k in CLAIMED_VALUES},
             "angles": list(self.angles),
             "vertices": self.polygon.points.tolist(),
-            "valid": {
-                "is_convex": self.is_convex,
-                "is_symmetric": self.is_symmetric,
-                "is_small": self.is_small,
-            },
+            "valid": {k: self.claims[k] for k in CLAIMED_FLAGS},
             "diagnostics": self.diagnostics,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "PolygonRecord":
-        """The record ``data`` holds; a missing or malformed entry is a ValueError."""
+        """The record ``data`` holds; a missing or malformed entry is a ValueError.
+
+        A missing ``valid`` object, or a flag missing from it, reads as False.
+        """
         if not isinstance(data, dict):
             raise ValueError(f"record is a JSON {type(data).__name__}, not an object")
 
-        def entry(key, convert, *default):
+        def entry(key, convert, *default, within=data):
             try:
-                return convert(data.get(key, *default) if default else data[key])
+                return convert(within.get(key, *default) if default else within[key])
             except KeyError:
                 raise ValueError(f"record has no {key!r}") from None
             except (TypeError, ValueError, OverflowError) as exc:
@@ -101,19 +101,15 @@ class PolygonRecord:
         n = entry("n", lambda v: geometry.require_even(_json_int(v), minimum=6))
         polygon = entry("vertices", lambda v: geometry.polygon_from_vertices(n, _json_rows(v)))
         valid = entry("valid", dict, {})
+        claims = {k: entry(k, _json_float) for k in CLAIMED_VALUES}
+        claims.update((k, entry(k, _json_bool, False, within=valid)) for k in CLAIMED_FLAGS)
         return cls(
             n=n,
             r=entry("r", lambda r: None if r is None else _json_int(r), None),
             method=entry("method", str),
-            area=entry("area", _json_float),
-            upper_bound=entry("upper_bound", _json_float),
-            gap=entry("gap", _json_float),
-            diameter=entry("diameter", _json_float),
+            claims=claims,
             angles=entry("angles", lambda a: tuple(map(float, _json_numbers(a)))),
             polygon=polygon,
-            is_convex=bool(valid.get("is_convex")),
-            is_symmetric=bool(valid.get("is_symmetric")),
-            is_small=bool(valid.get("is_small")),
             diagnostics=entry("diagnostics", dict, {}),
         )
 
@@ -133,6 +129,13 @@ def _json_int(value) -> int:
     """A JSON integer as it is; a float, string or boolean is a ValueError."""
     if type(value) is not int:
         raise ValueError(f"expected a JSON integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_bool(value) -> bool:
+    """A JSON boolean as it is; a string, number or null is a ValueError."""
+    if type(value) is not bool:
+        raise ValueError(f"expected a JSON boolean, got {json.dumps(value)}")
     return value
 
 
@@ -161,21 +164,8 @@ def _json_rows(rows) -> list:
 
 
 def make_record(n, r, method, polygon, report, angles, diagnostics) -> PolygonRecord:
-    return PolygonRecord(
-        n=n,
-        r=r,
-        method=method,
-        area=report.area,
-        upper_bound=report.upper_bound,
-        gap=report.gap,
-        diameter=report.diameter,
-        angles=tuple(angles),
-        polygon=polygon,
-        is_convex=report.is_convex,
-        is_symmetric=report.is_symmetric,
-        is_small=report.is_small,
-        diagnostics=diagnostics,
-    )
+    claims = {k: getattr(report, k) for k in CLAIMED_VALUES + CLAIMED_FLAGS}
+    return PolygonRecord(n, r, method, claims, tuple(angles), polygon, diagnostics)
 
 
 def record_to_csv(record: PolygonRecord) -> str:
@@ -186,16 +176,13 @@ def record_to_csv(record: PolygonRecord) -> str:
 
 
 def record_to_text(record: PolygonRecord) -> str:
+    claims = record.claims
     lines = [
         f"n = {record.n}"
         + (f", r = {record.r}" if record.r is not None else "")
         + f", method = {record.method}",
-        f"area       = {_format_float(record.area)}",
-        f"upper bound = {_format_float(record.upper_bound)}",
-        f"gap        = {_format_float(record.gap)}",
-        f"diameter   = {_format_float(record.diameter)}",
-        f"valid      = convex:{record.is_convex} symmetric:{record.is_symmetric} "
-        f"small:{record.is_small}",
+        *(f"{k.replace('_', ' '):<10} = {_format_float(claims[k])}" for k in CLAIMED_VALUES),
+        "valid      = " + " ".join(f"{k[3:]}:{claims[k]}" for k in CLAIMED_FLAGS),
         "angles     = " + ", ".join(f"{t:.10f}" for t in record.angles),
     ]
     return "\n".join(lines) + "\n"
@@ -396,32 +383,28 @@ def _angles_error(record: PolygonRecord) -> float:
 def cmd_verify(args) -> int:
     """Revalidate the vertices and check every claim of the record against them.
 
-    The claimed area, diameter and gap must match the values recomputed from
-    the vertices, the claimed upper bound must match ``upper_bound(n)``,
-    every skeleton edge must have unit length, and the chain that the
-    claimed angles walk must land on vertices 0..n/2, all to ``RECORD_TOL``;
-    each claimed ``valid`` flag must be the one ``validate`` gives.
+    Each value of ``CLAIMED_VALUES`` must match the one ``validate`` gives
+    (the upper bound is ``upper_bound(n)``), every skeleton edge must have
+    unit length, and the chain that the claimed angles walk must land on
+    vertices 0..n/2, all to ``RECORD_TOL``; each flag of ``CLAIMED_FLAGS``
+    must be the one ``validate`` gives.
     """
     with open(args.file, encoding="utf-8") as fh:
         record = PolygonRecord.from_json(fh.read())
     report = geometry.validate(record.polygon)
+    claims = record.claims
     errors = {
-        "area error": abs(record.area - report.area),
-        "diameter error": abs(record.diameter - report.diameter),
-        "bound error": abs(record.upper_bound - report.upper_bound),
-        "gap error": abs(record.gap - report.gap),
+        **{f"{k.split('_')[-1]} error": abs(claims[k] - getattr(report, k))
+           for k in CLAIMED_VALUES},
         "edge error": report.edge_error,
         "angles error": _angles_error(record),
     }
-    flags = ("is_convex", "is_symmetric", "is_small")
-    claims_hold = all(getattr(record, f) == getattr(report, f) for f in flags)
+    claims_hold = all(claims[k] == getattr(report, k) for k in CLAIMED_FLAGS)
     sys.stdout.write(
         f"area       = {_format_float(report.area)}\n"
         f"diameter   = {_format_float(report.diameter)}\n"
         f"gap        = {_format_float(report.gap)}\n"
-        f"convex     = {report.is_convex}\n"
-        f"symmetric  = {report.is_symmetric}\n"
-        f"small      = {report.is_small}\n"
+        + "".join(f"{k[3:]:<10} = {getattr(report, k)}\n" for k in CLAIMED_FLAGS)
     )
     for label, err in errors.items():
         sys.stdout.write(f"{label:<14} = {err:.3e}\n")

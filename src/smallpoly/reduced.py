@@ -348,14 +348,10 @@ def params_from_vector(n: int, r: int, vec) -> ReducedParams:
     """The point with free parameters ``vec``: alpha, the betas, the gammas.
 
     Split by ``free_shape`` and checked as every point is, so a vector of
-    the wrong length fails the count of its gammas.
+    the wrong length fails the count of its gammas.  ``ReducedParams``
+    converts each entry to a Python float.
     """
-    return _params_of_floats(n, r, np.asarray(vec, dtype=float).tolist())
-
-
-def _params_of_floats(n: int, r: int, floats) -> ReducedParams:
-    """``params_from_vector`` of a sequence of floats, without converting it."""
-    alpha, *rest = floats
+    alpha, *rest = vec
     nb = free_shape(r)[0]
     return ReducedParams(n, r, alpha, rest[:nb], rest[nb:])
 
@@ -379,7 +375,7 @@ def _derived(n: int, r: int, vec) -> ReducedParams:
     floats = np.asarray(vec, dtype=float).tolist()
     key = (n, r, type(n), type(r), *floats)
     if key != _last_derived[0]:
-        _last_derived = key, derive(_params_of_floats(n, r, floats))
+        _last_derived = key, derive(params_from_vector(n, r, floats))
     return _last_derived[1]
 
 

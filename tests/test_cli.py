@@ -196,12 +196,12 @@ class TestRecordSerialization:
         record = self._record(capsys)
         again = PolygonRecord.from_json(record.to_json())
         assert again.to_dict() == record.to_dict()
-        assert again.area == record.area
+        assert again.claims["area"] == record.claims["area"]
         assert again.polygon.points.tolist() == record.polygon.points.tolist()
 
     def test_rejects_nan(self, capsys):
         record = self._record(capsys)
-        record.area = float("nan")
+        record.claims["area"] = float("nan")
         with pytest.raises(ValueError):
             record.to_json()
 
@@ -357,6 +357,14 @@ class TestVerifyRender:
                 },
                 "record 'vertices' is malformed",
             ),
+            # a validity flag is a JSON boolean, never a string, number or null
+            # that bool() would read
+            (lambda d: {**d, "valid": {**d["valid"], "is_convex": "false"}},
+             "record 'is_convex' is malformed"),
+            (lambda d: {**d, "valid": {**d["valid"], "is_symmetric": 0}},
+             "record 'is_symmetric' is malformed"),
+            (lambda d: {**d, "valid": {**d["valid"], "is_small": None}},
+             "record 'is_small' is malformed"),
         ],
         ids=["missing_key", "vertices_int", "vertices_dict", "ragged_vertex",
              "infinite_vertex", "missing_vertex", "nan_vertex",
@@ -365,7 +373,8 @@ class TestVerifyRender:
              "n_integral_float", "n_string", "n_bool", "r_fraction", "r_string",
              "area_string", "area_bool", "upper_bound_string", "gap_string",
              "diameter_bool", "angles_strings", "angle_bool", "vertex_strings",
-             "vertex_bool", "every_vertex_and_area_strings"],
+             "vertex_bool", "every_vertex_and_area_strings", "convex_string",
+             "symmetric_zero", "small_null"],
     )
     def test_malformed_record_is_usage_error(self, capsys, tmp_path, command, tamper, message):
         path = self._record_file(capsys, tmp_path)
