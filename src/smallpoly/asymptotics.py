@@ -224,7 +224,6 @@ class AsymptoticFit:
     q_estimate: float
     d: float
     e: float
-    residual: float
     n_grid: tuple[int, ...]
 
 
@@ -262,15 +261,12 @@ def estimate_q_numeric(r: int, n_grid, *, seed: int = 0) -> AsymptoticFit:
     deficits = [area_deficit(best_params(n, r)) for n in grid]
 
     design = np.array([[math.pi**k / n**k for k in (3, 4, 5)] for n in grid])
-    y = np.array(deficits)
-    coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coeffs
+    coeffs, *_ = np.linalg.lstsq(design, np.array(deficits), rcond=None)
     return AsymptoticFit(
         r=r,
         q_estimate=float(coeffs[0]),
         d=float(coeffs[1]),
         e=float(coeffs[2]),
-        residual=float(np.sqrt(np.mean(resid**2))),
         n_grid=tuple(grid),
     )
 

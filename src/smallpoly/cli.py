@@ -85,32 +85,34 @@ class PolygonRecord:
     def from_dict(cls, data: dict) -> "PolygonRecord":
         """The record ``data`` holds; a missing or malformed entry is a ValueError.
 
-        A missing ``valid`` object, or a flag missing from it, reads as False.
+        ``data`` is as ``json.loads`` returns it, and every entry is read
+        through ``_json``, which checks its JSON type.  A missing ``valid``
+        object, or a flag missing from it, reads as False.
         """
         if not isinstance(data, dict):
-            raise ValueError(f"record is a JSON {type(data).__name__}, not an object")
+            raise ValueError(f"record is {JSON_TYPES[type(data)]}, not an object")
 
-        def entry(key, convert, *default, within=data):
+        def entry(key, types, *default, within=data, then=lambda v: v):
             try:
-                return convert(within.get(key, *default) if default else within[key])
+                return then(_json(within.get(key, *default) if default else within[key], *types))
             except KeyError:
                 raise ValueError(f"record has no {key!r}") from None
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"record {key!r} is malformed: {exc}") from None
 
-        n = entry("n", lambda v: geometry.require_even(_json_int(v), minimum=6))
-        polygon = entry("vertices", lambda v: geometry.polygon_from_vertices(n, _json_rows(v)))
-        valid = entry("valid", dict, {})
-        claims = {k: entry(k, _json_float) for k in CLAIMED_VALUES}
-        claims.update((k, entry(k, _json_bool, False, within=valid)) for k in CLAIMED_FLAGS)
+        n = entry("n", (int,), then=lambda v: geometry.require_even(v, minimum=6))
+        polygon = entry("vertices", (list,), then=lambda v: _json_polygon(n, v))
+        valid = entry("valid", (dict,), {})
+        claims = {k: entry(k, (float, int), then=float) for k in CLAIMED_VALUES}
+        claims.update((k, entry(k, (bool,), False, within=valid)) for k in CLAIMED_FLAGS)
         return cls(
             n=n,
-            r=entry("r", lambda r: None if r is None else _json_int(r), None),
-            method=entry("method", str),
+            r=entry("r", (int, type(None)), None),
+            method=entry("method", (str,)),
             claims=claims,
-            angles=entry("angles", lambda a: tuple(map(float, _json_numbers(a)))),
+            angles=entry("angles", (list,), then=lambda v: tuple(map(float, _json_numbers(v)))),
             polygon=polygon,
-            diagnostics=entry("diagnostics", dict, {}),
+            diagnostics=entry("diagnostics", (dict,), {}),
         )
 
     def to_json(self) -> str:
@@ -125,42 +127,41 @@ class PolygonRecord:
         return cls.from_dict(data)
 
 
-def _json_int(value) -> int:
-    """A JSON integer as it is; a float, string or boolean is a ValueError."""
-    if type(value) is not int:
-        raise ValueError(f"expected a JSON integer, got {json.dumps(value)}")
+# the JSON type of each Python type ``json.loads`` returns, as an error names it
+JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+              float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _json(value, *types):
+    """``value`` as it is if its type is exactly one of ``types``, else a ValueError.
+
+    The check is exact, so neither a bool nor a float that holds an integer
+    passes as an int, and nothing is converted: ``str()``, ``bool()`` and
+    ``float()`` would read a value of the wrong JSON type as a claim.  The
+    error names the JSON type expected (that of ``types[0]``) and the one
+    got, not the value, which may be a whole array or object.
+    """
+    if type(value) not in types:
+        raise ValueError(f"expected {JSON_TYPES[types[0]]}, got {JSON_TYPES[type(value)]}")
     return value
 
 
-def _json_bool(value) -> bool:
-    """A JSON boolean as it is; a string, number or null is a ValueError."""
-    if type(value) is not bool:
-        raise ValueError(f"expected a JSON boolean, got {json.dumps(value)}")
-    return value
-
-
-def _json_float(value) -> float:
-    """A JSON number as a float; a string, boolean or null is a ValueError."""
-    return float(_json_numbers([value])[0])
-
-
-def _json_numbers(values) -> list:
-    """``values`` as a list of JSON numbers; a string, boolean or null is a ValueError.
+def _json_numbers(values: list) -> list:
+    """``values`` as it is, once each is a JSON number; the first that is not raises.
 
     The types are gathered in one set, so the 2n coordinates of a large
     record are checked without a Python call per value.
     """
-    values = list(values)
     if not set(map(type, values)) <= {int, float}:
-        bad = next(v for v in values if type(v) is not int and type(v) is not float)
-        raise ValueError(f"expected a JSON number, got {json.dumps(bad)}")
+        for value in values:
+            _json(value, float, int)
     return values
 
 
-def _json_rows(rows) -> list:
-    """``rows`` as it is, once every entry of every row is a JSON number."""
-    _json_numbers(itertools.chain.from_iterable(rows))
-    return rows
+def _json_polygon(n: int, rows: list) -> geometry.SmallPolygon:
+    """The polygon of ``rows``, once every entry of every row is a JSON number."""
+    _json_numbers(list(itertools.chain.from_iterable(rows)))
+    return geometry.polygon_from_vertices(n, rows)
 
 
 def make_record(n, r, method, polygon, report, angles, diagnostics) -> PolygonRecord:

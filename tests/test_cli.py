@@ -326,7 +326,7 @@ class TestVerifyRender:
             (lambda d: {**d, "n": d["n"] + 1}, "record 'n' is malformed"),
             (lambda d: {**d, "n": 4, "vertices": d["vertices"][:4]}, "record 'n' is malformed"),
             (lambda d: {k: v for k, v in d.items() if k != "area"}, "record has no 'area'"),
-            (lambda d: [d], "record is a JSON list, not an object"),
+            (lambda d: [d], "record is an array, not an object"),
             # n and r are JSON integers, never truncated or parsed
             (lambda d: {**d, "n": d["n"] + 0.9}, "record 'n' is malformed"),
             (lambda d: {**d, "n": float(d["n"])}, "record 'n' is malformed"),
@@ -365,6 +365,13 @@ class TestVerifyRender:
              "record 'is_symmetric' is malformed"),
             (lambda d: {**d, "valid": {**d["valid"], "is_small": None}},
              "record 'is_small' is malformed"),
+            # method is a JSON string and valid and diagnostics are JSON
+            # objects, never values that str() or dict() would convert
+            (lambda d: {**d, "method": None}, "record 'method' is malformed"),
+            (lambda d: {**d, "method": 3}, "record 'method' is malformed"),
+            (lambda d: {**d, "valid": [[k, v] for k, v in d["valid"].items()]},
+             "record 'valid' is malformed"),
+            (lambda d: {**d, "diagnostics": []}, "record 'diagnostics' is malformed"),
         ],
         ids=["missing_key", "vertices_int", "vertices_dict", "ragged_vertex",
              "infinite_vertex", "missing_vertex", "nan_vertex",
@@ -374,7 +381,8 @@ class TestVerifyRender:
              "area_string", "area_bool", "upper_bound_string", "gap_string",
              "diameter_bool", "angles_strings", "angle_bool", "vertex_strings",
              "vertex_bool", "every_vertex_and_area_strings", "convex_string",
-             "symmetric_zero", "small_null"],
+             "symmetric_zero", "small_null", "method_null", "method_number",
+             "valid_array", "diagnostics_array"],
     )
     def test_malformed_record_is_usage_error(self, capsys, tmp_path, command, tamper, message):
         path = self._record_file(capsys, tmp_path)
