@@ -16,7 +16,6 @@ from .reduced import (
     ReducedParams,
     construct_Q,
     construct_Q_theorem,
-    derive,
     expand_angles,
     reduced_area,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "area_dissection",
     "construct_Q",
     "construct_Q_theorem",
-    "derive",
     "estimate_q_numeric",
     "expand_angles",
     "max_pairwise_distance",

@@ -284,7 +284,7 @@ def cmd_optimize(args) -> int:
         args.n, None, "full-nlp", polygon, report, angles.theta,
         {
             "constraint_residual": diag.constraint_residual,
-            "kkt_norm": diag.kkt_norm,
+            "kkt_norm": diag.grad_norm,
             "inner_iterations": diag.iterations,
             "multipliers": list(diag.multipliers),
             "stop_reason": diag.stop_reason,

@@ -48,19 +48,20 @@ _G_TAYLOR = (-139 / 31933440, -29 / 725760, -5 / 8064, 1 / 240, -5 / 24)
 
 @dataclass(frozen=True)
 class ReducedParams:
-    """Free and derived parameters of the r-parameter construction.
+    """A point of the r-parameter construction, derived when it is built.
 
     ``betas`` holds the floor(r/2) free pair angles, ``gammas_free`` the
     ceil(r/2) - 1 free asymmetries; ``__init__``, the one check of a
-    point, counts each on its own.  ``beta_derived`` (tail angle) and
-    ``gamma_last_derived`` (final asymmetry) are filled in by ``derive``,
-    which also keeps its walk of the prefix in ``_walk``: the prefix angles
-    and their ``walk_chain`` (S, x, y), read-only.  A derived point's area
-    and deficit are summed once, when first read, and kept in ``_terms``
-    (``_area_terms``).  Neither private field is an argument or compared,
-    so ``dataclasses.replace`` drops both and the readers of the walk refuse
-    the copy as underived.  Every angle is stored as a Python float, -0.0
-    as 0.0, so equal points have identical bits.
+    point, counts each on its own and then derives the point once
+    (``derive``): ``beta_derived`` (tail angle), ``gamma_last_derived``
+    (final asymmetry, None for r = 0) and, in ``_walk``, the prefix angles
+    and their ``walk_chain`` (S, x, y), read-only.  Free parameters whose
+    tail angle or closure root does not exist raise there, so every point
+    is derived, and ``dataclasses.replace`` derives its copy anew.  The
+    area and deficit are summed once, when first read, and kept in
+    ``_terms`` (``_area_terms``).  No derived field is an argument, and the
+    two private ones are not compared.  Every angle is stored as a Python
+    float, -0.0 as 0.0, so equal points have identical bits.
     """
 
     n: int
@@ -68,13 +69,12 @@ class ReducedParams:
     alpha: float
     betas: tuple[float, ...] = ()
     gammas_free: tuple[float, ...] = ()
-    beta_derived: float | None = None
-    gamma_last_derived: float | None = None
-    _walk: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _terms: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    beta_derived: float = field(init=False)
+    gamma_last_derived: float | None = field(init=False)
+    _walk: tuple = field(init=False, repr=False, compare=False)
+    _terms: tuple | None = field(init=False, repr=False, compare=False)
 
-    def __init__(self, n, r, alpha, betas=(), gammas_free=(), beta_derived=None,
-                 gamma_last_derived=None):
+    def __init__(self, n, r, alpha, betas=(), gammas_free=()):
         # written out, not generated: a frozen dataclass's __init__ sets each
         # field through object.__setattr__, and a __post_init__ would then
         # set most of them again; here each is set once, in the instance dict
@@ -87,14 +87,12 @@ class ReducedParams:
             raise ValueError(f"r = {r} takes {nb} free betas, got {len(betas)}")
         if len(gammas_free) != ng:
             raise ValueError(f"r = {r} takes {ng} free gammas, got {len(gammas_free)}")
-        if beta_derived is not None:
-            beta_derived = float(beta_derived) + 0.0
-        if gamma_last_derived is not None:
-            gamma_last_derived = float(gamma_last_derived) + 0.0
+        self.__dict__.update(n=n, r=r, alpha=alpha, betas=betas, gammas_free=gammas_free)
+        # through the module global, so a replacement of ``reduced.derive``
+        # sees every construction
+        beta, gamma, walk = derive(self)
         self.__dict__.update(
-            n=n, r=r, alpha=alpha, betas=betas, gammas_free=gammas_free,
-            beta_derived=beta_derived, gamma_last_derived=gamma_last_derived,
-            _walk=None, _terms=None,
+            beta_derived=beta, gamma_last_derived=gamma, _walk=walk, _terms=None
         )
 
 
@@ -174,24 +172,26 @@ def _prefix_angles(p: ReducedParams, beta: float, gamma_last: float) -> list[flo
     return th
 
 
-def derive(p: ReducedParams) -> ReducedParams:
-    """Fill in the two derived parameters and the prefix walk (one copy of ``p``).
+def derive(p: ReducedParams) -> tuple[float, float | None, tuple]:
+    """(tail angle, gamma_last, prefix walk) of ``p``'s free parameters.
 
+    ``ReducedParams`` calls it once, when a point is built, and stores the
+    three; gamma_last is None for r = 0, and the walk is (angles, S, x, y).
     The tail angle comes from the angle sum (``solve_beta``).  The one walk
-    of the prefix (``walk_chain``) is kept in the copy, and the area, the
-    deficit, ``derivatives`` and ``expand_angles`` read it.  For r >= 1 it
-    walks the angles before the last pair (b + g, b - g) first: they do not
-    depend on g = gamma_last.  Summing the constant-angle tail in closed
-    form reduces x_{n/2-1} = +-1/2 to x_rp + sin(phi - beta/2) / (2
-    cos(beta/2)) = 0, phi = S_rp, and each evaluation of that residual adds
-    only the last pair, whose first angle is an odd step of the chain.  Its
-    ``brentq`` root, checked to ``CLOSURE_RESIDUAL_TOL``, is gamma_last, and
-    the walk goes on by the last pair's two angles.  Every call derives
-    anew; the family's solve reaches it through ``_derived``, which keeps
-    the last point derived from a vector.
+    of the prefix (``walk_chain``) is what the area, the deficit,
+    ``derivatives`` and ``expand_angles`` read.  For r >= 1 it walks the
+    angles before the last pair (b + g, b - g) first: they do not depend on
+    g = gamma_last.  Summing the constant-angle tail in closed form reduces
+    x_{n/2-1} = +-1/2 to x_rp + sin(phi - beta/2) / (2 cos(beta/2)) = 0,
+    phi = S_rp, and each evaluation of that residual adds only the last
+    pair, whose first angle is an odd step of the chain.  Its ``brentq``
+    root, checked to ``CLOSURE_RESIDUAL_TOL``, is gamma_last, and the walk
+    goes on by the last pair's two angles.  Every call derives anew; the
+    family's solve builds its points through ``_derived``, which keeps the
+    last point built from a vector.
     """
     beta = solve_beta(p)
-    gamma = p.gamma_last_derived
+    gamma = None
     th = _prefix_angles(p, beta, 0.0)
     walk = walk_chain(th[:-2] if p.r else th)
     if p.r > 0:
@@ -214,31 +214,12 @@ def derive(p: ReducedParams) -> ReducedParams:
             )
         th[-2:] = b + gamma, b - gamma
         walk = walk_chain(th[-2:], walk)
-    # a copy of the validated p with the derived fields set, the floats
-    # stored as ``__init__`` stores them; ``dataclasses.replace`` would
-    # run it again
-    q = object.__new__(ReducedParams)
-    q.__dict__.update(
-        p.__dict__, beta_derived=beta, gamma_last_derived=gamma, _walk=(th, *walk),
-        _terms=None,
-    )
-    return q
-
-
-def _walk_of(p: ReducedParams, doing: str) -> tuple[list, list, list, list]:
-    """The prefix walk (angles, S, x, y) that ``derive`` kept in ``p``.
-
-    A point that ``derive`` did not make, a ``dataclasses.replace`` of a
-    derived one included, has none and is refused.
-    """
-    if p._walk is None:
-        raise ValueError(f"derive the parameters before {doing}")
-    return p._walk
+    return beta, gamma, (th, *walk)
 
 
 def expand_angles(p: ReducedParams) -> AngleVector:
     """The full n/2 turning angles of the construction (``AngleVector`` checks their box)."""
-    prefix = _walk_of(p, "expanding")[0]
+    prefix = p._walk[0]
     th = np.full(p.n // 2, p.beta_derived)
     th[: len(prefix)] = prefix
     return AngleVector(p.n, th)
@@ -251,9 +232,8 @@ def reduced_area(p: ReducedParams) -> float:
     sin(beta) - tan(beta/2) plus one correction term built from the prefix
     state; the prefix contributes its own triangle areas.  For r = 0 the
     value is the polygon area only at the closure point alpha = beta/2.
-    Summed as ``_area_terms`` describes, from the walk ``derive`` kept.
+    Summed as ``_area_terms`` describes, from the point's prefix walk.
     """
-    _walk_of(p, "evaluating the area")
     return _area_terms(p)[0]
 
 
@@ -274,7 +254,6 @@ def area_deficit(p: ReducedParams) -> float:
     1e4, 2.3e-5 below 1e5 and 1.8e-3 below 1e6; in 1e6..1e7 they reach
     16%.  ``asymptotics.estimate_q_numeric`` refuses a grid n above 1e6.
     """
-    _walk_of(p, "evaluating the deficit")
     return _area_terms(p)[1]
 
 
@@ -300,7 +279,7 @@ def _area_terms(p: ReducedParams) -> tuple[float, float]:
     The prefix contributes the triangle sum ``tri`` of its rp + 1 angles,
     the tail tc = n/2 - rp - 1 copies of sin(beta) - tan(beta/2), and one
     ``correction`` in phi = S_rp and vertex rp joins them, all three from
-    the walk that ``derive`` kept, with the triangles' terms formed by
+    the point's prefix walk, with the triangles' terms formed by
     ``triangle_terms``; for r = 0 the prefix is theta_0 = alpha alone.  Since
     tc beta = pi/2 - phi for the exact tail angle, the tail is pi/4 - phi/2
     + tc g(beta) (``_g``), with phi/2 = alpha/2 plus the beta of each of
@@ -310,9 +289,8 @@ def _area_terms(p: ReducedParams) -> tuple[float, float]:
     Both are summed from one list of terms: the deficit's are the area's
     after pi/4, negated, and the n^-2 term, and a correctly rounded sum of
     negated terms is the negated sum.  Summed at the first read of a
-    derived point and kept on it (``_terms``), so the ``area_deficit``
-    after a solve's closing ``objective`` reads the sums that made the
-    area.  Its callers refuse a point without a walk.
+    point and kept on it (``_terms``), so the ``area_deficit`` after a
+    solve's closing ``objective`` reads the sums that made the area.
     """
     if p._terms is not None:
         return p._terms
@@ -361,11 +339,12 @@ _last_derived: tuple = ((), None)
 
 
 def _derived(n: int, r: int, vec) -> ReducedParams:
-    """``derive(params_from_vector(n, r, vec))``, the last one kept.
+    """``params_from_vector(n, r, vec)``, the last one kept.
 
-    The one memo in front of ``derive``, keyed on n, r, their types (a
-    float n or a bool r is not served the point of an int one) and the
-    vector's floats (-0.0 equals 0.0, which the point stores).
+    The one memo in front of building, and so deriving, a point from a
+    vector, keyed on n, r, their types (a float n or a bool r is not served
+    the point of an int one) and the vector's floats (-0.0 equals 0.0,
+    which the point stores).
     ``derivatives`` derives each Newton iterate through it, and the closing
     ``objective`` of a box solve and the result of ``best_params`` read
     the point that the solve's last ``derivatives`` call derived, root
@@ -375,7 +354,7 @@ def _derived(n: int, r: int, vec) -> ReducedParams:
     floats = np.asarray(vec, dtype=float).tolist()
     key = (n, r, type(n), type(r), *floats)
     if key != _last_derived[0]:
-        _last_derived = key, derive(params_from_vector(n, r, floats))
+        _last_derived = key, params_from_vector(n, r, floats)
     return _last_derived[1]
 
 
@@ -430,9 +409,8 @@ def _sum_skeleton(r: int) -> np.ndarray:
     return A
 
 
-@functools.lru_cache(maxsize=1)
 def _sum_map(n: int, r: int) -> np.ndarray:
-    """The affine map A = dz/du of ``derivatives``, read-only; fixed per (n, r).
+    """The affine map A = dz/du of ``derivatives``; fixed per (n, r).
 
     Row order: the partial sums S_0, ..., S_rp of the prefix angles, then the
     tail angle beta.  Columns: the free parameters, then gamma_last.  beta
@@ -452,7 +430,6 @@ def _sum_map(n: int, r: int) -> np.ndarray:
         # the last pair's angles are beta +- gamma_last
         A[rp - 1] += b
         A[rp, :k] = A[rp - 1, :k] + b[:k]
-    A.setflags(write=False)
     return A
 
 
@@ -463,9 +440,9 @@ def derivatives(n: int, r: int, vec):
     callable (the ``BoxProblem`` contract), or None where ``derive`` raises
     (``objective`` is undefined); a malformed n or r is the caller's error
     and raises the ``ValueError`` of ``_check_size``.  The gradient and mu
-    are computed here, from the vertices of the prefix walk that ``derive``
-    kept (a point without one is refused), their steps and area gradient
-    (``area_gradient_s``) and one product with A; the prefix triangles'
+    are computed here, from the vertices of the point's prefix walk, their
+    steps and area gradient (``area_gradient_s``) and one product with A;
+    the prefix triangles'
     dense Hessian and the B^T H B assembly wait for ``hessian()``, which the
     Newton kernel calls only at the points it steps from.  The turn phi is
     the walk's S_rp, as in ``_area_terms``.  With u = (free parameters p,
@@ -489,13 +466,11 @@ def derivatives(n: int, r: int, vec):
     try:
         p = _derived(n, r, vec)
     except ValueError:
-        p = None
-    if p is None:
         # the point's construction checks the size too; only a point that
         # derive finds undefined gives None
         _check_size(n, r)
         return None
-    _, S, x, y = _walk_of(p, "differentiating")
+    _, S, x, y = p._walk
     k = 1 + len(p.betas) + len(p.gammas_free)
     A = _sum_map(n, r)
     beta = p.beta_derived
@@ -572,7 +547,7 @@ def best_params(n: int, r: int) -> ReducedParams:
     """
     _check_size(n, r)
     if r == 0:
-        return derive(ReducedParams(n=n, r=0, alpha=math.pi / (2 * n - 2)))
+        return ReducedParams(n=n, r=0, alpha=math.pi / (2 * n - 2))
     lo, hi = _box(n, r)
     problem = BoxProblem(
         lower=lo,

@@ -83,7 +83,6 @@ class Diagnostics:
     grad_norm: float = math.nan
     message: str = ""
     constraint_residual: float | None = None
-    kkt_norm: float | None = None
     multipliers: tuple[float, ...] | None = None
     stop_reason: str = ""
 
@@ -184,11 +183,14 @@ def _newton(evaluate, x0, lo, hi, ncon: int):
     for the step; the others take the step from the KKT system with the
     exact Hessian.  Where that Hessian has a negative eigenvalue on
     the null space of the constraint Jacobian, twice its magnitude is added
-    to the diagonal, so a far start heads for a minimum of f, not a saddle;
-    an eigenvalue within rounding of zero is lifted to the rounding level, so
-    a flat direction (a linear f) still gets a step, which the projection
-    cuts at the bound.  The null-space basis comes from a complete QR of the
-    free Jacobian's transpose.  A step, or a halving of it, is projected
+    to the diagonal, so the step descends f.  A step is still accepted
+    only where the KKT residual falls, so the shift does not steer a solve
+    off a saddle or a maximum of f: near one, a step away raises the
+    gradient and is refused, and a start at one stops there as converged.
+    An eigenvalue within rounding of zero is lifted to the rounding level,
+    so a flat direction (a linear f) still gets a step, which the
+    projection cuts at the bound.  The null-space basis comes from a
+    complete QR of the free Jacobian's transpose.  A step, or a halving of it, is projected
     onto the box and accepted if f is defined there and the max-norm KKT
     residual (held variables excluded) falls.  Near a nondegenerate optimum
     no shift is needed and the steps are Newton's.  The loop ends for one
@@ -507,7 +509,6 @@ def solve_full_nlp(n: int, start=None, *, tol: float = 1e-10):
         nfev=nfev,
         grad_norm=kkt,
         constraint_residual=cmax,
-        kkt_norm=kkt,
         multipliers=tuple(float(v) for v in lam),
         stop_reason=reason,
     )

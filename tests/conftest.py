@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from smallpoly.reduced import ReducedParams, derive, expand_angles
+from smallpoly.reduced import ReducedParams, expand_angles
 
 
 def make_sampler(seed=0, n_max=40, r_max=6):
     """Random feasible angle vectors via the reduced family.
 
-    Drawing the free parameters inside their boxes and deriving the tail
-    angle and final asymmetry guarantees both the quarter-turn sum and the
-    chain closure, which is what "feasible" means for these polygons.
+    Drawing the free parameters inside their boxes and building the point,
+    which derives the tail angle and final asymmetry, guarantees both the
+    quarter-turn sum and the chain closure, which is what "feasible" means
+    for these polygons.
     """
     rng = np.random.default_rng(seed)
 
@@ -19,19 +20,17 @@ def make_sampler(seed=0, n_max=40, r_max=6):
         for _ in range(100):
             n = 2 * int(rng.integers(3, n_max // 2 + 1))
             r = int(rng.integers(0, min(r_max, (n - 4) // 2) + 1))
-            if r == 0:
-                params = ReducedParams(n=n, r=0, alpha=math.pi / (2 * n - 2))
-            else:
+            alpha, betas, gammas = math.pi / (2 * n - 2), (), ()
+            if r > 0:
                 nb = r // 2 if r % 2 == 0 else (r - 1) // 2
                 ng = (r + 1) // 2 - 1
                 alpha = rng.uniform(math.pi / (2 * n - 2), math.pi / n)
                 betas = tuple(rng.uniform(math.pi / n, 2 * math.pi / n, nb))
                 gammas = tuple(rng.uniform(0.0, math.pi / n, ng))
+            try:
                 params = ReducedParams(
                     n=n, r=r, alpha=alpha, betas=betas, gammas_free=gammas
                 )
-            try:
-                params = derive(params)
                 angles = expand_angles(params)
             except ValueError:
                 continue

@@ -23,7 +23,7 @@ from smallpoly.asymptotics import (
     theorem_constants,
     verify_certificates,
 )
-from smallpoly.reduced import ReducedParams, area_deficit, derive
+from smallpoly.reduced import ReducedParams, area_deficit
 from smallpoly.reference import ASYMPTOTIC_COEFFS, coeff_row
 from smallpoly.solver import STOP_CONVERGED
 
@@ -211,7 +211,7 @@ class TestDeficit:
     def test_r0_against_decimal_oracle(self):
         # double trig of the small arguments limits agreement to ~2e-19
         for n, oracle in R0_DEFICIT_ORACLE.items():
-            p = derive(ReducedParams(n=n, r=0, alpha=math.pi / (2 * n - 2)))
+            p = ReducedParams(n=n, r=0, alpha=math.pi / (2 * n - 2))
             assert area_deficit(p) == pytest.approx(oracle, abs=5e-19)
 
 

@@ -3,6 +3,7 @@ import math
 import re
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,14 +48,22 @@ from tests.conftest import mp_walk_oracle
 
 
 def q61_params():
-    return derive(ReducedParams(n=6, r=1, alpha=0.3509301888703616))
+    return ReducedParams(n=6, r=1, alpha=0.3509301888703616)
 
 
 def q103_params():
     row = OPTIMAL_SMALL_N[10]
-    return derive(
-        ReducedParams(n=10, r=3, alpha=row.alpha, betas=row.betas, gammas_free=row.gammas)
-    )
+    return ReducedParams(n=10, r=3, alpha=row.alpha, betas=row.betas, gammas_free=row.gammas)
+
+
+def free_params(n, r, vec):
+    """The free parameters of ``vec`` without building a point: what
+    ``solve_beta``, ``_prefix_angles`` and ``derive`` read, each angle a
+    Python float stored as ``ReducedParams`` stores it."""
+    alpha, *rest = [float(v) + 0.0 for v in vec]
+    nb = free_shape(r)[0]
+    return SimpleNamespace(n=n, r=r, alpha=alpha, betas=tuple(rest[:nb]),
+                           gammas_free=tuple(rest[nb:]))
 
 
 class TestParams:
@@ -115,13 +124,13 @@ class TestParams:
 
 class TestSolveBeta:
     def test_r0(self):
-        p = ReducedParams(n=6, r=0, alpha=math.pi / 10)
+        p = free_params(6, 0, [math.pi / 10])
         assert solve_beta(p) == pytest.approx(math.pi / 5, abs=1e-15)
-        p = ReducedParams(n=12, r=0, alpha=math.pi / 22)
+        p = free_params(12, 0, [math.pi / 22])
         assert solve_beta(p) == pytest.approx(math.pi / 11, abs=1e-15)
 
     def test_r1_matches_angle_sum(self):
-        p = ReducedParams(n=6, r=1, alpha=0.3509301888703616)
+        p = free_params(6, 1, [0.3509301888703616])
         beta = solve_beta(p)
         assert beta == pytest.approx((math.pi / 2 - p.alpha) / 2, abs=1e-15)
         assert beta == pytest.approx(0.6099329, abs=2e-6)
@@ -134,7 +143,7 @@ class TestSolveBeta:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            solve_beta(ReducedParams(n=6, r=1, alpha=2.0))  # tail angle negative
+            solve_beta(free_params(6, 1, [2.0]))  # tail angle negative
 
 
 class TestSolveGammaLast:
@@ -160,12 +169,12 @@ class TestSolveGammaLast:
 
     def test_zero_root(self, monkeypatch):
         # tune the free beta so the closure already holds at gamma = 0,
-        # then the root solve in derive must return (numerically) zero; the
+        # then the root solve of the point must return (numerically) zero; the
         # stop test is relative to the root, so it ends on its absolute
         # floor, far inside brentq's 200-step cap
         n, r, alpha = 8, 2, 0.2725
         def residual_at_zero(b1):
-            p = ReducedParams(n=n, r=r, alpha=alpha, betas=(b1,))
+            p = free_params(n, r, [alpha, b1])
             return walked_residual(p, solve_beta(p), 0.0)
 
         # keep the tail angle positive: b1 < (pi/2 - alpha)/2
@@ -176,7 +185,7 @@ class TestSolveGammaLast:
             return brentq(lambda g: evaluations.append(g) or f(g), a, b)
 
         monkeypatch.setattr(reduced, "brentq", counting_brentq)
-        p = derive(ReducedParams(n=n, r=r, alpha=alpha, betas=(b1,)))
+        p = ReducedParams(n=n, r=r, alpha=alpha, betas=(b1,))
         assert abs(p.gamma_last_derived) <= 1e-12
         assert len(evaluations) <= 100  # 59 seen
 
@@ -202,14 +211,15 @@ def walked_gamma_last(p, beta):
 def closure_corpus():
     """1000 points, 125 per family, up to 10% of the box off the tabulated
     start; (6, 1), (10, 3), (14, 5) and (30, 13) are zero-tail families.
-    Yields each point whose tail angle is defined, with that angle."""
+    Yields the free parameters (``free_params``) of each point whose tail
+    angle is defined, with that angle."""
     families = [(6, 1), (10, 3), (14, 5), (12, 4), (30, 13), (120, 16), (1000, 7), (50000, 16)]
     for n, r in families:
         lo, hi = np.array(_box(n, r))
         rng = np.random.default_rng(7 * n + r)
         for _ in range(125):
             x = np.clip(start_vector(n, r) + 0.1 * (hi - lo) * rng.uniform(-1, 1, len(lo)), lo, hi)
-            p = params_from_vector(n, r, x)
+            p = free_params(n, r, x)
             try:
                 beta = solve_beta(p)
             except ValueError:
@@ -219,27 +229,28 @@ def closure_corpus():
 
 def test_hoisted_closure_matches_prefix_walk():
     """One walk of the fixed prefix per root solve gives the root of the
-    full walk, bit for bit, on the 1000 points of ``closure_corpus``."""
+    full walk, bit for bit, on the 1000 points of ``closure_corpus``; where
+    the full walk has no root, building the point raises."""
     solved = 0
     for p, beta in closure_corpus():
         try:
             expected = walked_gamma_last(p, beta)
         except BracketError:
             with pytest.raises(BracketError):
-                derive(p)
+                ReducedParams(**vars(p))
             continue
-        assert derive(p).gamma_last_derived == expected
+        assert ReducedParams(**vars(p)).gamma_last_derived == expected
         solved += 1
     assert solved >= 900
 
 
 def test_stored_walk_is_the_walk_of_the_prefix():
-    """The walk ``derive`` keeps, the fixed prefix continued by the last
-    pair, is the walk of the whole prefix from scratch, bit for bit."""
+    """The walk a point keeps, the fixed prefix continued by the last pair,
+    is the walk of the whole prefix from scratch, bit for bit."""
     walked = 0
     for p, _ in closure_corpus():
         try:
-            d = derive(p)
+            d = ReducedParams(**vars(p))
         except BracketError:
             continue
         th = _prefix_angles(d, d.beta_derived, d.gamma_last_derived)
@@ -252,13 +263,10 @@ def test_stored_walk_is_the_walk_of_the_prefix():
 @pytest.mark.parametrize("n, r", [(6, 1), (12, 4), (14, 5), (40, 3), (120, 16), (50000, 16)])
 def test_sum_map_is_the_jacobian_of_the_partial_sums(n, r):
     A = _sum_map(n, r)
-    assert not A.flags.writeable
-    with pytest.raises(ValueError):
-        A[0, 0] = 2.0
 
     def z(u):
         # u = (free parameters, gamma_last) -> (S_0, ..., S_rp, beta)
-        p = params_from_vector(n, r, u[:-1])
+        p = free_params(n, r, u[:-1])
         beta = solve_beta(p)
         return np.append(np.cumsum(_prefix_angles(p, beta, u[-1])), beta)
 
@@ -314,7 +322,7 @@ def test_prefix_walk_matches_the_numpy_path(r):
         ]
         for i, vec in enumerate(points):
             try:
-                p = derive(params_from_vector(n, r, vec))
+                p = params_from_vector(n, r, vec)
             except ValueError:
                 continue
             th = _prefix_angles(p, p.beta_derived, p.gamma_last_derived)
@@ -339,7 +347,7 @@ def test_prefix_walk_matches_the_numpy_path(r):
 
 class TestExpand:
     def test_r0_pentagon_star(self):
-        p = derive(ReducedParams(n=6, r=0, alpha=math.pi / 10))
+        p = ReducedParams(n=6, r=0, alpha=math.pi / 10)
         assert expand_angles(p).theta == pytest.approx(
             (math.pi / 10, math.pi / 5, math.pi / 5), abs=1e-15
         )
@@ -353,8 +361,8 @@ class TestExpand:
     def test_bounds_name_first_offender(self, change, named):
         # ``AngleVector`` checks the expanded angles' box and names the first
         # angle outside it; a derived tail angle outside its box cannot be
-        # reached through ``derive`` (test_geometry's AngleVector tests name it)
-        p = derive(replace(ReducedParams(n=12, r=0, alpha=math.pi / 22), **change))
+        # reached through a point (test_geometry's AngleVector tests name it)
+        p = replace(ReducedParams(n=12, r=0, alpha=math.pi / 22), **change)
         with pytest.raises(ValueError, match=re.escape(named)):
             expand_angles(p)
 
@@ -398,9 +406,7 @@ class TestReducedArea:
 
     def test_twelve_gon(self):
         row = OPTIMAL_SMALL_N[12]
-        p = derive(
-            ReducedParams(n=12, r=4, alpha=row.alpha, betas=row.betas, gammas_free=row.gammas)
-        )
+        p = ReducedParams(n=12, r=4, alpha=row.alpha, betas=row.betas, gammas_free=row.gammas)
         assert reduced_area(p) == pytest.approx(0.7607298734487962, abs=1e-12)
 
     def test_matches_dissection(self, feasible_sampler):
@@ -528,7 +534,7 @@ class TestDerivatives:
         x = np.clip(math.pi / n * scaled_limits(r) + 0.02 * (hi - lo) * rng.uniform(-1, 1, len(lo)), lo, hi)
         g, hessian = derivatives(n, r, x)
         H = hessian()
-        area = lambda v: -area_deficit(derive(params_from_vector(n, r, v)))
+        area = lambda v: -area_deficit(params_from_vector(n, r, v))
         shrink = 0.1 if r % 2 and n == 2 * r + 4 else 1.0
         h = shrink * 1e-2 * math.pi / n
         fd_g = np.zeros(len(x))
@@ -546,7 +552,7 @@ class TestDerivatives:
 
     def test_none_outside_the_domain(self):
         # alpha at the top of its box with large betas leaves no tail angle;
-        # the objective there raises derive's error
+        # the objective there raises the point's error
         lo, hi = np.array(_box(12, 4))
         assert derivatives(12, 4, hi) is None
         with pytest.raises(ValueError, match="derived tail angle"):
@@ -676,7 +682,7 @@ class TestDriftStart:
                 assert plain.stop_reason == STOP_CONVERGED, (n, r)
                 assert diag.iterations <= plain.iterations, (n, r)
                 stepped += diag.iterations < plain.iterations
-                area = reduced_area(derive(params_from_vector(n, r, x)))
+                area = reduced_area(params_from_vector(n, r, x))
                 assert abs(reduced_area(p) - area) <= 2e-15, (n, r)
         assert stepped >= 75  # 78 of the 112 cases take fewer steps (64 from x_1 alone)
 
@@ -727,13 +733,13 @@ class TestZeroStepSolve:
 
 
 def count_derives(monkeypatch):
-    """Record every point ``reduced.derive`` returns; returns the list."""
+    """Record the point of every ``reduced.derive`` call; returns the list."""
     derived = []
     real_derive = reduced.derive
 
     def derive(p):
-        derived.append(real_derive(p))
-        return derived[-1]
+        derived.append(p)
+        return real_derive(p)
 
     monkeypatch.setattr(reduced, "derive", derive)
     return derived
@@ -931,7 +937,7 @@ class TestPlainFloatOracles:
         with mpmath.workdps(50):
             for _ in range(30):
                 x = x0 * (1 + 1e-9 * rng.uniform(-1, 1, len(x0)))
-                p = derive(params_from_vector(n, r, x))
+                p = params_from_vector(n, r, x)
                 exact = mp_deficit(p, mpmath, solve=False)
                 worst = max(worst, float(abs((area_deficit(p) - exact) / exact)))
         assert worst <= 5e-7
@@ -982,23 +988,59 @@ def test_deficit_resolved_to_n_1e6(monkeypatch):
 
 
 class TestDeriveCopy:
-    """``derive`` copies its validated input without validating it again."""
+    """A point is derived when it is built: ``ReducedParams`` calls
+    ``derive`` once and keeps the tail angle, gamma_last and the walk."""
 
     @pytest.mark.parametrize("n, r", [(6, 0), (6, 1), (10, 3), (12, 4), (120, 16), (1000, 7)])
-    def test_derived_fields_are_floats(self, n, r):
+    def test_derived_fields_are_floats(self, monkeypatch, n, r):
+        derives = count_derives(monkeypatch)
         if r == 0:
             p = ReducedParams(n=n, r=0, alpha=math.pi / (2 * n - 2))
         else:
             p = params_from_vector(n, r, start_vector(n, r))
-        d = derive(p)
-        assert type(d) is ReducedParams
-        assert type(d.beta_derived) is float
-        assert type(d.gamma_last_derived) is (float if r else type(None))
-        assert p.beta_derived is None and p.gamma_last_derived is None
-        # the copy passes the construction checks it skipped
-        assert replace(d) == d
+        assert derives == [p]
+        assert type(p) is ReducedParams
+        assert type(p.beta_derived) is float
+        assert type(p.gamma_last_derived) is (float if r else type(None))
+        # the walk of the point's own prefix (repr shows every bit)
+        th = _prefix_angles(p, p.beta_derived, p.gamma_last_derived)
+        assert repr(p._walk) == repr((th, *walk_chain(th)))
+        assert replace(p) == p
         with pytest.raises(dataclasses.FrozenInstanceError):
-            d.alpha = 0.0
+            p.alpha = 0.0
+
+    def test_replace_is_the_point_built_anew(self):
+        n, r = 40, 5
+        p = params_from_vector(n, r, start_vector(n, r))
+        reduced_area(p)  # p keeps its sums; the copy must not be served them
+        a = p.alpha * (1 + 1e-6)
+        moved = replace(p, alpha=a)
+        built = ReducedParams(n, r, a, p.betas, p.gammas_free)
+        assert moved == built and moved != p
+        assert repr(moved._walk) == repr(built._walk)
+        assert reduced_area(moved).hex() == reduced_area(built).hex() != reduced_area(p).hex()
+        assert area_deficit(moved).hex() == area_deficit(built).hex()
+
+    @pytest.mark.parametrize(
+        "n, r, error",
+        [(12, 4, "derived tail angle"), (14, 5, "derived tail angle"), (10, 3, "no sign change"),
+         (40, 5, "no sign change")],
+    )
+    def test_undefined_free_parameters_raise_from_the_constructor(self, n, r, error):
+        # the top of the box leaves no tail angle or no closure root; the
+        # constructor raises the error of deriving the free parameters
+        hi = _box(n, r)[1]
+        with pytest.raises(ValueError, match=error) as want:
+            derive(free_params(n, r, hi))
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            params_from_vector(n, r, hi)
+
+    def test_derived_fields_are_not_arguments(self):
+        for name in ("beta_derived", "gamma_last_derived"):
+            with pytest.raises(TypeError):
+                ReducedParams(6, 1, 0.35, **{name: 0.6})
+            with pytest.raises(ValueError, match="init=False"):
+                replace(q61_params(), **{name: 0.6})
 
 
 class TestPointDerivedOnce:
@@ -1061,8 +1103,9 @@ class TestPointDerivedOnce:
 
 
 class TestOneWalkPerPoint:
-    """``derive`` walks a point's prefix once and keeps the walk; the area,
-    the deficit, ``expand_angles`` and ``derivatives`` read it."""
+    """Building a point walks its prefix once (``derive``) and keeps the
+    walk; the area, the deficit, ``expand_angles`` and ``derivatives`` read
+    it."""
 
     @staticmethod
     def spy(monkeypatch):
@@ -1103,29 +1146,3 @@ class TestOneWalkPerPoint:
         _, hessian = derivatives(n, r, vec)
         hessian()
         assert calls == []
-
-    def test_readers_refuse_a_point_derive_did_not_make(self, monkeypatch):
-        n, r = 40, 5
-        vec = start_vector(n, r)
-        d = derive(params_from_vector(n, r, vec))
-        # the memos hold d's area and deficit: a copy equal to d must still
-        # be refused, not served from them
-        reduced_area(d)
-        area_deficit(d)
-        copies = [
-            replace(d),
-            ReducedParams(n, r, d.alpha, d.betas, d.gammas_free, d.beta_derived,
-                          d.gamma_last_derived),
-        ]
-        for copy in copies:
-            assert copy == d and copy._walk is None
-            for read in (reduced_area, area_deficit, expand_angles):
-                with pytest.raises(ValueError, match="derive the parameters before"):
-                    read(copy)
-        # ``derivatives`` derives its own point; hand it the copy instead,
-        # from an empty memo
-        real_derive = reduced.derive
-        monkeypatch.setattr(reduced, "_last_derived", ((), None))
-        monkeypatch.setattr(reduced, "derive", lambda p: replace(real_derive(p)))
-        with pytest.raises(ValueError, match="derive the parameters before differentiating"):
-            derivatives(n, r, vec)

@@ -501,7 +501,7 @@ class TestSolveFullNlp:
             (0.350930, 0.653342, 0.566524), abs=1e-6
         )
         assert diag.constraint_residual <= 1e-10
-        assert diag.kkt_norm <= 1e-8
+        assert diag.grad_norm <= 1e-8
 
     def test_sixteen_gon(self):
         _, area, _ = solve_full_nlp(16)
